@@ -70,6 +70,7 @@ from .model import (
 )
 from .principal import (
     ComparisonReport,
+    ContractSolution,
     EffortSchedule,
     FirstBestReport,
     PaymentSchedule,
@@ -79,11 +80,13 @@ from .principal import (
     first_best_report,
     m_curve,
     optimal_schedule,
+    solve_contract,
     value_report,
 )
 
 __all__ = [
     "ComparisonReport",
+    "ContractSolution",
     "EffortSchedule",
     "Envelopes",
     "FirstBestReport",
@@ -118,6 +121,7 @@ __all__ = [
     "reservation",
     "sigma_of",
     "simulate",
+    "solve_contract",
     "validate",
     "value_report",
     "verify_participation",

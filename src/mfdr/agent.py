@@ -20,7 +20,6 @@ baseline incentive ``kappa``), which pins the participation constraint.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from typing import NamedTuple
@@ -237,17 +236,6 @@ class ReservationReport:
     def to_flat(self) -> dict[str, float]:
         """Flat key/value summary of the scalar outputs."""
         return {"xi0": self.xi0, "r0": self.r0, "psi0_T": self.psi0_T}
-
-    def to_csv(self, path) -> None:
-        """Write the time curves as CSV: t, gamma0, beta0_1..beta0_d."""
-        d = self.beta0.shape[1]
-        header = ["t", "gamma0"] + [f"beta0_{k + 1}" for k in range(d)]
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for i in range(self.grid.shape[0]):
-                row = [self.grid[i], self.gamma0[i]] + list(self.beta0[i])
-                writer.writerow(format(v, ".12g") for v in row)
 
 
 def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport:

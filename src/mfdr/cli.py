@@ -50,6 +50,9 @@ from .model import (
     MODEL_CONFIG_KEYS,
     ModelParams,
     ParameterError,
+    _parse_float,
+    _parse_float_list,
+    _parse_int,
     calibrated_defaults,
     params_from_mapping,
     read_flat_config,
@@ -61,6 +64,7 @@ from .principal import (
     compare,
     first_best_report,
     optimal_schedule,
+    solve_contract,
     value_report,
 )
 
@@ -160,27 +164,6 @@ def _parse_bool(key: str, raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ParameterError([f"{key} = {raw!r}: not a boolean"])
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParameterError([f"{key} = {raw!r}: not a number"]) from exc
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError([f"{key} = {raw!r}: not an integer"]) from exc
-
-
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise ParameterError([f"{key} = {raw!r}: empty list"])
-    return tuple(_parse_float(key, piece) for piece in items)
 
 
 def build_run_config(
@@ -421,12 +404,13 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
             f"n_particles < 64 (got {config.sim.n_particles})",
             file=sys.stderr,
         )
-    payment, _ = optimal_schedule(kind, principal, params, config.grid)
-    report = value_report(kind, principal, params, config.grid)
-    ensemble = simulate(params, payment, config.sim)
-    payoffs = contract_payoffs(ensemble, payment, params, principal)
+    solution = solve_contract(kind, principal, params, config.grid)
+    ensemble = simulate(params, solution.payment, config.sim)
+    payoffs = contract_payoffs(ensemble, solution.payment, params, principal)
     participation = verify_participation(ensemble, payoffs, params)
-    principal_value = verify_principal_value(ensemble, payoffs, params, report)
+    principal_value = verify_principal_value(
+        ensemble, payoffs, params, solution.value
+    )
 
     mc_header = [
         "check",
@@ -535,10 +519,14 @@ def cmd_reservation(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]
     """Write the walk-away problem's rate curves and summary values."""
     params = config.params
     report = reservation(params, grid_size=config.grid)
-    curve_path = config.out_dir / "reservation.csv"
-    curve_path.parent.mkdir(parents=True, exist_ok=True)
-    report.to_csv(curve_path)
-    print(f"wrote {curve_path}")
+    curve_path = _write_csv(
+        config.out_dir / "reservation.csv",
+        ["t", "gamma0"] + [f"beta0_{k + 1}" for k in range(params.d)],
+        [
+            [report.grid[i], report.gamma0[i]] + list(report.beta0[i])
+            for i in range(len(report.grid))
+        ],
+    )
     flat = report.to_flat()
     summary_path = _write_csv(
         config.out_dir / "reservation_report.csv",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -39,6 +39,7 @@ from .agent import (
     reservation,
 )
 from .model import ModelParams, ParameterError, validate
+from .numerics import integrate_samples
 from .principal import PRINCIPAL_KINDS, PaymentSchedule, ValueReport
 
 __all__ = [
@@ -151,9 +152,6 @@ class ParticleEnsemble:
     quadratic_variation_integral: float
     #: drift integral of one particle (deterministic scalar)
     drift_integral: float
-    #: full deviation paths, shape (n_common, n_particles, n_steps + 1);
-    #: only stored when simulate(..., keep_paths=True)
-    x_paths: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_common(self) -> int:
@@ -256,7 +254,6 @@ def _simulate_scenario(
     idio_scale: np.ndarray,
     z_steps: np.ndarray,
     zmu_steps: np.ndarray,
-    keep_paths: bool,
 ) -> tuple[np.ndarray, ...]:
     """Simulate one common-noise scenario and reduce it to accumulators."""
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, m], dtype=np.uint64)))
@@ -293,13 +290,6 @@ def _simulate_scenario(
     zmu_dw_circ = np.sum(zmu_steps * dw_circ)
     zmu_dsum = np.sum(zmu_dx)
 
-    if keep_paths:
-        x_paths = np.empty((cfg.n_particles, n_steps + 1))
-        x_paths[:, 0] = x0
-        x_paths[:, 1:] = x0 + cum_idio + sigma_circ * w_circ_cum
-    else:
-        x_paths = None
-
     reductions = (
         x_terminal,
         xo_terminal,
@@ -313,14 +303,13 @@ def _simulate_scenario(
             raise ArithmeticError(
                 f"overflow in simulation of common-noise scenario {m}"
             )
-    return (*reductions, dw_circ, x_paths)
+    return (*reductions, dw_circ)
 
 
 def simulate(
     params: ModelParams,
     schedule: PaymentSchedule,
     cfg: SimConfig,
-    keep_paths: bool = False,
 ) -> ParticleEnsemble:
     """Simulate a population of consumers responding to a payment schedule.
 
@@ -361,7 +350,6 @@ def simulate(
     zmu_dw_circ = np.empty(M)
     zmu_dsum = np.empty(M)
     w_circ_increments = np.empty((M, n_steps))
-    x_paths = np.empty((M, N, n_steps + 1)) if keep_paths else None
 
     def run(m: int) -> None:
         out = _simulate_scenario(
@@ -375,7 +363,6 @@ def simulate(
             idio_scale,
             z_steps,
             zmu_steps,
-            keep_paths,
         )
         x_terminal[m] = out[0]
         xo_terminal[m] = out[1]
@@ -384,8 +371,6 @@ def simulate(
         zmu_dx[m] = out[4]
         z_dw_circ[m], zmu_dw_circ[m], zmu_dsum[m] = out[5]
         w_circ_increments[m] = out[6]
-        if keep_paths:
-            x_paths[m] = out[7]
 
     workers = _worker_count(M)
     if workers == 1:
@@ -413,7 +398,6 @@ def simulate(
         effort_cost_integral=effort_cost_integral,
         quadratic_variation_integral=quadratic_variation_integral,
         drift_integral=drift_integral,
-        x_paths=x_paths,
     )
 
 
@@ -453,11 +437,7 @@ def _simpson_running_terms(
         + 0.5 * (gamma + params.r_a * z**2) * var
         + 0.5 * params.r_a * params.sigma_circ**2 * (z + zmu) ** 2
     )
-    h = (grid[-1] - grid[0]) / n
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.sum(weights * f))
+    return integrate_samples(f, grid[0], grid[-1])
 
 
 def contract_payoffs(

@@ -426,6 +426,13 @@ def _parse_float(key: str, raw: str) -> float:
         raise ParameterError([f"{key} = {raw!r}: not a number"]) from exc
 
 
+def _parse_int(key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParameterError([f"{key} = {raw!r}: not an integer"]) from exc
+
+
 def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip() != ""]
     if not items:
@@ -452,10 +459,7 @@ def params_from_mapping(
     for key, raw in mapping.items():
         field = "lambda_" if key == "lambda" else key
         if key in _INT_KEYS:
-            try:
-                updates[field] = int(raw)
-            except ValueError as exc:
-                raise ParameterError([f"{key} = {raw!r}: not an integer"]) from exc
+            updates[field] = _parse_int(key, raw)
         elif key in _LIST_KEYS:
             updates[field] = _parse_float_list(key, raw)
         else:

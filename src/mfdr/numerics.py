@@ -8,26 +8,22 @@ with bit-reproducible results: fixed evaluation layouts, fixed iteration
 counts, and pairwise numpy summation, so identical inputs give identical
 outputs regardless of threading or call order.
 
-The minimizer runs a coarse scan followed by golden-section refinement and is
-provided in two forms: :func:`minimize_scalar` for a single bracket and
-:func:`minimize_on_grid` for a whole family of brackets at once (one per time
-node), which is what the schedule builders use — the batch form is pure numpy
-and orders of magnitude faster than looping the scalar form over a grid.
+:func:`minimize_on_grid` runs a coarse scan followed by golden-section
+refinement on a whole family of brackets at once (one per time node, which
+is what the schedule builders use; a single bracket is a one-row call).
+:func:`integrate_samples` is the composite Simpson rule on uniformly spaced
+samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "MinimizeResult",
-    "minimize_scalar",
     "minimize_on_grid",
-    "integrate",
     "integrate_samples",
 ]
 
@@ -36,27 +32,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Hard cap on golden-section iterations (reached only for absurdly small tol).
 _MAX_GOLDEN_ITERATIONS = 200
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Outcome of a bracketed scalar minimization.
-
-    Attributes
-    ----------
-    argmin:
-        Best evaluated point; lies in [lo, hi] and within the requested
-        tolerance of a local minimizer of the refined bracket.
-    min_value:
-        Objective value at ``argmin`` (the value actually observed, not a
-        re-evaluation).
-    evaluations:
-        Total number of objective evaluations performed.
-    """
-
-    argmin: float
-    min_value: float
-    evaluations: int
 
 
 def _default_tol(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -225,34 +200,6 @@ def minimize_on_grid(
     return best_x, best_f, evaluations
 
 
-def minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float | None = None,
-    coarse_n: int = 256,
-) -> MinimizeResult:
-    """Minimize a scalar objective on ``[lo, hi]``.
-
-    Single-bracket form of :func:`minimize_on_grid` (same scan, refinement,
-    tie-breaking, and determinism guarantees). For continuous objectives the
-    reported ``min_value`` never exceeds the best coarse-scan value, and
-    ``argmin`` lies within ``tol`` of a local minimizer of the best coarse
-    sub-bracket.
-    """
-
-    def batched(points: np.ndarray) -> np.ndarray:
-        flat = points.reshape(-1)
-        return np.array([float(f(float(x))) for x in flat]).reshape(points.shape)
-
-    argmin, min_value, evaluations = minimize_on_grid(
-        batched, [lo], [hi], tol=tol, coarse_n=coarse_n
-    )
-    return MinimizeResult(
-        argmin=float(argmin[0]), min_value=float(min_value[0]), evaluations=evaluations
-    )
-
-
 def integrate_samples(values: Sequence[float] | np.ndarray, lo: float, hi: float) -> float:
     """Composite Simpson quadrature from uniformly spaced samples.
 
@@ -276,41 +223,3 @@ def integrate_samples(values: Sequence[float] | np.ndarray, lo: float, hi: float
     h = (hi - lo) / n_intervals
     return float(h / 3.0 * np.sum(weights * samples))
 
-
-def integrate(
-    f: Callable[[float], float], lo: float, hi: float, n_intervals: int
-) -> float:
-    """Composite Simpson quadrature of ``f`` over ``[lo, hi]``.
-
-    Parameters
-    ----------
-    f:
-        Scalar integrand, evaluated at the ``n_intervals + 1`` uniform nodes.
-    lo, hi:
-        Integration limits with ``lo <= hi``.
-    n_intervals:
-        Even number of uniform sub-intervals, >= 2.
-
-    Raises
-    ------
-    ValueError:
-        On malformed limits or interval counts.
-    ArithmeticError:
-        If the integrand returns NaN (reported with its location).
-    """
-    if n_intervals < 2 or n_intervals % 2 != 0:
-        raise ValueError("n_intervals must be even and >= 2")
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    if hi == lo:
-        return 0.0
-    nodes = np.linspace(lo, hi, n_intervals + 1)
-    nodes[0] = lo
-    nodes[-1] = hi
-    values = np.empty(nodes.shape[0])
-    for i, x in enumerate(nodes):
-        y = float(f(float(x)))
-        if math.isnan(y):
-            raise ArithmeticError(f"integrand returned NaN at x={x!r} (node {i})")
-        values[i] = y
-    return integrate_samples(values, lo, hi)

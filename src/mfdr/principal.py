@@ -17,6 +17,11 @@ quadratic variation.  Three contract kinds are supported:
 Two principal preferences are supported: ``cara`` (exponential utility with
 risk aversion ``r_p > 0``) and ``risk_neutral`` (values in pence; also the
 ``r_p -> 0`` limit of the cara values).
+
+:func:`solve_contract` solves one contract once: the minima of the per-node
+rate solve give the principal's value and their argmins the payment rates,
+so :func:`optimal_schedule`, :func:`value_report`, :func:`compare` and
+:func:`first_best_report` all read from it instead of solving again.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "CONTRACT_KINDS",
     "PRINCIPAL_KINDS",
     "ComparisonReport",
+    "ContractSolution",
     "EffortSchedule",
     "FirstBestReport",
     "PaymentSchedule",
@@ -52,6 +58,7 @@ __all__ = [
     "hbar_classical",
     "m_curve",
     "optimal_schedule",
+    "solve_contract",
     "value_report",
 ]
 
@@ -147,6 +154,15 @@ class ValueReport:
 
     def to_flat(self) -> dict:
         return dataclasses.asdict(self)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ContractSolution:
+    """One contract solved on one grid: payment rates, efforts and value."""
+
+    payment: PaymentSchedule
+    effort: EffortSchedule
+    value: ValueReport
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,15 +286,55 @@ def _first_best_scale(t_nodes: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.minimum(np.maximum(-params.delta * remaining, 0.0), params.a_max)
 
 
-def optimal_schedule(
-    kind: str, principal: str, params: ModelParams, grid: int = 1024
-):
-    """Optimal payment schedule and induced efforts on a uniform grid.
+def _m_rate(
+    kind: str,
+    params: ModelParams,
+    p_eff: ModelParams,
+    t: np.ndarray,
+    minima: np.ndarray | None,
+) -> np.ndarray:
+    """Principal's running cost rate from the rate solve's per-node minima
+    (``None`` for ``first_best``, which needs no solve)."""
+    remaining = params.horizon - t
+    sc2 = params.sigma_circ**2
+    ramp_sq = params.delta**2 * remaining**2
+    base = 0.5 * params.theta * sc2
 
-    Returns ``(PaymentSchedule, EffortSchedule)`` with ``grid + 1`` nodes.
-    The performance and variance rates of the ``new`` kind do not depend on
-    the principal's risk aversion or on the common-noise level — only the
-    aggregate rate ``z_mu`` does.
+    if kind == "new":
+        return base + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq + (
+            0.5 * minima
+        )
+    if kind == "classical":
+        return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
+
+    # first_best
+    scale = _first_best_scale(t, params)
+    damping = 0.5 * params.theta * best_response_variance(
+        -params.theta, params
+    ) + 0.5 * best_response_vol_cost(-params.theta, params)
+    return (
+        base
+        + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq
+        + 0.5 * params.rho_bar * (scale + params.delta * remaining) ** 2
+        + damping
+    )
+
+
+def solve_contract(
+    kind: str, principal: str, params: ModelParams, grid: int = 1024
+) -> ContractSolution:
+    """Solve the optimal contract of ``kind`` once on a uniform grid.
+
+    One rate solve (none for ``first_best``) on the ``grid + 1`` nodes gives
+    both the payment schedule, from the per-node argmins, and the value
+    report, from the per-node minima; the efforts are the best responses to
+    the payment.  The performance and variance rates of the ``new`` kind do
+    not depend on the principal's risk aversion or on the common-noise
+    level — only the aggregate rate ``z_mu`` does.
+
+    ``value.v0`` is the utility (cara: ``-exp(r_p (xi0 - u))``;
+    risk-neutral: pence, ``u - xi0``); ``value.ce`` is the certainty
+    equivalent ``u - xi0`` in pence for both preferences.
     """
     _validate_kind(kind)
     _validate_principal(principal, params)
@@ -289,16 +345,17 @@ def optimal_schedule(
     t[-1] = horizon
     remaining = horizon - t
 
+    minima = None
     if kind == "first_best":
         z = -_first_best_scale(t, params)
         gamma = np.full_like(t, -params.theta)
         z_mu = np.zeros_like(t)
     elif kind == "classical":
-        z, _ = _minimize_rate(t, p_eff, classical=True)
+        z, minima = _minimize_rate(t, p_eff, classical=True)
         gamma = _gamma_of_z(z, params)
         z_mu = np.zeros_like(t)
     else:  # new
-        z, _ = _minimize_rate(t, p_eff, classical=False)
+        z, minima = _minimize_rate(t, p_eff, classical=False)
         gamma = _gamma_of_z(z, params)
         if params.sigma_circ == 0.0:
             # Degenerate common noise: the aggregate rate multiplies a null
@@ -320,7 +377,37 @@ def optimal_schedule(
         alpha=best_drift_effort(z, params),
         beta=best_vol_effort(gamma, params),
     )
-    return payment, effort
+    m_integral = integrate_samples(
+        _m_rate(kind, params, p_eff, t, minima), 0.0, horizon
+    )
+    u = params.delta * horizon * params.x0 - m_integral
+    xi0 = reservation(params, grid).xi0
+    ce = u - xi0
+    if principal == "cara":
+        v0 = -math.exp(params.r_p * (xi0 - u))
+    else:
+        v0 = ce
+    value = ValueReport(
+        v0=v0,
+        ce=ce,
+        xi0=xi0,
+        m_integral=m_integral,
+        kind=kind,
+        principal=principal,
+    )
+    return ContractSolution(payment=payment, effort=effort, value=value)
+
+
+def optimal_schedule(
+    kind: str, principal: str, params: ModelParams, grid: int = 1024
+):
+    """Optimal payment schedule and induced efforts on a uniform grid.
+
+    Returns ``(PaymentSchedule, EffortSchedule)`` with ``grid + 1`` nodes,
+    read from :func:`solve_contract`.
+    """
+    solution = solve_contract(kind, principal, params, grid)
+    return solution.payment, solution.effort
 
 
 def m_curve(
@@ -336,73 +423,18 @@ def m_curve(
     _validate_principal(principal, params)
     p_eff = _effective_params(principal, params)
     t_arr = np.asarray(t_nodes, dtype=float)
-    remaining = params.horizon - t_arr
-    sc2 = params.sigma_circ**2
-    ramp_sq = params.delta**2 * remaining**2
-    base = 0.5 * params.theta * sc2
-
-    if kind == "new":
-        _, minima = _minimize_rate(t_arr, p_eff, classical=False)
-        return base + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq + (
-            0.5 * minima
-        )
-    if kind == "classical":
-        _, minima = _minimize_rate(t_arr, p_eff, classical=True)
-        return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
-
-    # first_best
-    scale = _first_best_scale(t_arr, params)
-    damping = 0.5 * params.theta * best_response_variance(
-        -params.theta, params
-    ) + 0.5 * best_response_vol_cost(-params.theta, params)
-    return (
-        base
-        + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq
-        + 0.5 * params.rho_bar * (scale + params.delta * remaining) ** 2
-        + damping
-    )
-
-
-def _u_value(
-    kind: str, principal: str, params: ModelParams, grid: int
-) -> tuple[float, float]:
-    """(cost integral, utility flow) of a contract kind."""
-    horizon = params.horizon
-    t = np.linspace(0.0, horizon, grid + 1)
-    t[-1] = horizon
-    m_vals = m_curve(kind, principal, params, t)
-    m_integral = integrate_samples(m_vals, 0.0, horizon)
-    u = params.delta * horizon * params.x0 - m_integral
-    return m_integral, u
+    minima = None
+    if kind != "first_best":
+        _, minima = _minimize_rate(t_arr, p_eff, classical=kind == "classical")
+    return _m_rate(kind, params, p_eff, t_arr, minima)
 
 
 def value_report(
     kind: str, principal: str, params: ModelParams, grid: int = 1024
 ) -> ValueReport:
-    """Principal's value of offering the optimal contract of ``kind``.
-
-    ``v0`` is the utility (cara: ``-exp(r_p (xi0 - u))``; risk-neutral:
-    pence, ``u - xi0``); ``ce`` is the certainty equivalent ``u - xi0`` in
-    pence for both preferences.
-    """
-    _validate_kind(kind)
-    _validate_principal(principal, params)
-    grid = _validate_grid(grid)
-    m_integral, u = _u_value(kind, principal, params, grid)
-    xi0 = reservation(params, grid).xi0
-    ce = u - xi0
-    if principal == "cara":
-        v0 = -math.exp(params.r_p * (xi0 - u))
-    else:
-        v0 = ce
-    return ValueReport(
-        v0=v0,
-        ce=ce,
-        xi0=xi0,
-        m_integral=m_integral,
-        kind=kind,
-        principal=principal,
-    )
+    """Principal's value of offering the optimal contract of ``kind``, read
+    from :func:`solve_contract`."""
+    return solve_contract(kind, principal, params, grid).value
 
 
 def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
@@ -415,20 +447,10 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     ``r_p = 0`` the report is in pence and the participation multiplier
     degenerates to zero.
     """
-    grid = _validate_grid(grid)
     principal = "cara" if params.r_p > 0.0 else "risk_neutral"
+    solution = solve_contract("first_best", principal, params, grid)
     res = reservation(params, grid)
-    _, u_fb = _u_value("first_best", principal, params, grid)
-    t = np.linspace(0.0, params.horizon, grid + 1)
-    t[-1] = params.horizon
-    scale = _first_best_scale(t, params)
-    z_fb = -scale
-    gamma_fb = np.full_like(t, -params.theta)
-    efforts = EffortSchedule(
-        grid=t,
-        alpha=best_drift_effort(z_fb, params),
-        beta=best_vol_effort(gamma_fb, params),
-    )
+    u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
     fb_constant = -math.log(-res.r0) / params.r_a
     if principal == "cara":
         v_rbar = -math.exp(-params.r_bar * u_fb)
@@ -445,7 +467,7 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
         v_fb=v_fb,
         lagrange_rho=lagrange_rho,
         ce_fb=ce_fb,
-        efforts=efforts,
+        efforts=solution.effort,
         fb_contract_constant=fb_constant,
     )
 
@@ -481,29 +503,25 @@ def compare(params: ModelParams, grid: int = 1024) -> ComparisonReport:
     the minimum values, which depend on the argmin only to second order;
     they converge to about 1e-12.
     """
-    grid = _validate_grid(grid)
     principal = "cara" if params.r_p > 0.0 else "risk_neutral"
-    new_report = value_report("new", principal, params, grid)
-    cls_report = value_report("classical", principal, params, grid)
-    gain = new_report.v0 - cls_report.v0
+    new = solve_contract("new", principal, params, grid)
+    cls = solve_contract("classical", principal, params, grid)
+    gain = new.value.v0 - cls.value.v0
     if principal == "cara":
         delta_v = gain / params.r_p
     else:
         delta_v = gain
-    rel_delta_v = gain / (1.0 + cls_report.v0)
+    rel_delta_v = gain / (1.0 + cls.value.v0)
 
-    new_pay, _ = optimal_schedule("new", principal, params, grid)
-    cls_pay, _ = optimal_schedule("classical", principal, params, grid)
-
-    new_drift = _drift_scale_integral(new_pay, params)
-    cls_drift = _drift_scale_integral(cls_pay, params)
+    new_drift = _drift_scale_integral(new.payment, params)
+    cls_drift = _drift_scale_integral(cls.payment, params)
     if cls_drift == 0.0:
         delta_alpha = None
     else:
         delta_alpha = (new_drift - cls_drift) / cls_drift
 
-    new_var = _variance_integral(new_pay, params)
-    cls_var = _variance_integral(cls_pay, params)
+    new_var = _variance_integral(new.payment, params)
+    cls_var = _variance_integral(cls.payment, params)
     var_denominator = cls_var + params.horizon * params.sigma_circ**2
     if var_denominator == 0.0:
         delta_beta = None

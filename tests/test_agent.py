@@ -23,6 +23,7 @@ from mfdr.agent import (
     hamiltonian_envelopes,
     reservation,
 )
+from mfdr.cli import main
 from mfdr.model import calibrated_defaults, effort_cost
 
 CAL = calibrated_defaults()  # half the deviation variance from common noise
@@ -422,13 +423,14 @@ class TestReservation:
         flat = report.to_flat()
         assert set(flat) == {"xi0", "r0", "psi0_T"}
         assert flat["xi0"] == report.xi0
-        path = tmp_path / "reservation.csv"
-        report.to_csv(path)
-        raw = path.read_bytes()
+        # The curves are serialized by the CLI's reservation command.
+        assert main(["reservation", "--grid", "8", "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "reservation.csv").read_bytes()
         assert b"\r\n" in raw
         lines = raw.decode("utf-8").strip().split("\r\n")
         assert lines[0] == "t,gamma0,beta0_1"
         assert len(lines) == 10  # header + 9 nodes
+        assert lines[-1] == "5.5,0,1"  # the zero exposure at T carries no sign
         last = lines[-1].split(",")
         assert float(last[0]) == CAL.horizon
         assert float(last[1]) == 0.0

@@ -51,6 +51,21 @@ def column(path: Path, name: str) -> np.ndarray:
     return np.array([float(row[index]) for row in rows])
 
 
+def count_rate_solves(monkeypatch) -> list[int]:
+    """Wrap the rate solve's minimizer; the list gains one entry per solve."""
+    import mfdr.principal as principal_module
+
+    original = principal_module.minimize_on_grid
+    solves: list[int] = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(principal_module, "minimize_on_grid", counted)
+    return solves
+
+
 def failures_from(stderr_text: str) -> list[dict[str, str]]:
     # Warnings may precede the JSON failure report on stderr.
     payload = json.loads(stderr_text[stderr_text.index("{"):])
@@ -316,6 +331,11 @@ class TestSimulateCommand:
         assert header == ["path", "mean_l_terminal", "mean_x_terminal"]
         assert [row[0] for row in rows] == ["0", "1", "2", "3"]
 
+    def test_one_rate_solve(self, tmp_path, monkeypatch):
+        solves = count_rate_solves(monkeypatch)
+        assert main(["simulate", "--out", str(tmp_path), *FAST_SIM]) == 0
+        assert len(solves) == 1
+
     def test_kind_and_principal_name_the_files(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--out", str(out), "--kind", "classical",
@@ -446,6 +466,30 @@ class TestReservationCommand:
         _, rows = read_table(out / "reservation_report.csv")
         assert rows[0][0] == "0"   # xi0
         assert rows[0][1] == "-1"  # r0
+
+
+class TestAllCommands:
+    def test_no_negative_zero_in_any_csv(self, tmp_path):
+        small = ["--grid", "64"]
+        for command, flags in (
+            ("schedule", small),
+            ("compare", small),
+            ("simulate", list(FAST_SIM)),
+            ("first-best", small),
+            ("reservation", small),
+        ):
+            assert main([command, "--out", str(tmp_path / command), *flags]) == 0
+        paths = sorted(tmp_path.rglob("*.csv"))
+        assert len(paths) == 10
+        for path in paths:
+            _, rows = read_table(path)
+            for row in rows:
+                for field in row:
+                    try:
+                        signed_zero = float(field) == 0.0 and field.startswith("-")
+                    except ValueError:
+                        signed_zero = False
+                    assert not signed_zero, f"{path.name}: {field!r} in {row}"
 
 
 class TestMainExitCodes:

@@ -158,21 +158,6 @@ class TestDynamics:
         expected = float(np.sum(var + params.sigma_circ**2) * ens.dt)
         assert ens.quadratic_variation_integral == pytest.approx(expected, rel=1e-14)
 
-    def test_keep_paths_endpoints_match(self):
-        params = CAL05
-        sched, _ = optimal_schedule("new", "risk_neutral", params, grid=128)
-        cfg = SimConfig(n_particles=4, n_common=2, dt=params.horizon / 32, seed=6)
-        ens = simulate(params, sched, cfg, keep_paths=True)
-        assert ens.x_paths is not None
-        assert ens.x_paths.shape == (2, 4, 33)
-        assert np.all(ens.x_paths[:, :, 0] == params.x0)
-        assert np.allclose(ens.x_paths[:, :, -1], ens.x_terminal, rtol=0, atol=1e-12)
-
-    def test_paths_not_kept_by_default(self):
-        sched = flat_schedule(CAL05, z=0.0, gamma=-1.0)
-        ens = simulate(CAL05, sched, SimConfig(n_particles=2, n_common=1, dt=CAL05.horizon / 16))
-        assert ens.x_paths is None
-
 
 class TestDeterminism:
     def test_byte_identical_across_worker_counts(self, monkeypatch):

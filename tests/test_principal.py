@@ -32,6 +32,7 @@ from mfdr.principal import (
     hbar_classical,
     m_curve,
     optimal_schedule,
+    solve_contract,
     value_report,
 )
 
@@ -480,6 +481,24 @@ class TestFirstBest:
         assert rep.ce == pytest.approx(fb.ce_fb, rel=1e-12)
 
 
+class TestSolveContract:
+    @pytest.mark.parametrize(
+        "kind, solves", [("new", 1), ("classical", 1), ("first_best", 0)]
+    )
+    def test_one_rate_solve_per_contract(self, monkeypatch, kind, solves):
+        tolerances = wrap_rate_solve(monkeypatch)
+        solution = solve_contract(kind, "cara", CAL05, grid=64)
+        assert len(tolerances) == solves
+        payment, effort = optimal_schedule(kind, "cara", CAL05, grid=64)
+        for name in ("grid", "z", "z_mu", "gamma"):
+            assert np.array_equal(
+                getattr(solution.payment, name), getattr(payment, name)
+            )
+        assert np.array_equal(solution.effort.alpha, effort.alpha)
+        assert np.array_equal(solution.effort.beta, effort.beta)
+        assert solution.value == value_report(kind, "cara", CAL05, grid=64)
+
+
 class TestCompare:
     # Value outputs depend on the argmin only to second order and are held
     # at 1e-9; the effort gains depend on it to first order and are held at
@@ -487,6 +506,7 @@ class TestCompare:
     def test_frozen_risk_neutral_full_share(self, monkeypatch):
         tolerances = wrap_rate_solve(monkeypatch)
         comp = compare(RN10)
+        assert len(tolerances) == 2  # one rate solve per contract
         assert comp.delta_v == pytest.approx(2.43266909516, rel=1e-9)
         assert comp.rel_delta_v == pytest.approx(0.365737747047, rel=1e-9)
         alpha_err, _ = argmin_error_bounds(RN10, max(tolerances))
@@ -499,6 +519,7 @@ class TestCompare:
     def test_frozen_cara_half_share(self, monkeypatch):
         tolerances = wrap_rate_solve(monkeypatch)
         comp = compare(CAL05)
+        assert len(tolerances) == 2  # one rate solve per contract
         assert comp.delta_v == pytest.approx(0.392215238248, rel=1e-9)
         assert comp.rel_delta_v == pytest.approx(0.0688262632025, rel=1e-9)
         alpha_err, beta_err = argmin_error_bounds(CAL05, max(tolerances))

@@ -24,8 +24,8 @@ principal:
 numerics:
     Deterministic bracketed minimization and Simpson quadrature kernels.
 mfsim:
-    Particle Monte Carlo of the equilibrium dynamics and pathwise contract
-    payoff evaluation; the independent validator.
+    Particle Monte Carlo of the equilibrium dynamics, sampled exactly, and
+    contract payoff evaluation; the independent validator.
 cli:
     Command-line surface (schedule | compare | simulate | first-best |
     reservation) emitting CSV and flat-text reports.

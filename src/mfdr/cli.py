@@ -21,8 +21,7 @@ writes byte-identical CSV files (RFC 4180, UTF-8, '.' decimal, header row,
 12 significant digits).  Exit status is 0 only when every internal invariant
 check passes; otherwise a machine-readable failure list is printed to stderr
 as JSON and the status is 1 (failed checks) or 2 (unusable configuration).
-Flags override configuration-file keys; the MFDR_THREADS environment
-variable caps simulation workers.
+Flags override configuration-file keys.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Particle Monte Carlo for contracted populations with common noise.
+"""Monte Carlo check of contracted populations with common noise.
 
 This module provides the independent numerical check on the closed-form
 results produced by :mod:`mfdr.principal`.  A finite population of
-``n_particles`` consumers is simulated under ``n_common`` independent
-common-noise scenarios; every particle follows the best-response dynamics
-induced by a payment schedule.  Two terminal-payment evaluators are
-implemented:
+``n_particles`` consumers is sampled under ``n_common`` independent
+common-noise scenarios; every particle follows the time-discretised
+best-response dynamics induced by a payment schedule.  The payment rates are
+deterministic, so the accumulators the checks read are Gaussian, and each
+particle's and each scenario's block of four is drawn exactly from its
+discrete-time law (Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2003, ch. 3).  Two terminal-payment evaluators are implemented:
 
 * ``indexing="common_noise"`` writes the payment as a functional of the
   consumer's own deviation and the common Brownian path, integrating the
@@ -25,8 +28,6 @@ standard errors, z-scores, and jackknife bias estimates.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -53,23 +54,8 @@ __all__ = [
 ]
 
 _REL_TOL_GRID = 1e-9
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Number of simulation workers, capped by the MFDR_THREADS variable."""
-    raw = os.environ.get("MFDR_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"MFDR_THREADS must be an integer, got {raw!r}"
-            ) from exc
-        if cap < 1:
-            raise ValueError(f"MFDR_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+#: steps per block when building the accumulator law
+_BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -81,13 +67,13 @@ class SimConfig:
         n_common: number of common-noise scenarios (>= 1; even when
             ``antithetic`` is set).
         dt: simulation step; ``None`` selects ``horizon / 512``.
-        seed: base key of the counter-based generator.  Scenario ``m`` uses
-            the key ``(seed, m)``, so results do not depend on how scenarios
-            are distributed over workers.
+        seed: key of the run's one counter-based (Philox) stream: four
+            common normals per scenario first, then four per particle.
         antithetic: pair consecutive scenarios so the odd member of each
-            pair reuses the negated common-noise increments of the even
-            member (idiosyncratic draws stay independent).  Estimates then
-            average each pair first, halving the effective sample count.
+            pair takes the negated common normals of the even member
+            (idiosyncratic draws stay independent and do not depend on the
+            flag).  Estimates then average each pair first, halving the
+            effective sample count.
     """
 
     n_particles: int = 1024
@@ -116,7 +102,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """Simulated population: terminal states and pathwise accumulators.
+    """Sampled population: terminal states and running accumulators.
 
     All per-particle arrays have shape ``(n_common, n_particles)``; per-
     scenario arrays have shape ``(n_common,)``.  Running integrals use the
@@ -128,12 +114,8 @@ class ParticleEnsemble:
     horizon: float
     dt: float
     n_steps: int
-    #: common Brownian increments, shape (n_common, n_steps)
-    w_circ_increments: np.ndarray
     #: terminal deviation X_T per particle
     x_terminal: np.ndarray
-    #: terminal idiosyncratic component (X_T without the common-noise part)
-    xo_terminal: np.ndarray
     #: integral of X_s ds per particle (left-endpoint accrual)
     x_integral: np.ndarray
     #: integral of z dX° per particle (idiosyncratic deviation increments)
@@ -150,8 +132,6 @@ class ParticleEnsemble:
     effort_cost_integral: float
     #: integral of the per-particle quadratic-variation rate (deterministic)
     quadratic_variation_integral: float
-    #: drift integral of one particle (deterministic scalar)
-    drift_integral: float
 
     @property
     def n_common(self) -> int:
@@ -234,76 +214,54 @@ def _check_schedule(schedule: PaymentSchedule, params: ModelParams) -> None:
 
 
 def _sample_schedule(
-    schedule: PaymentSchedule, dt: float, n_steps: int
+    schedule: PaymentSchedule, t_left: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-constant samples of (z, z_mu, gamma) at the step left endpoints."""
-    t_left = np.arange(n_steps, dtype=np.float64) * dt
     idx = np.searchsorted(schedule.grid, t_left, side="right") - 1
     idx = np.clip(idx, 0, len(schedule.grid) - 1)
     return schedule.z[idx], schedule.z_mu[idx], schedule.gamma[idx]
 
 
-def _simulate_scenario(
-    m: int,
-    cfg: SimConfig,
-    n_steps: int,
-    dt: float,
-    x0: float,
-    sigma_circ: float,
-    drift_rate: np.ndarray,
-    idio_scale: np.ndarray,
-    z_steps: np.ndarray,
-    zmu_steps: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Simulate one common-noise scenario and reduce it to accumulators."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, m], dtype=np.uint64)))
-    own_common = rng.standard_normal(n_steps)
-    if cfg.antithetic and m % 2 == 1:
-        partner = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, m - 1], dtype=np.uint64))
-        )
-        common_std = -partner.standard_normal(n_steps)
-    else:
-        common_std = own_common
-    dw_circ = common_std * np.sqrt(dt)
+def _factor(r: np.ndarray) -> np.ndarray:
+    """4 x 4 factor ``U S`` of the thin SVD of ``W``, from the R of a QR of ``W.T``.
 
-    idio = rng.standard_normal((cfg.n_particles, n_steps))
-    dx_idio = drift_rate * dt + idio * idio_scale
+    ``R.T = W Q`` has the ``U S`` of ``W``; the Gram matrix ``W W.T`` (the
+    square of ``W``'s condition number) is never formed.  Rank drops leave
+    zero columns; each column's largest-magnitude entry is made positive.
+    """
+    u, s, _ = np.linalg.svd(r.T)
+    factor = u * s
+    pivot = factor[np.argmax(np.abs(factor), axis=0), np.arange(4)]
+    return np.where(pivot < 0.0, -factor, factor)
 
-    # Left-endpoint values of the idiosyncratic component and of W°.
-    cum_idio = np.cumsum(dx_idio, axis=1)
-    w_circ_cum = np.cumsum(dw_circ)
-    xo_left = np.empty_like(dx_idio)
-    xo_left[:, 0] = x0
-    xo_left[:, 1:] = x0 + cum_idio[:, :-1]
-    w_left = np.empty(n_steps)
-    w_left[0] = 0.0
-    w_left[1:] = w_circ_cum[:-1]
 
-    xo_terminal = x0 + cum_idio[:, -1]
-    x_terminal = xo_terminal + sigma_circ * w_circ_cum[-1]
-    x_integral = dt * np.sum(xo_left, axis=1) + dt * sigma_circ * np.sum(w_left)
-    z_dx_idio = np.sum(z_steps * dx_idio, axis=1)
-    dx_full = dx_idio + sigma_circ * dw_circ
-    zmu_dx = np.sum(zmu_steps * dx_full, axis=1)
-    z_dw_circ = np.sum(z_steps * dw_circ)
-    zmu_dw_circ = np.sum(zmu_steps * dw_circ)
-    zmu_dsum = np.sum(zmu_dx)
+def _step_law(
+    params: ModelParams, schedule: PaymentSchedule, dt: float, n_steps: int
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Effort-cost and quadratic-variation integrals, ``mean``, ``L_idio``, ``L_common``.
 
-    reductions = (
-        x_terminal,
-        xo_terminal,
-        x_integral,
-        z_dx_idio,
-        zmu_dx,
-        np.array([z_dw_circ, zmu_dw_circ, zmu_dsum]),
-    )
-    for block in reductions:
-        if not np.all(np.isfinite(block)):
-            raise ArithmeticError(
-                f"overflow in simulation of common-noise scenario {m}"
-            )
-    return (*reductions, dw_circ)
+    Step ``k``'s increment enters X_T, the left-endpoint ∫X ds, ∫z dX and
+    ∫z_mu dX with weights ``B[:, k] = (1, dt (n_steps - 1 - k), z_k, z_mu,k)``.
+    A particle's block is ``mean + L_idio eps`` with ``mean = B drift dt``
+    and ``L_idio`` the factor of ``B diag(sqrt(Sigma* dt))``; a scenario's
+    (W°_T, ∫W° ds, ∫z dW°, ∫z_mu dW°) is ``L_common eps``, from ``sqrt(dt) B``.
+    Steps go in blocks, so memory does not grow with ``n_steps``.
+    """
+    cost = qv = 0.0
+    mean = np.zeros(4)
+    r_idio = r_common = np.zeros((4, 4))
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        k = np.arange(start, min(start + _BLOCK_STEPS, n_steps), dtype=np.float64)
+        z, zmu, gamma = _sample_schedule(schedule, k * dt)
+        var = best_response_variance(gamma, params)
+        drift = -params.rho_bar * np.minimum(np.maximum(-z, 0.0), params.a_max)
+        cost += np.sum(best_effort_cost(z, gamma, params))
+        qv += np.sum(var + params.sigma_circ**2)
+        b_t = np.column_stack([np.ones_like(k), dt * (n_steps - 1 - k), z, zmu])
+        mean += (drift * dt) @ b_t
+        r_idio = np.linalg.qr(np.vstack([r_idio, np.sqrt(var * dt)[:, None] * b_t]), mode="r")
+        r_common = np.linalg.qr(np.vstack([r_common, np.sqrt(dt) * b_t]), mode="r")
+    return float(cost * dt), float(qv * dt), mean, _factor(r_idio), _factor(r_common)
 
 
 def simulate(
@@ -311,93 +269,54 @@ def simulate(
     schedule: PaymentSchedule,
     cfg: SimConfig,
 ) -> ParticleEnsemble:
-    """Simulate a population of consumers responding to a payment schedule.
+    """Sample a population of consumers responding to a payment schedule.
 
-    Every particle follows the best-response deviation dynamics: drift
-    ``-rho_bar * min(max(-z, 0), a_max)`` and idiosyncratic variance rate
-    given by the best-response usage mix at the schedule's volatility
-    payment rate, plus the common noise ``sigma_circ dW°``.  The schedule is
-    sampled left-constantly at each step's left endpoint.
-
-    The result is deterministic for a given ``cfg.seed`` regardless of how
-    many workers run (scenario ``m`` always uses the counter-based key
-    ``(seed, m)``); the MFDR_THREADS environment variable caps the worker
-    count.
+    Every particle follows the best-response deviation dynamics on steps of
+    ``dt``, with the schedule held at each step's left endpoint: drift
+    ``-rho_bar * min(max(-z, 0), a_max)``, idiosyncratic variance rate
+    ``Sigma*(gamma)`` from the best-response usage mix, plus the common noise
+    ``sigma_circ dW°``.  The accumulators are drawn from their exact
+    discrete-time law (``_step_law``), not along paths, so the result is a
+    pure function of ``(params, schedule, cfg)`` whose memory does not grow
+    with the number of steps.
     """
     validate(params)
     _check_schedule(schedule, params)
     dt, n_steps = _resolve_steps(params, cfg)
-    z_steps, zmu_steps, gamma_steps = _sample_schedule(schedule, dt, n_steps)
-
-    scale = np.minimum(np.maximum(-z_steps, 0.0), params.a_max)
-    drift_rate = -params.rho_bar * scale
-    var_steps = best_response_variance(gamma_steps, params)
-    idio_scale = np.sqrt(var_steps * dt)
-    cost_steps = best_effort_cost(z_steps, gamma_steps, params)
-    effort_cost_integral = float(np.sum(cost_steps) * dt)
-    quadratic_variation_integral = float(
-        np.sum(var_steps + params.sigma_circ**2) * dt
+    cost_integral, qv_integral, mean, idio_factor, common_factor = _step_law(
+        params, schedule, dt, n_steps
     )
-    drift_integral = float(np.sum(drift_rate) * dt)
-
-    M, N = cfg.n_common, cfg.n_particles
-    x_terminal = np.empty((M, N))
-    xo_terminal = np.empty((M, N))
-    x_integral = np.empty((M, N))
-    z_dx_idio = np.empty((M, N))
-    zmu_dx = np.empty((M, N))
-    z_dw_circ = np.empty(M)
-    zmu_dw_circ = np.empty(M)
-    zmu_dsum = np.empty(M)
-    w_circ_increments = np.empty((M, n_steps))
-
-    def run(m: int) -> None:
-        out = _simulate_scenario(
-            m,
-            cfg,
-            n_steps,
-            dt,
-            params.x0,
-            params.sigma_circ,
-            drift_rate,
-            idio_scale,
-            z_steps,
-            zmu_steps,
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    common = common_factor @ rng.standard_normal((cfg.n_common, 4)).T
+    if cfg.antithetic:
+        common[:, 1::2] = -common[:, 0::2]
+    normals = rng.standard_normal((cfg.n_common, cfg.n_particles, 4))
+    # X_T, ∫X ds, ∫z dX° and ∫z_mu dX: the idiosyncratic block plus the x0
+    # terms and, except in ∫z dX°, sigma_circ times the common block.
+    base = mean + [params.x0, n_steps * dt * params.x0, 0.0, 0.0]
+    base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
+    fields = np.tensordot(idio_factor, normals, axes=(1, 2))
+    fields += base[:, :, None]
+    zmu_dsum = np.sum(fields[3], axis=1)
+    finite = np.all(np.isfinite(fields), axis=(0, 2)) & np.isfinite(zmu_dsum)
+    if not np.all(finite):
+        raise ArithmeticError(
+            f"overflow in simulation of common-noise scenario {np.argmin(finite)}"
         )
-        x_terminal[m] = out[0]
-        xo_terminal[m] = out[1]
-        x_integral[m] = out[2]
-        z_dx_idio[m] = out[3]
-        zmu_dx[m] = out[4]
-        z_dw_circ[m], zmu_dw_circ[m], zmu_dsum[m] = out[5]
-        w_circ_increments[m] = out[6]
-
-    workers = _worker_count(M)
-    if workers == 1:
-        for m in range(M):
-            run(m)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run, m) for m in range(M)]:
-                future.result()
-
     return ParticleEnsemble(
         config=cfg,
         horizon=params.horizon,
         dt=dt,
         n_steps=n_steps,
-        w_circ_increments=w_circ_increments,
-        x_terminal=x_terminal,
-        xo_terminal=xo_terminal,
-        x_integral=x_integral,
-        z_dx_idio=z_dx_idio,
-        zmu_dx=zmu_dx,
-        z_dw_circ=z_dw_circ,
-        zmu_dw_circ=zmu_dw_circ,
+        x_terminal=fields[0],
+        x_integral=fields[1],
+        z_dx_idio=fields[2],
+        zmu_dx=fields[3],
+        z_dw_circ=common[2],
+        zmu_dw_circ=common[3],
         zmu_dsum=zmu_dsum,
-        effort_cost_integral=effort_cost_integral,
-        quadratic_variation_integral=quadratic_variation_integral,
-        drift_integral=drift_integral,
+        effort_cost_integral=cost_integral,
+        quadratic_variation_integral=qv_integral,
     )
 
 
@@ -422,12 +341,6 @@ def _simpson_running_terms(
     loading ``r_a sigma_circ^2 (z + z_mu)^2 / 2``.
     """
     grid = schedule.grid
-    n = len(grid) - 1
-    if n % 2 != 0:
-        raise ValueError(
-            f"incompatible grids: Simpson accrual needs an even number of "
-            f"schedule intervals, got {n}"
-        )
     z, zmu, gamma = schedule.z, schedule.z_mu, schedule.gamma
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
@@ -480,12 +393,15 @@ def contract_payoffs(
         raise ValueError(
             f"indexing must be 'common_noise' or 'law', got {indexing!r}"
         )
+    n_intervals = len(schedule.grid) - 1
+    if n_intervals % 2 != 0:
+        raise ValueError(
+            f"incompatible grids: the Simpson accrual and the reservation "
+            f"need an even number of schedule intervals, got {n_intervals}"
+        )
     _ensure_compatible(ensemble, schedule, params)
 
-    res = reservation(params, grid_size=max(2, len(schedule.grid) - 1))
-    xi0 = res.xi0
-    dt, n_steps = ensemble.dt, ensemble.n_steps
-    z, zmu, gamma = _sample_schedule(schedule, dt, n_steps)
+    xi0 = reservation(params, grid_size=n_intervals).xi0
     sc = params.sigma_circ
 
     if indexing == "common_noise":
@@ -502,6 +418,7 @@ def contract_payoffs(
     n = ensemble.n_particles
     if n < 2:
         raise ValueError("law indexing needs n_particles >= 2")
+    z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps) * ensemble.dt)
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
     scale = np.minimum(np.maximum(-z, 0.0), params.a_max)
@@ -513,7 +430,7 @@ def contract_payoffs(
         + 0.5 * (gamma + params.r_a * z**2) * (var + sc**2)
         + 0.5 * params.r_a * sc**2 * zmu * (zmu + 2.0 * z)
     )
-    det = float(np.sum(det_rate) * dt)
+    det = float(np.sum(det_rate) * ensemble.dt)
     loo_mean_increment = (ensemble.zmu_dsum[:, None] - ensemble.zmu_dx) / (n - 1)
     payoff = (
         xi0

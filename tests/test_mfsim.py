@@ -1,8 +1,13 @@
 """Tests for the particle Monte Carlo and its verification reports."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mfdr.mfsim as mfsim_module
+from mfdr.agent import best_response_variance
 from mfdr.model import ModelParams, ParameterError, calibrated_defaults
 from mfdr.principal import PaymentSchedule, optimal_schedule, value_report
 from mfdr.mfsim import (
@@ -30,6 +35,43 @@ def flat_schedule(params: ModelParams, z: float, gamma: float, n: int = 64,
         z_mu=np.zeros(n + 1),
         gamma=np.full(n + 1, float(gamma)),
     )
+
+
+def path_reference(params: ModelParams, schedule: PaymentSchedule, n_steps: int,
+                   xi: np.ndarray, zeta: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-step path simulation of one common-noise scenario.
+
+    The reference that ``simulate``'s exact sampler is tested against: it
+    walks the discretised dynamics step by step, driven by explicit standard
+    normals ``xi`` (idiosyncratic, one row per particle) and ``zeta``
+    (common), and reduces the paths to the ensemble accumulators.
+    """
+    dt = params.horizon / n_steps
+    t_left = np.arange(n_steps, dtype=np.float64) * dt
+    idx = np.searchsorted(schedule.grid, t_left, side="right") - 1
+    idx = np.clip(idx, 0, len(schedule.grid) - 1)
+    z, zmu, gamma = schedule.z[idx], schedule.z_mu[idx], schedule.gamma[idx]
+    drift = -params.rho_bar * np.minimum(np.maximum(-z, 0.0), params.a_max)
+    dx_idio = drift * dt + xi * np.sqrt(best_response_variance(gamma, params) * dt)
+    dw_circ = zeta * np.sqrt(dt)
+    sc = params.sigma_circ
+
+    cum_idio = np.cumsum(dx_idio, axis=1)
+    w_circ_cum = np.cumsum(dw_circ)
+    xo_left = np.empty_like(dx_idio)
+    xo_left[:, 0] = params.x0
+    xo_left[:, 1:] = params.x0 + cum_idio[:, :-1]
+    w_left = np.concatenate([[0.0], w_circ_cum[:-1]])
+    zmu_dx = np.sum(zmu * (dx_idio + sc * dw_circ), axis=1)
+    return {
+        "x_terminal": params.x0 + cum_idio[:, -1] + sc * w_circ_cum[-1],
+        "x_integral": dt * np.sum(xo_left, axis=1) + dt * sc * np.sum(w_left),
+        "z_dx_idio": np.sum(z * dx_idio, axis=1),
+        "zmu_dx": zmu_dx,
+        "z_dw_circ": np.sum(z * dw_circ),
+        "zmu_dw_circ": np.sum(zmu * dw_circ),
+        "zmu_dsum": np.sum(zmu_dx),
+    }
 
 
 class TestSimConfig:
@@ -89,9 +131,9 @@ class TestGridResolution:
             simulate(short, sched, cfg)
 
     def test_left_constant_sampling_drives_drift(self):
-        # Distinctive stepwise z: the drift integral must use the value at
-        # the left endpoint of each step.
-        params = CAL05
+        # Distinctive stepwise z: without noise the terminal deviation is x0
+        # plus the drift at the left endpoint of each step.
+        params = dataclasses.replace(CAL05, sigma=(0.0,) * CAL05.d, sigma_circ=0.0)
         n = 4
         grid = np.linspace(0.0, params.horizon, n + 1)
         z = np.array([-1.0, -2.0, -3.0, -4.0, 0.0])
@@ -105,7 +147,7 @@ class TestGridResolution:
         expected = -params.rho_bar * np.sum(
             np.minimum(np.maximum(-z[[0, 0, 1, 1, 2, 2, 3, 3]], 0.0), params.a_max)
         ) * (params.horizon / 8)
-        assert ens.drift_integral == pytest.approx(expected, rel=1e-14)
+        assert ens.x_terminal - params.x0 == pytest.approx(expected, rel=1e-14)
 
 
 class TestDynamics:
@@ -117,7 +159,6 @@ class TestDynamics:
         sched = flat_schedule(params, z=0.0, gamma=gamma_flat)
         cfg = SimConfig(n_particles=512, n_common=8, dt=params.horizon / 64, seed=5)
         ens = simulate(params, sched, cfg)
-        assert ens.drift_integral == 0.0
         samples = ens.x_terminal.ravel()
         target = sum(s**2 for s in params.sigma) * params.horizon
         n = samples.size
@@ -132,18 +173,8 @@ class TestDynamics:
         sched, _ = optimal_schedule("new", "cara", params, grid=128)
         cfg = SimConfig(n_particles=8, n_common=3, dt=params.horizon / 64, seed=2)
         ens = simulate(params, sched, cfg)
-        for block in (ens.x_terminal, ens.xo_terminal, ens.x_integral,
-                      ens.z_dx_idio, ens.zmu_dx):
+        for block in (ens.x_terminal, ens.x_integral, ens.z_dx_idio, ens.zmu_dx):
             assert np.ptp(block, axis=1).max() == 0.0
-
-    def test_common_noise_decomposition_is_exact(self):
-        params = CAL05
-        sched, _ = optimal_schedule("new", "cara", params, grid=128)
-        cfg = SimConfig(n_particles=16, n_common=4, dt=params.horizon / 64, seed=3)
-        ens = simulate(params, sched, cfg)
-        w_terminal = np.sum(ens.w_circ_increments, axis=1)
-        gap = ens.x_terminal - ens.xo_terminal - params.sigma_circ * w_terminal[:, None]
-        assert np.max(np.abs(gap)) < 1e-12
 
     def test_quadratic_variation_accumulator_deterministic(self):
         params = CAL05
@@ -160,42 +191,111 @@ class TestDynamics:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_worker_counts(self, monkeypatch):
-        params = CAL05
-        sched, _ = optimal_schedule("new", "cara", params, grid=128)
-        cfg = SimConfig(n_particles=32, n_common=6, dt=params.horizon / 64, seed=42)
-        blobs = []
-        for threads in ("1", "4", "8"):
-            monkeypatch.setenv("MFDR_THREADS", threads)
-            ens = simulate(params, sched, cfg)
-            pay = contract_payoffs(ens, sched, params, "cara")
-            blobs.append(
-                ens.x_terminal.tobytes()
-                + ens.x_integral.tobytes()
-                + ens.zmu_dx.tobytes()
-                + pay.tobytes()
-            )
-        assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_invalid_thread_cap_rejected(self, monkeypatch):
-        sched = flat_schedule(CAL05, z=0.0, gamma=-1.0)
-        cfg = SimConfig(n_particles=2, n_common=1, dt=CAL05.horizon / 16)
-        monkeypatch.setenv("MFDR_THREADS", "zero")
-        with pytest.raises(ValueError, match="MFDR_THREADS"):
-            simulate(CAL05, sched, cfg)
-        monkeypatch.setenv("MFDR_THREADS", "0")
-        with pytest.raises(ValueError, match="MFDR_THREADS"):
-            simulate(CAL05, sched, cfg)
-
     def test_seed_reproducibility(self):
+        # A rerun gives the same bytes for every accumulator and payoff.
         params = CAL05
         sched, _ = optimal_schedule("new", "cara", params, grid=128)
-        mk = lambda seed: simulate(
-            params, sched, SimConfig(n_particles=8, n_common=2, dt=params.horizon / 32, seed=seed)
+        cfg = SimConfig(n_particles=32, n_common=6, dt=params.horizon / 64, seed=7)
+
+        def blob(seed):
+            ens = simulate(params, sched, dataclasses.replace(cfg, seed=seed))
+            fields = (ens.x_terminal, ens.x_integral, ens.z_dx_idio, ens.zmu_dx,
+                      ens.z_dw_circ, ens.zmu_dw_circ, ens.zmu_dsum)
+            payoffs = [contract_payoffs(ens, sched, params, "cara", indexing=indexing)
+                       for indexing in ("common_noise", "law")]
+            return b"".join(block.tobytes() for block in (*fields, *payoffs))
+
+        assert blob(7) == blob(7)
+        assert blob(7) != blob(8)
+
+    def test_draws_four_normals_per_particle_and_scenario(self, monkeypatch):
+        # No per-step random array: the draw count does not depend on n_steps.
+        sizes = []
+        real = np.random.Generator
+
+        class Recording:
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+
+            def standard_normal(self, size):
+                sizes.append(size)
+                return self._rng.standard_normal(size)
+
+        monkeypatch.setattr(mfsim_module.np.random, "Generator", Recording)
+        sched = flat_schedule(CAL05, z=-1.0, gamma=-1.0)
+        for n_steps in (16, 1024):
+            sizes.clear()
+            simulate(CAL05, sched, SimConfig(n_particles=8, n_common=6,
+                                             dt=CAL05.horizon / n_steps, seed=1))
+            assert sizes == [(6, 4), (6, 8, 4)]
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("n_steps", [64, 520])
+    @pytest.mark.parametrize("schedule", ["new", "classical", "flat_z0"])
+    def test_law_matches_path_reference(self, schedule, n_steps):
+        # Unit increments through the path reference give the exact linear
+        # map from step normals to each accumulator block; its Gram matrix
+        # must be the covariance the sampler draws from.  520 steps span
+        # several blocks of the sampler's setup.
+        params = CAL05
+        if schedule == "flat_z0":
+            sched = flat_schedule(params, z=0.0, gamma=-1.0 / params.lambda_bar)
+        else:
+            sched, _ = optimal_schedule(schedule, "cara", params, grid=128)
+        dt = params.horizon / n_steps
+        _, _, mean, idio_factor, common_factor = mfsim_module._step_law(
+            params, sched, dt, n_steps
         )
-        a, b, c = mk(7), mk(7), mk(8)
-        assert np.array_equal(a.x_terminal, b.x_terminal)
-        assert not np.array_equal(a.x_terminal, c.x_terminal)
+        zeros, eye = np.zeros(n_steps), np.eye(n_steps)
+        base = path_reference(params, sched, n_steps, zeros[None, :], zeros)
+        unit = path_reference(params, sched, n_steps, eye, zeros)
+        idio_fields = ("x_terminal", "x_integral", "z_dx_idio", "zmu_dx")
+        idio_map = np.stack([unit[name] - base[name] for name in idio_fields])
+
+        sc = params.sigma_circ
+        columns = []
+        for k in range(n_steps):
+            out = path_reference(params, sched, n_steps, zeros[None, :], eye[k])
+            columns.append([
+                (out["x_terminal"][0] - base["x_terminal"][0]) / sc,
+                (out["x_integral"][0] - base["x_integral"][0]) / sc,
+                out["z_dw_circ"],
+                out["zmu_dw_circ"],
+            ])
+        common_map = np.array(columns).T
+
+        for linear_map, factor in ((idio_map, idio_factor), (common_map, common_factor)):
+            gram = linear_map @ linear_map.T
+            assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-12 * np.max(np.abs(gram))
+            assert np.all(factor[np.argmax(np.abs(factor), axis=0), range(4)] >= 0.0)
+        if schedule == "flat_z0":
+            # z ≡ 0: the ∫z dX and ∫z dW° rows vanish and the rank drops.
+            for factor in (idio_factor, common_factor):
+                assert np.linalg.matrix_rank(factor) < 4
+
+        expected_mean = np.array([
+            base["x_terminal"][0] - params.x0,
+            base["x_integral"][0] - n_steps * dt * params.x0,
+            base["z_dx_idio"][0],
+            base["zmu_dx"][0],
+        ])
+        assert mean == pytest.approx(expected_mean, rel=1e-12, abs=1e-12 * np.max(np.abs(expected_mean)))
+
+    def test_memory_flat_in_steps(self):
+        params = CAL05
+        sched, _ = optimal_schedule("new", "cara", params, grid=128)
+        peaks = {}
+        for n_steps in (64, 2048):
+            cfg = SimConfig(n_particles=256, n_common=4, dt=params.horizon / n_steps, seed=5)
+            simulate(params, sched, cfg)
+            tracemalloc.start()
+            try:
+                simulate(params, sched, cfg)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] <= 2.0 * peaks[64]
 
 
 class TestAntithetic:
@@ -205,10 +305,11 @@ class TestAntithetic:
         cfg = SimConfig(n_particles=8, n_common=4, dt=params.horizon / 32, seed=9,
                         antithetic=True)
         ens = simulate(params, sched, cfg)
-        assert np.array_equal(ens.w_circ_increments[1], -ens.w_circ_increments[0])
-        assert np.array_equal(ens.w_circ_increments[3], -ens.w_circ_increments[2])
+        assert np.array_equal(ens.z_dw_circ[1::2], -ens.z_dw_circ[0::2])
+        assert np.array_equal(ens.zmu_dw_circ[1::2], -ens.zmu_dw_circ[0::2])
         # idiosyncratic draws of the pair members stay independent
-        assert not np.allclose(ens.xo_terminal[0], ens.xo_terminal[1])
+        assert not np.allclose(ens.z_dx_idio[0], ens.z_dx_idio[1])
+        assert not np.allclose(ens.z_dx_idio[2], ens.z_dx_idio[3])
 
     def test_idiosyncratic_stream_invariant_to_flag(self):
         params = CAL05
@@ -216,7 +317,7 @@ class TestAntithetic:
         base = dict(n_particles=8, n_common=4, dt=params.horizon / 32, seed=9)
         on = simulate(params, sched, SimConfig(antithetic=True, **base))
         off = simulate(params, sched, SimConfig(antithetic=False, **base))
-        assert np.array_equal(on.xo_terminal, off.xo_terminal)
+        assert np.array_equal(on.z_dx_idio, off.z_dx_idio)
         assert np.array_equal(on.x_terminal[0], off.x_terminal[0])
         assert not np.array_equal(on.x_terminal[1], off.x_terminal[1])
 
@@ -268,6 +369,14 @@ class TestPayoffEvaluators:
         ens = simulate(params, sched, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 32))
         with pytest.raises(ValueError, match="indexing"):
             contract_payoffs(ens, sched, params, "cara", indexing="midpoint")
+
+    @pytest.mark.parametrize("indexing", ["common_noise", "law"])
+    def test_odd_interval_schedule_rejected(self, indexing):
+        params = CAL05
+        sched = flat_schedule(params, z=-1.0, gamma=-1.0, n=5)
+        ens = simulate(params, sched, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 10))
+        with pytest.raises(ValueError, match="incompatible grids.*even number of schedule intervals, got 5"):
+            contract_payoffs(ens, sched, params, "cara", indexing=indexing)
 
     def test_law_gap_is_deterministic_without_idiosyncratic_noise(self):
         params = CAL10
@@ -452,15 +561,15 @@ class TestVerification:
         }
 
     def test_scenario_means_track_common_noise(self):
-        # Conditionally on the common path, the population mean of X_T is
-        # the deterministic drift plus the common-noise displacement.
+        # Across scenarios the population mean of X_T varies by the common
+        # noise's sigma_circ^2 T plus the idiosyncratic variance over N.
         params = CAL05
         sched, _ = optimal_schedule("new", "cara", params, grid=256)
-        cfg = SimConfig(n_particles=1024, n_common=8, dt=params.horizon / 128, seed=23)
+        cfg = SimConfig(n_particles=16, n_common=4096, dt=params.horizon / 128, seed=23)
         ens = simulate(params, sched, cfg)
-        w_terminal = np.sum(ens.w_circ_increments, axis=1)
-        expected = params.x0 + ens.drift_integral + params.sigma_circ * w_terminal
-        observed = np.mean(ens.x_terminal, axis=1)
-        idio_var = ens.quadratic_variation_integral - params.sigma_circ**2 * params.horizon
-        se = np.sqrt(idio_var / ens.n_particles)
-        assert np.max(np.abs(observed - expected)) <= 4.5 * se
+        common_var = params.sigma_circ**2 * params.horizon
+        idio_var = ens.quadratic_variation_integral - common_var
+        target = common_var + idio_var / ens.n_particles
+        scenario_means = np.mean(ens.x_terminal, axis=1)
+        se = target * np.sqrt(2.0 / (ens.n_common - 1))
+        assert abs(float(np.var(scenario_means, ddof=1)) - target) <= 4.5 * se

@@ -425,6 +425,19 @@ class TestFirstBest:
             -0.15792983028899, rel=1e-10
         )
 
+    def test_reads_its_reservation_from_the_solve(self, monkeypatch):
+        calls = []
+        original = principal_module.reservation
+
+        def counted(params, grid_size=1024):
+            calls.append(grid_size)
+            return original(params, grid_size)
+
+        monkeypatch.setattr(principal_module, "reservation", counted)
+        fb = first_best_report(CAL05, grid=64)
+        assert calls == [64]
+        assert fb.fb_contract_constant == -math.log(-original(CAL05, 64).r0) / CAL05.r_a
+
     def test_power_formula_matches_exponential_form(self):
         for params in (CAL05, CAL10, dataclasses.replace(CAL05, r_p=2e-2)):
             fb = first_best_report(params)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelParams
-from .numerics import integrate_samples
+from .numerics import _uniform_grid, integrate_samples
 
 __all__ = [
     "Envelopes",
@@ -51,7 +51,8 @@ def _as_array(x) -> np.ndarray:
 
 
 def _clamped_drift_scale(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Common per-usage drift scale: min(max(-z, 0), a_max)."""
+    """Per-usage drift scale min(max(-z, 0), a_max) of the drift best
+    response; every module that needs the rule calls this one."""
     return np.minimum(np.maximum(-z, 0.0), params.a_max)
 
 
@@ -183,9 +184,8 @@ class Envelopes(NamedTuple):
 
 
 def _h_d(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    z_neg = np.maximum(-z, 0.0)
-    scale = np.minimum(z_neg, params.a_max)
-    return params.rho_bar * scale * (2.0 * z_neg - scale)
+    scale = _clamped_drift_scale(z, params)
+    return params.rho_bar * scale * (2.0 * np.maximum(-z, 0.0) - scale)
 
 
 def _h_v(gamma: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -246,12 +246,8 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
     rate ``(c_beta + |gamma0| * (retained + common variance)) / 2`` is
     integrated by Simpson's rule.  ``grid_size`` must be even and >= 2.
     """
-    grid_size = int(grid_size)
-    if grid_size < 2 or grid_size % 2 != 0:
-        raise ValueError("grid_size must be an even integer >= 2")
     horizon = params.horizon
-    t = np.linspace(0.0, horizon, grid_size + 1)
-    t[-1] = horizon
+    t = _uniform_grid(horizon, grid_size)
     gamma0 = -params.r_a * params.kappa**2 * (horizon - t) ** 2
     beta0 = best_vol_effort(gamma0, params)
     retained = best_response_variance(gamma0, params)

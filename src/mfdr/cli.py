@@ -58,7 +58,10 @@ from .model import (
     validate,
     with_variance_share,
 )
+from .numerics import _uniform_grid
 from .principal import (
+    PRINCIPAL_KINDS,
+    _default_principal,
     check_schedule_invariants,
     compare,
     first_best_report,
@@ -87,24 +90,43 @@ _Z_LIMIT = 3.89
 DEFAULT_SWEEP_RP = (0.0, 3e-3, 6e-3, 1.2e-2, 3e-2)
 DEFAULT_SWEEP_SHARE = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+_SIMULATABLE_KINDS = ("new", "classical")
+
+
+def _parse_bool(key: str, raw: str | bool) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ParameterError([f"{key} = {raw!r}: not a boolean"])
+
+
+#: Run-level configuration keys of flat config files, each with the flag that
+#: overrides it (``None``: file only) and its parser.  Parsers take the file's
+#: text or the flag's typed value.
+_RUN_KEYS: dict[str, tuple[str | None, Callable[[str, object], object]]] = {
+    "variance_share": ("share", _parse_float),
+    "kind": ("kind", lambda key, raw: str(raw)),
+    "principal": ("principal", lambda key, raw: str(raw)),
+    "sweep_rp": (None, _parse_float_list),
+    "sweep_share": (None, _parse_float_list),
+    "grid": ("grid", _parse_int),
+    "n_particles": ("particles", _parse_int),
+    "n_common": ("common", _parse_int),
+    "dt": ("dt", _parse_float),
+    "seed": ("seed", _parse_int),
+    "antithetic": ("antithetic", _parse_bool),
+    "out_dir": ("out", lambda key, raw: Path(raw)),
+}
+
 #: Run-level configuration keys accepted in flat config files, next to the
 #: model keys of :data:`mfdr.model.MODEL_CONFIG_KEYS`.
-RUN_CONFIG_KEYS = (
-    "variance_share",
-    "kind",
-    "principal",
-    "sweep_rp",
-    "sweep_share",
-    "grid",
-    "n_particles",
-    "n_common",
-    "dt",
-    "seed",
-    "antithetic",
-    "out_dir",
-)
+RUN_CONFIG_KEYS = tuple(_RUN_KEYS)
 
-_SIMULATABLE_KINDS = ("new", "classical")
+_SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig))
 
 
 @dataclass(frozen=True)
@@ -130,39 +152,30 @@ class RunConfig:
             problems.append(
                 f"kind must be one of {_SIMULATABLE_KINDS}, got {self.kind!r}"
             )
-        if self.principal not in (None, "cara", "risk_neutral"):
+        if self.principal is not None and self.principal not in PRINCIPAL_KINDS:
             problems.append(
-                "principal must be 'cara', 'risk_neutral', or unset, "
+                f"principal must be one of {PRINCIPAL_KINDS} or unset, "
                 f"got {self.principal!r}"
             )
         if not self.sweep_rp:
             problems.append("sweep_rp must not be empty")
         if not self.sweep_share:
             problems.append("sweep_share must not be empty")
-        if self.grid < 2 or self.grid % 2 != 0:
-            problems.append(f"grid must be an even integer >= 2, got {self.grid}")
+        try:
+            _uniform_grid(self.params.horizon, self.grid)
+        except ValueError as exc:
+            problems.append(str(exc))
         if problems:
             raise ParameterError(problems)
 
     @property
     def effective_principal(self) -> str:
-        if self.principal is not None:
-            return self.principal
-        return "cara" if self.params.r_p > 0.0 else "risk_neutral"
+        return self.principal or _default_principal(self.params)
 
 
 # ----------------------------------------------------------------------
 # Configuration assembly
 # ----------------------------------------------------------------------
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParameterError([f"{key} = {raw!r}: not a boolean"])
 
 
 def build_run_config(
@@ -171,9 +184,10 @@ def build_run_config(
 ) -> RunConfig:
     """Assemble a RunConfig from an optional flat file and flag overrides.
 
-    Precedence: built-in defaults < file values < overrides.  Override keys:
-    ``out``, ``share``, ``rp``, ``seed``, ``grid``, ``particles``,
-    ``common``, ``dt``, ``kind``, ``principal``, ``antithetic``.
+    Precedence: built-in defaults < file values < overrides.  Override keys
+    are the flags of the run-key table (``share``, ``kind``, ``principal``,
+    ``grid``, ``particles``, ``common``, ``dt``, ``seed``, ``antithetic``,
+    ``out``) plus ``rp``; other keys and ``None`` values are ignored.
     """
     overrides = dict(overrides or {})
     file_map = read_flat_config(config_path) if config_path is not None else {}
@@ -187,70 +201,22 @@ def build_run_config(
             [f"unknown config key {key!r}" for key in sorted(unknown)]
         )
     model_map = {k: v for k, v in file_map.items() if k in MODEL_CONFIG_KEYS}
-    run_map = {k: v for k, v in file_map.items() if k in RUN_CONFIG_KEYS}
-
     params = params_from_mapping(model_map) if model_map else calibrated_defaults()
 
-    share: float | None = None
-    if "variance_share" in run_map:
-        share = _parse_float("variance_share", run_map["variance_share"])
-    if overrides.get("share") is not None:
-        share = float(overrides["share"])
+    values: dict[str, object] = {}
+    for key, (flag, parse) in _RUN_KEYS.items():
+        if key in file_map:
+            values[key] = parse(key, file_map[key])
+        if flag is not None and overrides.get(flag) is not None:
+            values[key] = parse(key, overrides[flag])
+
+    share = values.pop("variance_share", None)
     if share is not None:
         params = with_variance_share(params, share)
     if overrides.get("rp") is not None:
         params = validate(dataclasses.replace(params, r_p=float(overrides["rp"])))
-
-    kind = str(overrides.get("kind") or run_map.get("kind", "new"))
-    principal = overrides.get("principal") or run_map.get("principal")
-
-    sweep_rp = DEFAULT_SWEEP_RP
-    if "sweep_rp" in run_map:
-        sweep_rp = _parse_float_list("sweep_rp", run_map["sweep_rp"])
-    sweep_share = DEFAULT_SWEEP_SHARE
-    if "sweep_share" in run_map:
-        sweep_share = _parse_float_list("sweep_share", run_map["sweep_share"])
-
-    grid = _parse_int("grid", run_map["grid"]) if "grid" in run_map else 1024
-    if overrides.get("grid") is not None:
-        grid = int(overrides["grid"])
-
-    sim_kwargs: dict[str, object] = {}
-    if "n_particles" in run_map:
-        sim_kwargs["n_particles"] = _parse_int("n_particles", run_map["n_particles"])
-    if "n_common" in run_map:
-        sim_kwargs["n_common"] = _parse_int("n_common", run_map["n_common"])
-    if "dt" in run_map:
-        sim_kwargs["dt"] = _parse_float("dt", run_map["dt"])
-    if "seed" in run_map:
-        sim_kwargs["seed"] = _parse_int("seed", run_map["seed"])
-    if "antithetic" in run_map:
-        sim_kwargs["antithetic"] = _parse_bool("antithetic", run_map["antithetic"])
-    for flag, key in (
-        ("particles", "n_particles"),
-        ("common", "n_common"),
-        ("dt", "dt"),
-        ("seed", "seed"),
-    ):
-        if overrides.get(flag) is not None:
-            sim_kwargs[key] = overrides[flag]
-    if overrides.get("antithetic") is not None:
-        sim_kwargs["antithetic"] = bool(overrides["antithetic"])
-
-    out_dir = Path(
-        str(overrides.get("out") or run_map.get("out_dir", "mfdr_out"))
-    )
-
-    return RunConfig(
-        params=params,
-        kind=kind,
-        principal=principal,  # type: ignore[arg-type]
-        sweep_rp=sweep_rp,
-        sweep_share=sweep_share,
-        grid=grid,
-        sim=SimConfig(**sim_kwargs),  # type: ignore[arg-type]
-        out_dir=out_dir,
-    )
+    sim = SimConfig(**{key: values.pop(key) for key in _SIM_KEYS if key in values})
+    return RunConfig(params=params, sim=sim, **values)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +270,8 @@ def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
         + [f"alpha_{k + 1}" for k in range(d)]
         + [f"beta_{k + 1}" for k in range(d)]
     )
-    principals = ["cara", "risk_neutral"]
-    if params.r_p <= 0.0:
+    principals = list(PRINCIPAL_KINDS)
+    if _default_principal(params) != "cara":
         principals.remove("cara")
         print(
             "note: r_p = 0, skipping cara schedules (risk-neutral files only)",
@@ -581,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="simulation step in hours (default horizon/512)")
     shared.add_argument("--kind", choices=_SIMULATABLE_KINDS, default=None,
                         help="contract kind for simulate")
-    shared.add_argument("--principal", choices=("cara", "risk_neutral"),
+    shared.add_argument("--principal", choices=PRINCIPAL_KINDS,
                         default=None, help="principal preference override")
     shared.add_argument("--antithetic", action="store_const", const=True,
                         default=None, help="pair common-noise scenarios antithetically")
@@ -606,24 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "out",
-            "share",
-            "rp",
-            "seed",
-            "grid",
-            "particles",
-            "common",
-            "dt",
-            "kind",
-            "principal",
-            "antithetic",
-        )
-    }
     try:
-        config = build_run_config(args.config, overrides)
+        config = build_run_config(args.config, vars(args))
     except (ParameterError, OSError) as exc:
         _emit_failures([_failure(args.command, "invalid_configuration", str(exc))])
         return 2

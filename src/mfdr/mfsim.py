@@ -34,6 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .agent import (
+    _clamped_drift_scale,
     best_effort_cost,
     best_response_variance,
     hamiltonian_envelopes,
@@ -132,6 +133,8 @@ class ParticleEnsemble:
     effort_cost_integral: float
     #: integral of the per-particle quadratic-variation rate (deterministic)
     quadratic_variation_integral: float
+    #: intervals of the schedule grid the population was simulated under
+    _schedule_intervals: int
 
     @property
     def n_common(self) -> int:
@@ -202,15 +205,48 @@ def _resolve_steps(params: ModelParams, cfg: SimConfig) -> tuple[float, int]:
     return dt, n_steps
 
 
-def _check_schedule(schedule: PaymentSchedule, params: ModelParams) -> None:
+def _check_grids(
+    schedule: PaymentSchedule,
+    params: ModelParams,
+    ensemble: ParticleEnsemble | None = None,
+) -> None:
+    """Reject a schedule that does not span ``[0, horizon]``; with an
+    ensemble, also one that cannot pay it: an odd interval count (Simpson and
+    the reservation need an even one), another interval count than the
+    simulated schedule's, or another horizon than the ensemble's."""
+    tol = _REL_TOL_GRID * max(1.0, params.horizon)
     grid = schedule.grid
-    if abs(grid[0]) > _REL_TOL_GRID * max(1.0, params.horizon):
+    if abs(grid[0]) > tol:
         raise ValueError(f"incompatible grids: schedule must start at 0, got {grid[0]}")
-    if abs(grid[-1] - params.horizon) > _REL_TOL_GRID * max(1.0, params.horizon):
+    if abs(grid[-1] - params.horizon) > tol:
         raise ValueError(
             f"incompatible grids: schedule ends at {grid[-1]} but the "
             f"horizon is {params.horizon}"
         )
+    if ensemble is None:
+        return
+    n_intervals = len(grid) - 1
+    if n_intervals % 2 != 0:
+        raise ValueError(
+            f"incompatible grids: the Simpson accrual and the reservation "
+            f"need an even number of schedule intervals, got {n_intervals}"
+        )
+    if n_intervals != ensemble._schedule_intervals:
+        raise ValueError(
+            f"incompatible grids: the schedule has {n_intervals} intervals but "
+            f"the ensemble was simulated under {ensemble._schedule_intervals}"
+        )
+    if abs(ensemble.horizon - params.horizon) > tol:
+        raise ValueError(
+            f"incompatible grids: ensemble horizon {ensemble.horizon} does "
+            f"not match params horizon {params.horizon}"
+        )
+
+
+def _reservation_level(ensemble: ParticleEnsemble, params: ModelParams) -> float:
+    """The reservation ``xi0`` on the simulated schedule's grid: the level every
+    payoff pays and the certainty equivalent participation must reach."""
+    return reservation(params, ensemble._schedule_intervals).xi0
 
 
 def _sample_schedule(
@@ -254,7 +290,7 @@ def _step_law(
         k = np.arange(start, min(start + _BLOCK_STEPS, n_steps), dtype=np.float64)
         z, zmu, gamma = _sample_schedule(schedule, k * dt)
         var = best_response_variance(gamma, params)
-        drift = -params.rho_bar * np.minimum(np.maximum(-z, 0.0), params.a_max)
+        drift = -params.rho_bar * _clamped_drift_scale(z, params)
         cost += np.sum(best_effort_cost(z, gamma, params))
         qv += np.sum(var + params.sigma_circ**2)
         b_t = np.column_stack([np.ones_like(k), dt * (n_steps - 1 - k), z, zmu])
@@ -281,7 +317,7 @@ def simulate(
     with the number of steps.
     """
     validate(params)
-    _check_schedule(schedule, params)
+    _check_grids(schedule, params)
     dt, n_steps = _resolve_steps(params, cfg)
     cost_integral, qv_integral, mean, idio_factor, common_factor = _step_law(
         params, schedule, dt, n_steps
@@ -317,17 +353,8 @@ def simulate(
         zmu_dsum=zmu_dsum,
         effort_cost_integral=cost_integral,
         quadratic_variation_integral=qv_integral,
+        _schedule_intervals=len(schedule.grid) - 1,
     )
-
-
-def _ensure_compatible(ensemble: ParticleEnsemble, schedule: PaymentSchedule,
-                       params: ModelParams) -> None:
-    _check_schedule(schedule, params)
-    if abs(ensemble.horizon - params.horizon) > _REL_TOL_GRID * max(1.0, params.horizon):
-        raise ValueError(
-            f"incompatible grids: ensemble horizon {ensemble.horizon} does "
-            f"not match params horizon {params.horizon}"
-        )
 
 
 def _simpson_running_terms(
@@ -393,15 +420,9 @@ def contract_payoffs(
         raise ValueError(
             f"indexing must be 'common_noise' or 'law', got {indexing!r}"
         )
-    n_intervals = len(schedule.grid) - 1
-    if n_intervals % 2 != 0:
-        raise ValueError(
-            f"incompatible grids: the Simpson accrual and the reservation "
-            f"need an even number of schedule intervals, got {n_intervals}"
-        )
-    _ensure_compatible(ensemble, schedule, params)
+    _check_grids(schedule, params, ensemble)
 
-    xi0 = reservation(params, grid_size=n_intervals).xi0
+    xi0 = _reservation_level(ensemble, params)
     sc = params.sigma_circ
 
     if indexing == "common_noise":
@@ -421,7 +442,7 @@ def contract_payoffs(
     z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps) * ensemble.dt)
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
-    scale = np.minimum(np.maximum(-z, 0.0), params.a_max)
+    scale = _clamped_drift_scale(z, params)
     det_rate = (
         -0.5 * env.h_d
         - 0.5 * env.h_v
@@ -480,8 +501,9 @@ def verify_participation(
     averaged within each common-noise scenario, scenario means (pair-
     averaged if antithetic) form the Monte Carlo sample, and the resulting
     estimate is mapped to a certainty equivalent.  The report compares it
-    to the reservation certainty equivalent with a delta-method standard
-    error and a leave-one-scenario-out jackknife bias for the log transform.
+    to the reservation certainty equivalent on the simulated schedule's
+    grid, the ``xi0`` the payoffs pay, with a delta-method standard error
+    and a leave-one-scenario-out jackknife bias for the log transform.
     """
     if payoffs.shape != ensemble.x_terminal.shape:
         raise ValueError(
@@ -511,13 +533,13 @@ def verify_participation(
     loo_ce = -np.log(-loo_means) / params.r_a
     jackknife_bias = float((n - 1) * (np.sum(loo_ce) / n - ce))
 
-    res = reservation(params)
-    z_score = (ce - res.xi0) / se_ce
+    xi0 = _reservation_level(ensemble, params)
+    z_score = (ce - xi0) / se_ce
     return McReport(
         estimate=float(ce),
         std_error=float(se_ce),
         n_effective=n,
-        closed_form_target=float(res.xi0),
+        closed_form_target=float(xi0),
         z_score=float(z_score),
         jackknife_bias=jackknife_bias,
     )

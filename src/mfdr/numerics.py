@@ -137,14 +137,17 @@ def minimize_on_grid(
     scan[:, -1] = hi_arr
     scan_values = evaluate(scan)
 
-    best_x = scan[:, 0].copy()
-    best_f = scan_values[:, 0].copy()
-    best_col = np.zeros(n_rows, dtype=np.intp)
-    for col in range(1, coarse_n):
-        take = _better(scan_values[:, col], scan[:, col], best_f, best_x)
-        best_col = np.where(take, col, best_col)
-        best_x = np.where(take, scan[:, col], best_x)
-        best_f = np.where(take, scan_values[:, col], best_f)
+    # The first column that is lexicographically least in (value, |x|, -x),
+    # the order of ``_better``.
+    tied = scan_values == np.min(scan_values, axis=1)[:, None]
+    magnitude = np.abs(scan)
+    smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
+    tied &= magnitude == smallest[:, None]
+    largest = np.max(np.where(tied, scan, -np.inf), axis=1)
+    best_col = np.argmax(tied & (scan == largest[:, None]), axis=1)
+    rows = np.arange(n_rows)
+    best_x = scan[rows, best_col]
+    best_f = scan_values[rows, best_col]
 
     # Evaluate 0 wherever the bracket spans it (duplicate lo elsewhere; harmless).
     spans_zero = (lo_arr < 0.0) & (hi_arr > 0.0)
@@ -198,6 +201,17 @@ def minimize_on_grid(
             best_f = np.where(take, f_new, best_f)
 
     return best_x, best_f, evaluations
+
+
+def _uniform_grid(horizon: float, n_intervals: int) -> np.ndarray:
+    """The ``n_intervals + 1`` uniform nodes on ``[0, horizon]`` that
+    :func:`integrate_samples` integrates over, the last one exactly
+    ``horizon``; ``n_intervals`` must be an even integer >= 2."""
+    if n_intervals < 2 or n_intervals % 2 != 0:
+        raise ValueError(f"grid must be an even integer >= 2, got {n_intervals}")
+    t = np.linspace(0.0, horizon, int(n_intervals) + 1)
+    t[-1] = horizon
+    return t
 
 
 def integrate_samples(values: Sequence[float] | np.ndarray, lo: float, hi: float) -> float:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .agent import (
     ReservationReport,
+    _clamped_drift_scale,
     best_drift_effort,
     best_response_variance,
     best_response_vol_cost,
@@ -41,7 +42,7 @@ from .agent import (
     reservation,
 )
 from .model import ModelParams, ParameterError
-from .numerics import integrate_samples, minimize_on_grid
+from .numerics import _uniform_grid, integrate_samples, minimize_on_grid
 
 __all__ = [
     "CONTRACT_KINDS",
@@ -72,22 +73,20 @@ def _validate_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {CONTRACT_KINDS}, got {kind!r}")
 
 
-def _validate_principal(principal: str, params: ModelParams) -> None:
+def _validate_principal(principal: str, params: ModelParams | None = None) -> None:
     if principal not in PRINCIPAL_KINDS:
         raise ValueError(
             f"principal must be one of {PRINCIPAL_KINDS}, got {principal!r}"
         )
-    if principal == "cara" and params.r_p <= 0.0:
+    if params is not None and principal == "cara" and params.r_p <= 0.0:
         raise ParameterError(
             ["cara principal requires r_p > 0; use risk_neutral for r_p = 0"]
         )
 
 
-def _validate_grid(grid: int) -> int:
-    grid = int(grid)
-    if grid < 2 or grid % 2 != 0:
-        raise ValueError("grid must be an even integer >= 2")
-    return grid
+def _default_principal(params: ModelParams) -> str:
+    """The principal a model implies: ``cara`` when r_p > 0, else risk-neutral."""
+    return "cara" if params.r_p > 0.0 else "risk_neutral"
 
 
 def _effective_params(principal: str, params: ModelParams) -> ModelParams:
@@ -110,11 +109,7 @@ class PaymentSchedule:
 
     def __post_init__(self):
         _validate_kind(self.kind)
-        if self.principal not in PRINCIPAL_KINDS:
-            raise ValueError(
-                f"principal must be one of {PRINCIPAL_KINDS}, "
-                f"got {self.principal!r}"
-            )
+        _validate_principal(self.principal)
         n = self.grid.shape[0]
         for name in ("grid", "z", "z_mu", "gamma"):
             arr = getattr(self, name)
@@ -217,7 +212,7 @@ def hbar(t, z, params: ModelParams):
     z_arr = np.asarray(z, dtype=float)
     remaining = params.horizon - t_arr
     exposure = f0(params.theta + params.r_a * z_arr**2, params)
-    scale = np.minimum(np.maximum(-z_arr, 0.0), params.a_max)
+    scale = _clamped_drift_scale(z_arr, params)
     drift_gap = params.rho_bar * (scale + params.delta * remaining) ** 2
     total = exposure + drift_gap
     if np.ndim(t) == 0 and np.ndim(z) == 0:
@@ -282,12 +277,6 @@ def _gamma_of_z(z: np.ndarray, params: ModelParams) -> np.ndarray:
     )
 
 
-def _first_best_scale(t_nodes: np.ndarray, params: ModelParams) -> np.ndarray:
-    """First-best consumption-reduction scale min(max(-delta (T-t), 0), a_max)."""
-    remaining = params.horizon - t_nodes
-    return np.minimum(np.maximum(-params.delta * remaining, 0.0), params.a_max)
-
-
 def _m_rate(
     kind: str,
     params: ModelParams,
@@ -310,7 +299,7 @@ def _m_rate(
         return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
 
     # first_best
-    scale = _first_best_scale(t, params)
+    scale = _clamped_drift_scale(params.delta * remaining, params)
     damping = 0.5 * params.theta * best_response_variance(
         -params.theta, params
     ) + 0.5 * best_response_vol_cost(-params.theta, params)
@@ -340,16 +329,14 @@ def solve_contract(
     """
     _validate_kind(kind)
     _validate_principal(principal, params)
-    grid = _validate_grid(grid)
     p_eff = _effective_params(principal, params)
     horizon = params.horizon
-    t = np.linspace(0.0, horizon, grid + 1)
-    t[-1] = horizon
+    t = _uniform_grid(horizon, grid)
     remaining = horizon - t
 
     minima = None
     if kind == "first_best":
-        z = -_first_best_scale(t, params)
+        z = -_clamped_drift_scale(params.delta * remaining, params)
         gamma = np.full_like(t, -params.theta)
         z_mu = np.zeros_like(t)
     elif kind == "classical":
@@ -450,7 +437,7 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     ``r_p = 0`` the report is in pence and the participation multiplier
     degenerates to zero.
     """
-    principal = "cara" if params.r_p > 0.0 else "risk_neutral"
+    principal = _default_principal(params)
     solution = solve_contract("first_best", principal, params, grid)
     res = solution.reservation
     u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
@@ -476,7 +463,7 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
 
 
 def _drift_scale_integral(payment: PaymentSchedule, params: ModelParams) -> float:
-    scale = np.minimum(np.maximum(-payment.z, 0.0), params.a_max)
+    scale = _clamped_drift_scale(payment.z, params)
     return integrate_samples(scale, 0.0, params.horizon)
 
 
@@ -506,7 +493,7 @@ def compare(params: ModelParams, grid: int = 1024) -> ComparisonReport:
     the minimum values, which depend on the argmin only to second order;
     they converge to about 1e-12.
     """
-    principal = "cara" if params.r_p > 0.0 else "risk_neutral"
+    principal = _default_principal(params)
     new = solve_contract("new", principal, params, grid)
     cls = solve_contract("classical", principal, params, grid)
     gain = new.value.v0 - cls.value.v0
@@ -558,7 +545,8 @@ def check_schedule_invariants(
     if payment.kind == "first_best":
         if not np.allclose(payment.gamma, -params.theta, rtol=0.0, atol=1e-14):
             problems.append("first_best variance rate must equal -theta")
-        if np.max(np.abs(payment.z + _first_best_scale(t, params))) > scale_tol:
+        mirror = payment.z + _clamped_drift_scale(params.delta * remaining, params)
+        if np.max(np.abs(mirror)) > scale_tol:
             problems.append(
                 "first_best performance rate must mirror the target ramp"
             )

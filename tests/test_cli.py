@@ -149,6 +149,24 @@ class TestBuildRunConfig:
         assert config.kind == "classical"
         assert config.principal == "cara"
 
+    def test_every_flag_reaches_its_key(self, tmp_path):
+        # main hands the parsed namespace over whole, "command" and
+        # "config" included.
+        args = cli._build_parser().parse_args([
+            "simulate", "--out", str(tmp_path / "o"), "--share", "1.0",
+            "--rp", "0.012", "--seed", "2", "--grid", "64", "--particles", "16",
+            "--common", "4", "--dt", "0.171875", "--kind", "classical",
+            "--principal", "cara", "--antithetic",
+        ])
+        config = build_run_config(args.config, vars(args))
+        assert config.params == validate(dataclasses.replace(
+            with_variance_share(calibrated_defaults(), 1.0), r_p=0.012))
+        assert config.grid == 64
+        assert config.sim == SimConfig(n_particles=16, n_common=4, dt=0.171875,
+                                       seed=2, antithetic=True)
+        assert config.out_dir == tmp_path / "o"
+        assert (config.kind, config.principal) == ("classical", "cara")
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"bogus_key": "1"})
         with pytest.raises(ParameterError, match="bogus_key"):

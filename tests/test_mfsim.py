@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import mfdr.mfsim as mfsim_module
-from mfdr.agent import best_response_variance
-from mfdr.model import ModelParams, ParameterError, calibrated_defaults
+from mfdr.agent import best_response_variance, reservation
+from mfdr.model import ModelParams, ParameterError, calibrated_defaults, validate
 from mfdr.principal import PaymentSchedule, optimal_schedule, value_report
 from mfdr.mfsim import (
     McReport,
@@ -387,6 +387,14 @@ class TestPayoffEvaluators:
         with pytest.raises(ValueError, match="incompatible grids.*even number of schedule intervals, got 5"):
             contract_payoffs(ens, sched, params, "cara", indexing=indexing)
 
+    def test_schedule_on_another_grid_rejected(self):
+        params = CAL05
+        simulated, _ = optimal_schedule("new", "cara", params, grid=8)
+        paid, _ = optimal_schedule("new", "cara", params, grid=16)
+        ens = simulate(params, simulated, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 32))
+        with pytest.raises(ValueError, match="incompatible grids.*16 intervals.*under 8"):
+            contract_payoffs(ens, paid, params, "cara")
+
     def test_law_gap_is_deterministic_without_idiosyncratic_noise(self):
         params = CAL10
         sched, _ = optimal_schedule("new", "cara", params, grid=512)
@@ -494,6 +502,19 @@ class TestVerification:
             assert abs(val.jackknife_bias) < 1e-12
         else:
             assert abs(val.jackknife_bias) < 1e-4
+
+    def test_participation_targets_the_payoff_reservation(self):
+        # With lambda = 1 the walk-away consumer damps variance, so the
+        # Simpson reservation moves with the grid.  The target must be the
+        # xi0 the payoff pays, on the schedule's grid, not a 1024-interval one.
+        params = validate(dataclasses.replace(CAL05, lambda_=(1.0,)))
+        sched, _ = optimal_schedule("new", "cara", params, grid=8)
+        cfg = SimConfig(n_particles=16, n_common=4, dt=params.horizon / 32, seed=5)
+        ens = simulate(params, sched, cfg)
+        pay = contract_payoffs(ens, sched, params, "cara")
+        target = verify_participation(ens, pay, params).closed_form_target
+        assert target == reservation(params, 8).xi0
+        assert target != reservation(params).xi0
 
     def test_antithetic_halves_effective_samples(self):
         params = CAL05

@@ -48,6 +48,17 @@ class TestMinimizeScalar:
         argmin, _, _ = minimize_one(np.ones_like, 1.0, 3.0)
         assert argmin == 1.0
 
+    @pytest.mark.parametrize("bound, coarse_n", [(2.0, 5), (3.0, 7)])
+    def test_exact_symmetric_ties_go_to_the_larger_point(self, bound, coarse_n):
+        # The scan hits both roots -1 and +1 of (x^2 - 1)^2 exactly: equal
+        # values and magnitudes, so the larger point wins, and no refined
+        # point beats an exact zero.
+        argmin, min_value, _ = minimize_one(
+            lambda x: (x**2 - 1.0) ** 2, -bound, bound, coarse_n=coarse_n
+        )
+        assert argmin == 1.0
+        assert min_value == 0.0
+
     def test_min_value_not_above_coarse_grid(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -134,6 +145,26 @@ class TestMinimizeOnGrid:
             )
             assert argmin[j] == one_argmin
             assert min_value[j] == one_min
+
+    def test_coarse_pick_is_lexicographic(self):
+        # A tol above every bracket width leaves only the scan (and 0) to
+        # pick from; rounded values make exact ties common.  The pick is the
+        # least point in (value, |x|, -x) order, the first one among equals.
+        lo = np.array([-3.0, -2.0, 0.5, -1.0, -1.0])
+        hi = np.array([3.0, 1.0, 2.5, -0.25, 1.0])
+
+        def f(points):
+            return np.round(np.cos(3.0 * points), 1)
+
+        argmin, min_value, _ = minimize_on_grid(f, lo, hi, tol=10.0, coarse_n=33)
+        fractions = np.linspace(0.0, 1.0, 33)
+        for j in range(len(lo)):
+            scan = lo[j] + (hi[j] - lo[j]) * fractions
+            scan[0], scan[-1] = lo[j], hi[j]
+            points = list(scan) + ([0.0] if lo[j] < 0.0 < hi[j] else [])
+            best = min(points, key=lambda x: (float(f(np.array(x))), abs(x), -x))
+            assert argmin[j] == best
+            assert min_value[j] == float(f(np.array(best)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -280,11 +280,12 @@ def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     for kind in ("new", "classical"):
         for principal in principals:
             payment, effort = optimal_schedule(kind, principal, params, config.grid)
+            t = payment.grid
             rows = [
-                [payment.grid[i], payment.z[i], payment.z_mu[i], payment.gamma[i]]
+                [t[i], payment.z[i], payment.z_mu[i], payment.gamma[i]]
                 + list(effort.alpha[i])
                 + list(effort.beta[i])
-                for i in range(len(payment.grid))
+                for i in range(len(t))
             ]
             path = config.out_dir / f"schedule_{kind}_{principal}.csv"
             files.append(_write_csv(path, header, rows))

@@ -4,15 +4,16 @@ This module provides the independent numerical check on the closed-form
 results produced by :mod:`mfdr.principal`.  A finite population of
 ``n_particles`` consumers is sampled under ``n_common`` independent
 common-noise scenarios; every particle follows the time-discretised
-best-response dynamics induced by a payment schedule.  The payment rates are
-deterministic, so the accumulators the checks read are Gaussian, and each
-particle's and each scenario's block of four is drawn exactly from its
-discrete-time law (Glasserman, *Monte Carlo Methods in Financial
-Engineering*, 2003, ch. 3).  Two terminal-payment evaluators are implemented:
+best-response dynamics induced by a payment schedule, held constant from
+each of its uniform nodes to the next.  The payment rates are deterministic,
+so the accumulators the checks read are Gaussian, and each particle's and
+each scenario's block of four is drawn exactly from its discrete-time law
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003, ch. 3).
+Two terminal-payment evaluators are implemented:
 
 * ``indexing="common_noise"`` writes the payment as a functional of the
   consumer's own deviation and the common Brownian path, integrating the
-  deterministic running terms with Simpson quadrature on the schedule grid;
+  deterministic running terms with Simpson quadrature on the schedule nodes;
 * ``indexing="law"`` replaces the common Brownian path with the empirical
   leave-one-out population mean, accruing every running term with a
   left-endpoint Riemann sum at the simulation step.
@@ -210,36 +211,22 @@ def _check_grids(
     params: ModelParams,
     ensemble: ParticleEnsemble | None = None,
 ) -> None:
-    """Reject a schedule that does not span ``[0, horizon]``; with an
-    ensemble, also one that cannot pay it: an odd interval count (Simpson and
-    the reservation need an even one), another interval count than the
-    simulated schedule's, or another horizon than the ensemble's."""
-    tol = _REL_TOL_GRID * max(1.0, params.horizon)
-    grid = schedule.grid
-    if abs(grid[0]) > tol:
-        raise ValueError(f"incompatible grids: schedule must start at 0, got {grid[0]}")
-    if abs(grid[-1] - params.horizon) > tol:
+    """Reject a schedule on another horizon than the model's; with an
+    ensemble, also one on another grid than the simulated schedule's, whose
+    reservation and running terms the payoffs pay."""
+    if schedule.horizon != params.horizon:
         raise ValueError(
-            f"incompatible grids: schedule ends at {grid[-1]} but the "
-            f"horizon is {params.horizon}"
+            f"incompatible grids: schedule horizon {schedule.horizon}, "
+            f"model horizon {params.horizon}"
         )
     if ensemble is None:
         return
-    n_intervals = len(grid) - 1
-    if n_intervals % 2 != 0:
+    simulated = (ensemble.horizon, ensemble._schedule_intervals)
+    if (schedule.horizon, schedule.n_intervals) != simulated:
         raise ValueError(
-            f"incompatible grids: the Simpson accrual and the reservation "
-            f"need an even number of schedule intervals, got {n_intervals}"
-        )
-    if n_intervals != ensemble._schedule_intervals:
-        raise ValueError(
-            f"incompatible grids: the schedule has {n_intervals} intervals but "
-            f"the ensemble was simulated under {ensemble._schedule_intervals}"
-        )
-    if abs(ensemble.horizon - params.horizon) > tol:
-        raise ValueError(
-            f"incompatible grids: ensemble horizon {ensemble.horizon} does "
-            f"not match params horizon {params.horizon}"
+            f"incompatible grids: the schedule has {schedule.n_intervals} "
+            f"intervals over {schedule.horizon} h but the ensemble was "
+            f"simulated under {simulated[1]} over {simulated[0]} h"
         )
 
 
@@ -250,11 +237,12 @@ def _reservation_level(ensemble: ParticleEnsemble, params: ModelParams) -> float
 
 
 def _sample_schedule(
-    schedule: PaymentSchedule, t_left: np.ndarray
+    schedule: PaymentSchedule, steps: np.ndarray, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-constant samples of (z, z_mu, gamma) at the step left endpoints."""
-    idx = np.searchsorted(schedule.grid, t_left, side="right") - 1
-    idx = np.clip(idx, 0, len(schedule.grid) - 1)
+    """Left-constant samples of (z, z_mu, gamma) at the starts of ``steps``
+    out of ``n_steps``: step ``k`` starts at ``k T / n_steps``, inside schedule
+    interval ``k n_intervals // n_steps``, exactly, even on a node."""
+    idx = steps * schedule.n_intervals // n_steps
     return schedule.z[idx], schedule.z_mu[idx], schedule.gamma[idx]
 
 
@@ -287,13 +275,13 @@ def _step_law(
     mean = np.zeros(4)
     r_idio = r_common = np.zeros((4, 4))
     for start in range(0, n_steps, _BLOCK_STEPS):
-        k = np.arange(start, min(start + _BLOCK_STEPS, n_steps), dtype=np.float64)
-        z, zmu, gamma = _sample_schedule(schedule, k * dt)
+        k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
+        z, zmu, gamma = _sample_schedule(schedule, k, n_steps)
         var = best_response_variance(gamma, params)
         drift = -params.rho_bar * _clamped_drift_scale(z, params)
         cost += np.sum(best_effort_cost(z, gamma, params))
         qv += np.sum(var + params.sigma_circ**2)
-        b_t = np.column_stack([np.ones_like(k), dt * (n_steps - 1 - k), z, zmu])
+        b_t = np.column_stack([np.ones(len(k)), dt * (n_steps - 1 - k), z, zmu])
         mean += (drift * dt) @ b_t
         r_idio = np.linalg.qr(np.vstack([r_idio, np.sqrt(var * dt)[:, None] * b_t]), mode="r")
         r_common = np.linalg.qr(np.vstack([r_common, np.sqrt(dt) * b_t]), mode="r")
@@ -353,7 +341,7 @@ def simulate(
         zmu_dsum=zmu_dsum,
         effort_cost_integral=cost_integral,
         quadratic_variation_integral=qv_integral,
-        _schedule_intervals=len(schedule.grid) - 1,
+        _schedule_intervals=schedule.n_intervals,
     )
 
 
@@ -367,7 +355,6 @@ def _simpson_running_terms(
     ``(gamma + r_a z^2) * Sigma*(gamma) / 2``, and the common-noise risk
     loading ``r_a sigma_circ^2 (z + z_mu)^2 / 2``.
     """
-    grid = schedule.grid
     z, zmu, gamma = schedule.z, schedule.z_mu, schedule.gamma
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
@@ -377,7 +364,7 @@ def _simpson_running_terms(
         + 0.5 * (gamma + params.r_a * z**2) * var
         + 0.5 * params.r_a * params.sigma_circ**2 * (z + zmu) ** 2
     )
-    return integrate_samples(f, grid[0], grid[-1])
+    return integrate_samples(f, 0.0, schedule.horizon)
 
 
 def contract_payoffs(
@@ -391,7 +378,7 @@ def contract_payoffs(
 
     With ``indexing="common_noise"`` the payment is evaluated in its
     common-noise-indexed form: reservation level, deterministic running
-    terms (Simpson quadrature on the schedule grid), the deviation tracking
+    terms (Simpson quadrature on the schedule's nodes), the deviation tracking
     terms ``-kappa ∫X ds + ∫z dX°``, and the common-noise exposure
     ``sigma_circ ∫(z + z_mu) dW°``.
 
@@ -439,7 +426,9 @@ def contract_payoffs(
     n = ensemble.n_particles
     if n < 2:
         raise ValueError("law indexing needs n_particles >= 2")
-    z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps) * ensemble.dt)
+    z, zmu, gamma = _sample_schedule(
+        schedule, np.arange(ensemble.n_steps), ensemble.n_steps
+    )
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
     scale = _clamped_drift_scale(z, params)

@@ -179,31 +179,31 @@ def validate(params: ModelParams) -> ModelParams:
         if len(vec) != params.d:
             v.append(f"{name}: expected {params.d} entries, got {len(vec)}")
     for k, value in enumerate(params.rho):
-        if not value > 0.0:
-            v.append(f"rho[{k}] = {value}: must be > 0")
+        if not 0.0 < value < math.inf:
+            v.append(f"rho[{k}] = {value}: must be finite and > 0")
     for k, value in enumerate(params.lambda_):
-        if not value > 0.0:
-            v.append(f"lambda[{k}] = {value}: must be > 0")
+        if not 0.0 < value < math.inf:
+            v.append(f"lambda[{k}] = {value}: must be finite and > 0")
     for k, value in enumerate(params.eta):
-        if not value >= 1.0:
-            v.append(f"eta[{k}] = {value}: must be >= 1")
+        if not 1.0 <= value < math.inf:
+            v.append(f"eta[{k}] = {value}: must be finite and >= 1")
     for k, value in enumerate(params.sigma):
-        if not value >= 0.0:
-            v.append(f"sigma[{k}] = {value}: must be >= 0")
-    if not params.sigma_circ >= 0.0:
-        v.append(f"sigma_circ = {params.sigma_circ}: must be >= 0")
-    if not params.a_max > 0.0:
-        v.append(f"a_max = {params.a_max}: must be > 0")
+        if not 0.0 <= value < math.inf:
+            v.append(f"sigma[{k}] = {value}: must be finite and >= 0")
+    if not 0.0 <= params.sigma_circ < math.inf:
+        v.append(f"sigma_circ = {params.sigma_circ}: must be finite and >= 0")
+    if not 0.0 < params.a_max < math.inf:
+        v.append(f"a_max = {params.a_max}: must be finite and > 0")
     if not 0.0 < params.b_min < 1.0:
         v.append(f"b_min = {params.b_min}: must lie in (0, 1)")
-    if not params.r_a > 0.0:
-        v.append(f"r_a = {params.r_a}: must be > 0")
-    if not params.r_p >= 0.0:
-        v.append(f"r_p = {params.r_p}: must be >= 0")
-    if not params.theta >= 0.0:
-        v.append(f"theta = {params.theta}: must be >= 0")
-    if not params.horizon > 0.0:
-        v.append(f"horizon = {params.horizon}: must be > 0")
+    if not 0.0 < params.r_a < math.inf:
+        v.append(f"r_a = {params.r_a}: must be finite and > 0")
+    if not 0.0 <= params.r_p < math.inf:
+        v.append(f"r_p = {params.r_p}: must be finite and >= 0")
+    if not 0.0 <= params.theta < math.inf:
+        v.append(f"theta = {params.theta}: must be finite and >= 0")
+    if not 0.0 < params.horizon < math.inf:
+        v.append(f"horizon = {params.horizon}: must be finite and > 0")
     for name in ("x0", "delta", "kappa"):
         if not math.isfinite(getattr(params, name)):
             v.append(f"{name} = {getattr(params, name)}: must be finite")

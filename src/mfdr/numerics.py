@@ -206,7 +206,10 @@ def minimize_on_grid(
 def _uniform_grid(horizon: float, n_intervals: int) -> np.ndarray:
     """The ``n_intervals + 1`` uniform nodes on ``[0, horizon]`` that
     :func:`integrate_samples` integrates over, the last one exactly
-    ``horizon``; ``n_intervals`` must be an even integer >= 2."""
+    ``horizon``; ``horizon`` must be finite and > 0 and ``n_intervals`` an
+    even integer >= 2."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if n_intervals < 2 or n_intervals % 2 != 0:
         raise ValueError(f"grid must be an even integer >= 2, got {n_intervals}")
     t = np.linspace(0.0, horizon, int(n_intervals) + 1)

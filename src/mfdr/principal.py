@@ -98,11 +98,13 @@ def _effective_params(principal: str, params: ModelParams) -> ModelParams:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PaymentSchedule:
-    """Payment rates over time for one contract offer."""
+    """Payment rates for one contract offer, one per node of :attr:`grid`: the
+    uniform Simpson nodes of ``n_intervals`` (even, >= 2) intervals on
+    ``[0, horizon]``, so a schedule cannot be non-uniform."""
 
     kind: str
     principal: str
-    grid: np.ndarray
+    horizon: float
     z: np.ndarray
     z_mu: np.ndarray
     gamma: np.ndarray
@@ -110,29 +112,33 @@ class PaymentSchedule:
     def __post_init__(self):
         _validate_kind(self.kind)
         _validate_principal(self.principal)
-        n = self.grid.shape[0]
-        for name in ("grid", "z", "z_mu", "gamma"):
+        n = self.z.shape[0]
+        for name in ("z", "z_mu", "gamma"):
             arr = getattr(self, name)
             if arr.ndim != 1 or arr.shape[0] != n:
                 raise ValueError(f"{name} must be 1-D with {n} nodes")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if n < 2 or not (np.diff(self.grid) > 0).all():
-            raise ValueError("grid must be strictly increasing with >= 2 nodes")
+        _uniform_grid(self.horizon, self.n_intervals)  # raises on a bad grid
+
+    @property
+    def n_intervals(self) -> int:
+        return self.z.shape[0] - 1
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The ``n_intervals + 1`` uniform nodes on ``[0, horizon]``."""
+        return _uniform_grid(self.horizon, self.n_intervals)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EffortSchedule:
-    """Best-response efforts induced by a payment schedule."""
+    """Best-response efforts, one row per node of their payment's grid."""
 
-    grid: np.ndarray
     alpha: np.ndarray  # (nodes, d) consumption reductions
     beta: np.ndarray  # (nodes, d) variance retentions
 
     def __post_init__(self):
-        n = self.grid.shape[0]
-        if self.alpha.shape[0] != n or self.beta.shape[0] != n:
-            raise ValueError("alpha and beta must have one row per grid node")
         if self.alpha.shape != self.beta.shape or self.alpha.ndim != 2:
             raise ValueError("alpha and beta must be (nodes, d) arrays")
 
@@ -359,12 +365,11 @@ def solve_contract(
             z_mu = -z
 
     payment = PaymentSchedule(
-        kind=kind, principal=principal, grid=t, z=z, z_mu=z_mu, gamma=gamma
+        kind=kind, principal=principal, horizon=horizon,
+        z=z, z_mu=z_mu, gamma=gamma,
     )
     effort = EffortSchedule(
-        grid=t,
-        alpha=best_drift_effort(z, params),
-        beta=best_vol_effort(gamma, params),
+        alpha=best_drift_effort(z, params), beta=best_vol_effort(gamma, params)
     )
     m_integral = integrate_samples(
         _m_rate(kind, params, p_eff, t, minima), 0.0, horizon
@@ -393,8 +398,9 @@ def optimal_schedule(
 ):
     """Optimal payment schedule and induced efforts on a uniform grid.
 
-    Returns ``(PaymentSchedule, EffortSchedule)`` with ``grid + 1`` nodes,
-    read from :func:`solve_contract`.
+    Returns ``(PaymentSchedule, EffortSchedule)``: the payment on ``grid``
+    uniform intervals of ``[0, horizon]`` and the efforts at its
+    ``grid + 1`` nodes, read from :func:`solve_contract`.
     """
     solution = solve_contract(kind, principal, params, grid)
     return solution.payment, solution.effort

@@ -525,6 +525,17 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert failures_from(capsys.readouterr().err)
 
+    def test_infinite_model_value_exits_two(self, tmp_path, capsys):
+        # An infinite sigma_circ or r_p passed every ">= 0" bound and the
+        # commands wrote NaN rows.
+        path = write_config(tmp_path, {"sigma_circ": "inf"})
+        out = tmp_path / "out"
+        assert main(["reservation", "--config", str(path), "--out", str(out)]) == 2
+        assert "sigma_circ" in failures_from(capsys.readouterr().err)[0]["detail"]
+        assert main(["first-best", "--rp", "inf", "--out", str(out)]) == 2
+        assert "r_p" in failures_from(capsys.readouterr().err)[0]["detail"]
+        assert not out.exists()
+
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n", encoding="utf-8")

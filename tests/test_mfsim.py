@@ -26,11 +26,10 @@ CAL00 = calibrated_defaults(variance_share=0.0)
 
 def flat_schedule(params: ModelParams, z: float, gamma: float, n: int = 64,
                   kind: str = "new", principal: str = "cara") -> PaymentSchedule:
-    grid = np.linspace(0.0, params.horizon, n + 1)
     return PaymentSchedule(
         kind=kind,
         principal=principal,
-        grid=grid,
+        horizon=params.horizon,
         z=np.full(n + 1, float(z)),
         z_mu=np.zeros(n + 1),
         gamma=np.full(n + 1, float(gamma)),
@@ -47,9 +46,10 @@ def path_reference(params: ModelParams, schedule: PaymentSchedule, n_steps: int,
     (common), and reduces the paths to the ensemble accumulators.
     """
     dt = params.horizon / n_steps
-    t_left = np.arange(n_steps, dtype=np.float64) * dt
-    idx = np.searchsorted(schedule.grid, t_left, side="right") - 1
-    idx = np.clip(idx, 0, len(schedule.grid) - 1)
+    # Step k starts at k/n_steps of the horizon and node j sits at j/n: pick
+    # the last node at or before each step in exact integer arithmetic.
+    n = schedule.n_intervals
+    idx = np.searchsorted(np.arange(n + 1) * n_steps, np.arange(n_steps) * n, side="right") - 1
     z, zmu, gamma = schedule.z[idx], schedule.z_mu[idx], schedule.gamma[idx]
     drift = -params.rho_bar * np.minimum(np.maximum(-z, 0.0), params.a_max)
     dx_idio = drift * dt + xi * np.sqrt(best_response_variance(gamma, params) * dt)
@@ -121,9 +121,8 @@ class TestGridResolution:
 
     def test_rejects_schedule_horizon_mismatch(self):
         short = CAL05
-        grid = np.linspace(0.0, short.horizon * 0.5, 9)
         sched = PaymentSchedule(
-            kind="new", principal="cara", grid=grid,
+            kind="new", principal="cara", horizon=short.horizon * 0.5,
             z=np.zeros(9), z_mu=np.zeros(9), gamma=np.full(9, -1.0),
         )
         cfg = SimConfig(n_particles=2, n_common=1)
@@ -132,22 +131,25 @@ class TestGridResolution:
 
     def test_left_constant_sampling_drives_drift(self):
         # Distinctive stepwise z: without noise the terminal deviation is x0
-        # plus the drift at the left endpoint of each step.
+        # plus the drift at the left endpoint of each step.  With n_steps a
+        # multiple of n schedule intervals, each interval's left node drives
+        # the next n_steps / n steps, including the steps that start exactly
+        # on a node (at grid 100 and 1000 steps, k T / 1000 rounds below 47
+        # of the float nodes).
         params = dataclasses.replace(CAL05, sigma=(0.0,) * CAL05.d, sigma_circ=0.0)
-        n = 4
-        grid = np.linspace(0.0, params.horizon, n + 1)
-        z = np.array([-1.0, -2.0, -3.0, -4.0, 0.0])
-        sched = PaymentSchedule(
-            kind="new", principal="cara", grid=grid,
-            z=z, z_mu=np.zeros(n + 1), gamma=np.full(n + 1, -1.0),
-        )
-        cfg = SimConfig(n_particles=2, n_common=1, dt=params.horizon / 8)
-        ens = simulate(params, sched, cfg)
-        # steps 0..7 sample z at t = j T/8, i.e. pairs of schedule cells
-        expected = -params.rho_bar * np.sum(
-            np.minimum(np.maximum(-z[[0, 0, 1, 1, 2, 2, 3, 3]], 0.0), params.a_max)
-        ) * (params.horizon / 8)
-        assert ens.x_terminal - params.x0 == pytest.approx(expected, rel=1e-14)
+        for n, n_steps in ((4, 8), (100, 1000)):
+            z = -1.0 - np.arange(n + 1) % 4
+            z[-1] = 0.0
+            sched = PaymentSchedule(
+                kind="new", principal="cara", horizon=params.horizon,
+                z=z, z_mu=np.zeros(n + 1), gamma=np.full(n + 1, -1.0),
+            )
+            cfg = SimConfig(n_particles=2, n_common=1, dt=params.horizon / n_steps)
+            ens = simulate(params, sched, cfg)
+            expected = -params.rho_bar * np.sum(
+                np.minimum(np.maximum(-np.repeat(z[:-1], n_steps // n), 0.0), params.a_max)
+            ) * (params.horizon / n_steps)
+            assert ens.x_terminal - params.x0 == pytest.approx(expected, rel=1e-14)
 
 
 class TestDynamics:
@@ -379,14 +381,6 @@ class TestPayoffEvaluators:
         with pytest.raises(ValueError, match="indexing"):
             contract_payoffs(ens, sched, params, "cara", indexing="midpoint")
 
-    @pytest.mark.parametrize("indexing", ["common_noise", "law"])
-    def test_odd_interval_schedule_rejected(self, indexing):
-        params = CAL05
-        sched = flat_schedule(params, z=-1.0, gamma=-1.0, n=5)
-        ens = simulate(params, sched, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 10))
-        with pytest.raises(ValueError, match="incompatible grids.*even number of schedule intervals, got 5"):
-            contract_payoffs(ens, sched, params, "cara", indexing=indexing)
-
     def test_schedule_on_another_grid_rejected(self):
         params = CAL05
         simulated, _ = optimal_schedule("new", "cara", params, grid=8)
@@ -394,6 +388,10 @@ class TestPayoffEvaluators:
         ens = simulate(params, simulated, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 32))
         with pytest.raises(ValueError, match="incompatible grids.*16 intervals.*under 8"):
             contract_payoffs(ens, paid, params, "cara")
+        short = dataclasses.replace(params, horizon=params.horizon / 2)
+        paid, _ = optimal_schedule("new", "cara", short, grid=8)
+        with pytest.raises(ValueError, match="incompatible grids.*8 intervals over 2.75 h.*under 8 over 5.5 h"):
+            contract_payoffs(ens, paid, short, "cara")
 
     def test_law_gap_is_deterministic_without_idiosyncratic_noise(self):
         params = CAL10
@@ -437,7 +435,7 @@ class TestPayoffEvaluators:
         params = CAL05
         rn_sched, _ = optimal_schedule("new", "risk_neutral", params, grid=128)
         limit_sched = PaymentSchedule(
-            kind="new", principal="cara", grid=rn_sched.grid,
+            kind="new", principal="cara", horizon=rn_sched.horizon,
             z=rn_sched.z, z_mu=rn_sched.z_mu, gamma=rn_sched.gamma,
         )
         cfg = SimConfig(n_particles=8, n_common=2, dt=params.horizon / 64, seed=31)

@@ -134,6 +134,17 @@ class TestValidate:
         with pytest.raises(ParameterError):
             validate(p)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["rho", "lambda_", "eta", "sigma", "sigma_circ", "a_max", "b_min",
+         "r_a", "r_p", "theta", "horizon", "x0", "delta", "kappa"],
+    )
+    def test_infinite_values_rejected(self, field):
+        p = calibrated_defaults()
+        value = (math.inf,) if isinstance(getattr(p, field), tuple) else math.inf
+        with pytest.raises(ParameterError, match="inf"):
+            validate(dataclasses.replace(p, **{field: value}))
+
     def test_vector_length_mismatch(self):
         p = dataclasses.replace(calibrated_defaults(), rho=(1e-4, 2e-4))
         with pytest.raises(ParameterError, match="rho"):

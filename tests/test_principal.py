@@ -289,39 +289,62 @@ class TestOptimalSchedule:
         bad_pay = PaymentSchedule(
             kind=pay.kind,
             principal=pay.principal,
-            grid=pay.grid,
+            horizon=pay.horizon,
             z=pay.z,
             z_mu=pay.z_mu,
             gamma=pay.gamma * 1.5,
         )
         problems = check_schedule_invariants(bad_pay, eff, CAL05)
         assert any("variance rate" in p for p in problems)
-        bad_eff = EffortSchedule(
-            grid=eff.grid, alpha=eff.alpha * 0.9, beta=eff.beta
-        )
+        bad_eff = EffortSchedule(alpha=eff.alpha * 0.9, beta=eff.beta)
         problems = check_schedule_invariants(pay, bad_eff, CAL05)
         assert any("alpha" in p for p in problems)
 
     def test_payment_schedule_validation(self):
-        t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             PaymentSchedule(
                 kind="new",
                 principal="cara",
-                grid=t,
+                horizon=1.0,
                 z=np.zeros(4),
                 z_mu=np.zeros(5),
                 gamma=np.zeros(5),
             )
-        with pytest.raises(ValueError):
-            PaymentSchedule(
-                kind="new",
-                principal="cara",
-                grid=t[::-1].copy(),
-                z=np.zeros(5),
-                z_mu=np.zeros(5),
-                gamma=np.zeros(5),
-            )
+        for horizon in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+                PaymentSchedule(
+                    kind="new",
+                    principal="cara",
+                    horizon=horizon,
+                    z=np.zeros(5),
+                    z_mu=np.zeros(5),
+                    gamma=np.zeros(5),
+                )
+
+    def test_odd_interval_schedule_rejected(self):
+        # Simpson quadrature and the reservation need an even interval count.
+        for nodes in (2, 6):
+            with pytest.raises(ValueError, match=f"even integer >= 2, got {nodes - 1}"):
+                PaymentSchedule(
+                    kind="new",
+                    principal="cara",
+                    horizon=CAL05.horizon,
+                    z=np.full(nodes, -1.0),
+                    z_mu=np.zeros(nodes),
+                    gamma=np.full(nodes, -1.0),
+                )
+
+    def test_non_uniform_grid_cannot_be_built(self):
+        # Uniform Simpson weights on these nodes (steps 0.34 to 1.03 h) paid
+        # wrong running terms; a schedule now takes a horizon, not nodes.
+        steps = np.array([0.34, 0.5, 0.6, 0.7, 0.8, 0.77, 0.76, 1.03])
+        nodes = np.concatenate([[0.0], np.cumsum(steps)])
+        rates = dict(z=np.full(9, -1.0), z_mu=np.zeros(9), gamma=np.full(9, -1.0))
+        with pytest.raises(TypeError):
+            PaymentSchedule(kind="new", principal="cara", grid=nodes, **rates)
+        pay = PaymentSchedule(kind="new", principal="cara", horizon=nodes[-1], **rates)
+        assert pay.n_intervals == 8
+        assert np.array_equal(pay.grid, np.linspace(0.0, nodes[-1], 9))
 
 
 class TestValueReports:
@@ -466,7 +489,7 @@ class TestFirstBest:
 
     def test_efforts(self):
         fb = first_best_report(CAL05, grid=64)
-        remaining = CAL05.horizon - fb.efforts.grid
+        remaining = CAL05.horizon - np.linspace(0.0, CAL05.horizon, 65)
         expected_scale = np.minimum(
             np.maximum(-CAL05.delta * remaining, 0.0), CAL05.a_max
         )

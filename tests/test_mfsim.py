@@ -381,6 +381,18 @@ class TestPayoffEvaluators:
         with pytest.raises(ValueError, match="indexing"):
             contract_payoffs(ens, sched, params, "cara", indexing="midpoint")
 
+    @pytest.mark.parametrize("indexing", ["common_noise", "law"])
+    def test_odd_interval_schedule_rejected(self, indexing):
+        # Simpson weights need an even interval count; an odd-interval
+        # schedule is refused when built, so it never reaches either payoff
+        # evaluator.
+        params = CAL05
+        ens = simulate(params, flat_schedule(params, z=-1.0, gamma=-1.0, n=4),
+                       SimConfig(n_particles=2, n_common=1, dt=params.horizon / 8))
+        with pytest.raises(ValueError, match="even integer >= 2, got 5"):
+            contract_payoffs(ens, flat_schedule(params, z=-1.0, gamma=-1.0, n=5),
+                             params, "cara", indexing=indexing)
+
     def test_schedule_on_another_grid_rejected(self):
         params = CAL05
         simulated, _ = optimal_schedule("new", "cara", params, grid=8)

@@ -28,7 +28,7 @@ mfsim:
     contract payoff evaluation; the independent validator.
 cli:
     Command-line surface (schedule | compare | simulate | first-best |
-    reservation) emitting CSV and flat-text reports.
+    reservation) writing CSV files.
 
 Units: money in pence, power in kW, time in hours.
 """

@@ -4,13 +4,14 @@ Subcommands
 -----------
 ``schedule``
     Optimal payment and effort schedules, one CSV per contract kind and
-    principal preference.
+    principal preference (risk-neutral only when r_p = 0).
 ``compare``
     Population-indexed vs classical contract over a grid of principal risk
     aversions and common-noise variance shares, one CSV row per cell.
 ``simulate``
     Particle Monte Carlo cross-check of the closed forms: participation and
-    principal-value reports plus a per-scenario ensemble summary.
+    principal-value reports plus a per-scenario ensemble summary.  The
+    principal follows r_p: ``cara`` when r_p > 0, risk-neutral when r_p = 0.
 ``first-best``
     Full-information benchmark value and its dominance check.
 ``reservation``
@@ -21,7 +22,8 @@ writes byte-identical CSV files (RFC 4180, UTF-8, '.' decimal, header row,
 12 significant digits).  Exit status is 0 only when every internal invariant
 check passes; otherwise a machine-readable failure list is printed to stderr
 as JSON and the status is 1 (failed checks) or 2 (unusable configuration).
-Flags override configuration-file keys.
+Flags override configuration-file keys; a flag's text goes through the same
+parser and checks as the key's value in a file.
 """
 
 from __future__ import annotations
@@ -105,12 +107,11 @@ def _parse_bool(key: str, raw: str | bool) -> bool:
 
 
 #: Run-level configuration keys of flat config files, each with the flag that
-#: overrides it (``None``: file only) and its parser.  Parsers take the file's
-#: text or the flag's typed value.
+#: overrides it (``None``: file only) and its parser.  A file value and a
+#: flag's text go through the same parser.
 _RUN_KEYS: dict[str, tuple[str | None, Callable[[str, object], object]]] = {
     "variance_share": ("share", _parse_float),
     "kind": ("kind", lambda key, raw: str(raw)),
-    "principal": ("principal", lambda key, raw: str(raw)),
     "sweep_rp": (None, _parse_float_list),
     "sweep_share": (None, _parse_float_list),
     "grid": ("grid", _parse_int),
@@ -133,13 +134,12 @@ _SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig))
 class RunConfig:
     """Everything a command needs: model, sweep axes, grids, simulation, output.
 
-    ``principal`` may be left unset; commands then follow the model's risk
-    aversion (``cara`` when r_p > 0, ``risk_neutral`` when r_p = 0).
+    Commands take the principal from the model's risk aversion (``cara``
+    when r_p > 0, ``risk_neutral`` when r_p = 0).
     """
 
     params: ModelParams
     kind: str = "new"
-    principal: str | None = None
     sweep_rp: tuple[float, ...] = DEFAULT_SWEEP_RP
     sweep_share: tuple[float, ...] = DEFAULT_SWEEP_SHARE
     grid: int = 1024
@@ -152,11 +152,6 @@ class RunConfig:
             problems.append(
                 f"kind must be one of {_SIMULATABLE_KINDS}, got {self.kind!r}"
             )
-        if self.principal is not None and self.principal not in PRINCIPAL_KINDS:
-            problems.append(
-                f"principal must be one of {PRINCIPAL_KINDS} or unset, "
-                f"got {self.principal!r}"
-            )
         if not self.sweep_rp:
             problems.append("sweep_rp must not be empty")
         if not self.sweep_share:
@@ -167,10 +162,6 @@ class RunConfig:
             problems.append(str(exc))
         if problems:
             raise ParameterError(problems)
-
-    @property
-    def effective_principal(self) -> str:
-        return self.principal or _default_principal(self.params)
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +176,10 @@ def build_run_config(
     """Assemble a RunConfig from an optional flat file and flag overrides.
 
     Precedence: built-in defaults < file values < overrides.  Override keys
-    are the flags of the run-key table (``share``, ``kind``, ``principal``,
-    ``grid``, ``particles``, ``common``, ``dt``, ``seed``, ``antithetic``,
-    ``out``) plus ``rp``; other keys and ``None`` values are ignored.
+    are the flags of the run-key table (``share``, ``kind``, ``grid``,
+    ``particles``, ``common``, ``dt``, ``seed``, ``antithetic``, ``out``) plus
+    ``rp``; other keys and ``None`` values are ignored.  Override values are
+    parsed like file values, so they may be text.
     """
     overrides = dict(overrides or {})
     file_map = read_flat_config(config_path) if config_path is not None else {}
@@ -214,7 +206,8 @@ def build_run_config(
     if share is not None:
         params = with_variance_share(params, share)
     if overrides.get("rp") is not None:
-        params = validate(dataclasses.replace(params, r_p=float(overrides["rp"])))
+        r_p = _parse_float("r_p", overrides["rp"])
+        params = validate(dataclasses.replace(params, r_p=r_p))
     sim = SimConfig(**{key: values.pop(key) for key in _SIM_KEYS if key in values})
     return RunConfig(params=params, sim=sim, **values)  # type: ignore[arg-type]
 
@@ -248,6 +241,11 @@ def _write_csv(
             writer.writerow([_fmt(value) for value in row])
     print(f"wrote {path}")
     return path
+
+
+def _write_records(path: Path, records: Sequence[Mapping[str, object]]) -> Path:
+    """Write one row per flat record, headed by the first record's keys."""
+    return _write_csv(path, list(records[0]), [list(r.values()) for r in records])
 
 
 def _failure(command: str, check: str, detail: str) -> dict[str, str]:
@@ -299,7 +297,7 @@ def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
 def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     """Sweep (r_p, variance_share) and write one comparison row per cell."""
     failures: list[dict[str, str]] = []
-    rows: list[list[object]] = []
+    rows: list[dict[str, object]] = []
     gains: dict[float, list[tuple[float, float]]] = {}
     for r_p in config.sweep_rp:
         for share in config.sweep_share:
@@ -307,16 +305,7 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
                 validate(dataclasses.replace(config.params, r_p=r_p)), share
             )
             report = compare(cell, grid=config.grid)
-            rows.append(
-                [
-                    r_p,
-                    share,
-                    report.delta_v,
-                    report.rel_delta_v,
-                    report.delta_alpha,
-                    report.delta_beta,
-                ]
-            )
+            rows.append({"r_p": r_p, "variance_share": share, **report.to_flat()})
             gains.setdefault(r_p, []).append((share, report.delta_v))
             slack = 1e-12 * (1.0 + abs(report.delta_v))
             if report.delta_v < -slack:
@@ -351,11 +340,7 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
                         f"{hi_gain!r} (share {hi_share}) at r_p={r_p}",
                     )
                 )
-    path = _write_csv(
-        config.out_dir / "compare.csv",
-        ["r_p", "variance_share", "delta_v", "rel_delta_v", "delta_alpha", "delta_beta"],
-        rows,
-    )
+    path = _write_records(config.out_dir / "compare.csv", rows)
     return [path], failures
 
 
@@ -363,7 +348,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     """Run the particle Monte Carlo and write verification + summary files."""
     params = config.params
     kind = config.kind
-    principal = config.effective_principal
+    principal = _default_principal(params)
     if config.sim.n_particles < 64:
         print(
             "warning: jackknife bias estimate is unreliable for "
@@ -378,32 +363,13 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
         ensemble, payoffs, params, solution.value
     )
 
-    mc_header = [
-        "check",
-        "estimate",
-        "std_error",
-        "n_effective",
-        "closed_form_target",
-        "z_score",
-        "jackknife_bias",
-    ]
     mc_rows = []
     failures: list[dict[str, str]] = []
     for name, rec in (
         ("participation", participation),
         ("principal_value", principal_value),
     ):
-        mc_rows.append(
-            [
-                name,
-                rec.estimate,
-                rec.std_error,
-                rec.n_effective,
-                rec.closed_form_target,
-                rec.z_score,
-                rec.jackknife_bias,
-            ]
-        )
+        mc_rows.append({"check": name, **rec.to_flat()})
         print(
             f"check {name}: z = {rec.z_score:+.3f} "
             f"(estimate {format(rec.estimate, _FLOAT_FORMAT)}, "
@@ -418,8 +384,8 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
                 )
             )
 
-    mc_path = _write_csv(
-        config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_header, mc_rows
+    mc_path = _write_records(
+        config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows
     )
     cost = payoffs + ensemble.principal_cost(params)
     mean_l = np.sum(cost, axis=1) / ensemble.n_particles
@@ -438,9 +404,8 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
 def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     """Write the full-information benchmark and check it dominates."""
     params = config.params
-    principal = config.effective_principal
     benchmark = first_best_report(params, config.grid)
-    contracted = value_report("new", principal, params, config.grid)
+    contracted = value_report("new", _default_principal(params), params, config.grid)
     slack = 1e-12 * abs(contracted.v0)
     dominates = benchmark.v_fb >= contracted.v0 - slack
     print(
@@ -457,27 +422,12 @@ def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]
                 f"v_fb = {benchmark.v_fb!r} < contracted v0 = {contracted.v0!r}",
             )
         )
-    path = _write_csv(
-        config.out_dir / "first_best.csv",
-        [
-            "v_fb",
-            "lagrange_rho",
-            "ce_fb",
-            "fb_contract_constant",
-            "v0_new_contract",
-            "fb_dominates",
-        ],
-        [
-            [
-                benchmark.v_fb,
-                benchmark.lagrange_rho,
-                benchmark.ce_fb,
-                benchmark.fb_contract_constant,
-                contracted.v0,
-                dominates,
-            ]
-        ],
-    )
+    row = {
+        **benchmark.to_flat(),
+        "v0_new_contract": contracted.v0,
+        "fb_dominates": dominates,
+    }
+    path = _write_records(config.out_dir / "first_best.csv", [row])
     return [path], failures
 
 
@@ -493,11 +443,8 @@ def cmd_reservation(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]
             for i in range(len(report.grid))
         ],
     )
-    flat = report.to_flat()
-    summary_path = _write_csv(
-        config.out_dir / "reservation_report.csv",
-        list(flat.keys()),
-        [list(flat.values())],
+    summary_path = _write_records(
+        config.out_dir / "reservation_report.csv", [report.to_flat()]
     )
     failures: list[dict[str, str]] = []
     beta = np.asarray(report.beta0)
@@ -527,29 +474,31 @@ _COMMANDS: dict[str, Callable[[RunConfig], tuple[list[Path], list[dict[str, str]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Flag values stay text: build_run_config parses and checks them like
+    # file values, so a bad one exits 2 with the JSON failure list.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=Path, default=None, metavar="PATH",
+    shared.add_argument("--config", default=None, metavar="PATH",
                         help="flat key = value configuration file")
-    shared.add_argument("--out", type=Path, default=None, metavar="DIR",
+    shared.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (default mfdr_out)")
-    shared.add_argument("--share", type=float, default=None, metavar="F",
+    shared.add_argument("--share", default=None, metavar="F",
                         help="common-noise share of the total variance, in [0, 1]")
-    shared.add_argument("--rp", type=float, default=None, metavar="F",
-                        help="principal risk aversion r_p override")
-    shared.add_argument("--seed", type=int, default=None, metavar="U64",
+    shared.add_argument("--rp", default=None, metavar="F",
+                        help="principal risk aversion r_p override "
+                        "(0 selects the risk-neutral principal)")
+    shared.add_argument("--seed", default=None, metavar="U64",
                         help="simulation seed")
-    shared.add_argument("--grid", type=int, default=None, metavar="N",
+    shared.add_argument("--grid", default=None, metavar="N",
                         help="schedule/quadrature grid intervals (even)")
-    shared.add_argument("--particles", type=int, default=None, metavar="N",
+    shared.add_argument("--particles", default=None, metavar="N",
                         help="particles per common-noise scenario")
-    shared.add_argument("--common", type=int, default=None, metavar="M",
+    shared.add_argument("--common", default=None, metavar="M",
                         help="number of common-noise scenarios")
-    shared.add_argument("--dt", type=float, default=None, metavar="F",
+    shared.add_argument("--dt", default=None, metavar="F",
                         help="simulation step in hours (default horizon/512)")
-    shared.add_argument("--kind", choices=_SIMULATABLE_KINDS, default=None,
-                        help="contract kind for simulate")
-    shared.add_argument("--principal", choices=PRINCIPAL_KINDS,
-                        default=None, help="principal preference override")
+    shared.add_argument("--kind", default=None, metavar="KIND",
+                        help="contract kind for simulate: "
+                        + " or ".join(_SIMULATABLE_KINDS))
     shared.add_argument("--antithetic", action="store_const", const=True,
                         default=None, help="pair common-noise scenarios antithetically")
 

@@ -25,7 +25,7 @@ from mfdr.model import (
     validate,
     with_variance_share,
 )
-from mfdr.principal import compare, first_best_report
+from mfdr.principal import compare, first_best_report, value_report
 
 # Small-but-honest simulation budget for fast end-to-end runs.
 FAST_SIM = ("--grid", "64", "--particles", "16", "--common", "4",
@@ -80,8 +80,6 @@ class TestBuildRunConfig:
         config = build_run_config()
         assert config.params == calibrated_defaults()
         assert config.kind == "new"
-        assert config.principal is None
-        assert config.effective_principal == "cara"
         assert config.sweep_rp == DEFAULT_SWEEP_RP
         assert config.sweep_share == DEFAULT_SWEEP_SHARE
         assert config.grid == 1024
@@ -93,7 +91,6 @@ class TestBuildRunConfig:
             "kappa": "0",
             "variance_share": "1.0",
             "kind": "classical",
-            "principal": "risk_neutral",
             "sweep_rp": "0, 6e-3",
             "sweep_share": "0, 1",
             "grid": "64",
@@ -109,7 +106,6 @@ class TestBuildRunConfig:
         assert config.params.sigma_circ == pytest.approx(0.085, rel=1e-15)
         assert config.params.sigma == (0.0,)
         assert config.kind == "classical"
-        assert config.principal == "risk_neutral"
         assert config.sweep_rp == (0.0, 6e-3)
         assert config.sweep_share == (0.0, 1.0)
         assert config.grid == 64
@@ -136,7 +132,6 @@ class TestBuildRunConfig:
             "antithetic": True,
             "out": tmp_path / "from_flag",
             "kind": "classical",
-            "principal": "cara",
         })
         resplit = with_variance_share(calibrated_defaults(), 1.0)
         assert config.params.sigma_circ == pytest.approx(resplit.sigma_circ,
@@ -147,7 +142,6 @@ class TestBuildRunConfig:
                                        seed=2, antithetic=True)
         assert config.out_dir == tmp_path / "from_flag"
         assert config.kind == "classical"
-        assert config.principal == "cara"
 
     def test_every_flag_reaches_its_key(self, tmp_path):
         # main hands the parsed namespace over whole, "command" and
@@ -156,7 +150,7 @@ class TestBuildRunConfig:
             "simulate", "--out", str(tmp_path / "o"), "--share", "1.0",
             "--rp", "0.012", "--seed", "2", "--grid", "64", "--particles", "16",
             "--common", "4", "--dt", "0.171875", "--kind", "classical",
-            "--principal", "cara", "--antithetic",
+            "--antithetic",
         ])
         config = build_run_config(args.config, vars(args))
         assert config.params == validate(dataclasses.replace(
@@ -165,7 +159,7 @@ class TestBuildRunConfig:
         assert config.sim == SimConfig(n_particles=16, n_common=4, dt=0.171875,
                                        seed=2, antithetic=True)
         assert config.out_dir == tmp_path / "o"
-        assert (config.kind, config.principal) == ("classical", "cara")
+        assert config.kind == "classical"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"bogus_key": "1"})
@@ -205,7 +199,7 @@ class TestRunConfigValidation:
         "kwargs, fragment",
         [
             ({"kind": "first_best"}, "kind"),
-            ({"principal": "bank"}, "principal"),
+            ({"grid": -2}, "grid"),
             ({"sweep_rp": ()}, "sweep_rp"),
             ({"sweep_share": ()}, "sweep_share"),
             ({"grid": 63}, "grid"),
@@ -221,13 +215,6 @@ class TestRunConfigValidation:
             RunConfig(params=calibrated_defaults(), kind="x", grid=3)
         message = str(err.value)
         assert "kind" in message and "grid" in message
-
-    def test_effective_principal_follows_risk_aversion(self):
-        neutral = validate(dataclasses.replace(calibrated_defaults(), r_p=0.0))
-        assert RunConfig(params=calibrated_defaults()).effective_principal == "cara"
-        assert RunConfig(params=neutral).effective_principal == "risk_neutral"
-        forced = RunConfig(params=calibrated_defaults(), principal="risk_neutral")
-        assert forced.effective_principal == "risk_neutral"
 
 
 class TestScheduleCommand:
@@ -355,9 +342,10 @@ class TestSimulateCommand:
         assert len(solves) == 1
 
     def test_kind_and_principal_name_the_files(self, tmp_path):
+        # The principal follows r_p: risk-neutral exactly when r_p = 0.
         out = tmp_path / "out"
         assert main(["simulate", "--out", str(out), "--kind", "classical",
-                     "--principal", "risk_neutral", *FAST_SIM]) == 0
+                     "--rp", "0", *FAST_SIM]) == 0
         mc = out / "mc_report_classical_risk_neutral.csv"
         assert mc.exists()
         assert (out / "ensemble_summary_classical_risk_neutral.csv").exists()
@@ -413,6 +401,18 @@ class TestSimulateCommand:
         assert failures[0]["check"] == "runtime_error"
         assert "incompatible grids" in failures[0]["detail"]
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-9", "inf"])
+    def test_unbounded_step_count_exits_two(self, tmp_path, capsys, dt):
+        # 1e-300 overflowed the int conversion, 1e-9 would run for hours and
+        # inf gave zero steps.
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), "--grid", "8",
+                     "--particles", "4", "--common", "2", "--dt", dt]) == 2
+        failures = failures_from(capsys.readouterr().err)
+        assert len(failures) == 1
+        assert "dt" in failures[0]["detail"]
+        assert not out.exists()
+
     def test_default_budget_matches_closed_forms(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--out", str(out)]) == 0
@@ -441,7 +441,9 @@ class TestFirstBestCommand:
         _, rows = read_table(out / "first_best.csv")
         neutral = validate(dataclasses.replace(calibrated_defaults(), r_p=0.0))
         benchmark = first_best_report(neutral, 1024)
+        contracted = value_report("new", "risk_neutral", neutral, 1024)
         assert float(rows[0][0]) == pytest.approx(benchmark.v_fb, rel=1e-11)
+        assert float(rows[0][4]) == pytest.approx(contracted.v0, rel=1e-11)
 
     def test_degenerate_baseline_constant_is_zero(self, tmp_path):
         path = write_config(tmp_path, {"kappa": "0", "x0": "0"})
@@ -512,6 +514,40 @@ class TestMainExitCodes:
         failures = failures_from(capsys.readouterr().err)
         assert failures[0]["check"] == "invalid_configuration"
         assert "bogus_key" in failures[0]["detail"]
+
+    def test_principal_config_key_exits_two(self, tmp_path, capsys):
+        # The principal follows r_p; there is no key to override it.
+        path = write_config(tmp_path, {"principal": "risk_neutral"})
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        failures = failures_from(capsys.readouterr().err)
+        assert failures[0]["check"] == "invalid_configuration"
+        assert "unknown config key 'principal'" in failures[0]["detail"]
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--grid", "abc", "grid"),
+            ("--grid", "1e3", "grid"),
+            ("--particles", "many", "n_particles"),
+            ("--seed", "x", "seed"),
+            ("--share", "half", "variance_share"),
+            ("--rp", "abc", "r_p"),
+            ("--dt", "x", "dt"),
+            ("--kind", "first_best", "kind"),
+        ],
+    )
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, flag, value, key):
+        # A flag's text goes through the config-file parsers, not argparse.
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "usage:" not in captured.err + captured.out
+        failures = failures_from(captured.err)
+        assert [item["check"] for item in failures] == ["invalid_configuration"]
+        assert key in failures[0]["detail"]
+        assert repr(value) in failures[0]["detail"]
+        assert not out.exists()
 
     def test_odd_grid_exits_two(self, tmp_path, capsys):
         assert main(["schedule", "--out", str(tmp_path / "out"),

@@ -90,6 +90,8 @@ class TestSimConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"antithetic": True, "n_common": 3},
+            {"dt": float("inf")},
+            {"dt": float("nan")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -118,6 +120,18 @@ class TestGridResolution:
         cfg = SimConfig(n_particles=2, n_common=1, dt=CAL05.horizon / 100.5)
         with pytest.raises(ValueError, match="incompatible grids"):
             simulate(CAL05, sched, cfg)
+
+    def test_step_count_is_bounded(self):
+        # The bound is checked on the float quotient, so a step count that
+        # overflows an int (or is infinite) is rejected like a large one.
+        horizon = CAL05.horizon
+        limit = mfsim_module._MAX_STEPS
+        cfg = SimConfig(n_particles=2, n_common=1, dt=horizon / limit)
+        assert mfsim_module._resolve_steps(CAL05, cfg)[1] == limit
+        for dt in (horizon / (limit + 2), 1e-9, 1e-300, 5e-324):
+            cfg = SimConfig(n_particles=2, n_common=1, dt=dt)
+            with pytest.raises(ValueError, match=rf"dt = .* steps .* {limit} allowed"):
+                mfsim_module._resolve_steps(CAL05, cfg)
 
     def test_rejects_schedule_horizon_mismatch(self):
         short = CAL05

@@ -95,7 +95,8 @@ def f0(q, params: ModelParams):
     ``min over b of (q * Sigma(b) + c_beta(b))``, evaluated in closed form
     per usage: full retention while ``lambda_k * q <= 1``, an interior
     power-law regime above that, and a floor regime once the optimal
-    retention would fall below ``b_min``.
+    retention would fall below ``b_min``. Each entry evaluates only its own
+    regime's formula (masked ufuncs), so the power runs only on interior ones.
 
     Scalar ``q`` returns a float; arrays return an array of the same shape.
 
@@ -111,23 +112,21 @@ def f0(q, params: ModelParams):
     eta = np.asarray(params.eta)
     sig2 = np.asarray(params.sigma) ** 2
     b_min = params.b_min
+    lam_eta = lam * eta
 
     scaled = lam * q_arr[..., None]
-    full_retention = sig2 * q_arr[..., None]
-    interior = (
-        sig2
-        / (lam * eta)
-        * ((1.0 + eta) * scaled ** (eta / (1.0 + eta)) - 1.0)
-    )
-    floored = sig2 * (
-        b_min * q_arr[..., None] + (b_min ** (-eta) - 1.0) / (lam * eta)
-    )
-    floor_threshold = b_min ** (-(1.0 + eta))
-    per_usage = np.where(
-        scaled <= 1.0,
-        full_retention,
-        np.where(scaled <= floor_threshold, interior, floored),
-    )
+    full = scaled <= 1.0
+    floored = scaled > b_min ** (-(1.0 + eta))
+    interior = ~(full | floored)
+    per_usage = np.empty(scaled.shape)
+    np.multiply(sig2, q_arr[..., None], out=per_usage, where=full)
+    np.power(scaled, eta / (1.0 + eta), out=per_usage, where=interior)
+    np.multiply(1.0 + eta, per_usage, out=per_usage, where=interior)
+    np.subtract(per_usage, 1.0, out=per_usage, where=interior)
+    np.multiply(sig2 / lam_eta, per_usage, out=per_usage, where=interior)
+    np.multiply(b_min, q_arr[..., None], out=per_usage, where=floored)
+    np.add(per_usage, (b_min ** (-eta) - 1.0) / lam_eta, out=per_usage, where=floored)
+    np.multiply(sig2, per_usage, out=per_usage, where=floored)
     total = np.sum(per_usage, axis=-1)
     if np.ndim(q) == 0:
         return float(total)

@@ -426,8 +426,10 @@ def _parse_float(key: str, raw: str) -> float:
         raise ParameterError([f"{key} = {raw!r}: not a number"]) from exc
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(key: str, raw: object) -> int:
     try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise ValueError("only an int or integer text; a float is not truncated")
         return int(raw)
     except ValueError as exc:
         raise ParameterError([f"{key} = {raw!r}: not an integer"]) from exc

@@ -10,7 +10,8 @@ outputs regardless of threading or call order.
 
 :func:`minimize_on_grid` runs a coarse scan followed by golden-section
 refinement on a whole family of brackets at once (one per time node, which
-is what the schedule builders use; a single bracket is a one-row call).
+is what the schedule builders use; a single bracket is a one-row call). Its
+scan runs in cache-sized column blocks, calling the objective several times.
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -32,6 +33,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Hard cap on golden-section iterations (reached only for absurdly small tol).
 _MAX_GOLDEN_ITERATIONS = 200
+
+#: Most points per objective call of the blocked coarse scan: each float64
+#: temporary stays within 128 KiB, which the allocator reuses without page faults.
+_SCAN_BLOCK_POINTS = 16384
 
 
 def _default_tol(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -66,6 +71,8 @@ def minimize_on_grid(
     Each row ``j`` carries its own bracket ``[lo[j], hi[j]]``. The objective
     ``f`` must accept an array of shape ``(n_rows, k)`` whose row ``j`` holds
     candidate points for bracket ``j``, and return values of the same shape.
+    It is called several times per scan, on column blocks of at most
+    ``_SCAN_BLOCK_POINTS`` points (one column when ``n_rows`` is larger).
 
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
@@ -113,6 +120,7 @@ def minimize_on_grid(
         raise ValueError("tol must be positive")
 
     n_rows = lo_arr.shape[0]
+    rows = np.arange(n_rows)
     evaluations = 0
 
     def evaluate(points: np.ndarray) -> np.ndarray:
@@ -130,24 +138,38 @@ def minimize_on_grid(
         evaluations += points.size
         return values
 
-    # Coarse scan on a uniform grid with exact endpoints.
+    # Coarse scan on a uniform grid with exact endpoints, in column blocks.
     fractions = np.linspace(0.0, 1.0, coarse_n)
-    scan = lo_arr[:, None] + (hi_arr - lo_arr)[:, None] * fractions[None, :]
-    scan[:, 0] = lo_arr
-    scan[:, -1] = hi_arr
-    scan_values = evaluate(scan)
 
-    # The first column that is lexicographically least in (value, |x|, -x),
-    # the order of ``_better``.
-    tied = scan_values == np.min(scan_values, axis=1)[:, None]
-    magnitude = np.abs(scan)
-    smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
-    tied &= magnitude == smallest[:, None]
-    largest = np.max(np.where(tied, scan, -np.inf), axis=1)
-    best_col = np.argmax(tied & (scan == largest[:, None]), axis=1)
-    rows = np.arange(n_rows)
-    best_x = scan[rows, best_col]
+    def scan_points(cols: np.ndarray, at=rows) -> np.ndarray:
+        """Scan points of rows ``at`` in columns ``cols`` (broadcast per row)."""
+        lo_at, hi_at = lo_arr[at, None], hi_arr[at, None]
+        points = lo_at + (hi_at - lo_at) * fractions[cols]
+        points = np.where(cols == 0, lo_at, points)
+        return np.where(cols == coarse_n - 1, hi_at, points)
+
+    scan_values = np.empty((n_rows, coarse_n))
+    block_cols = max(1, _SCAN_BLOCK_POINTS // n_rows)
+    for start in range(0, coarse_n, block_cols):
+        stop = min(start + block_cols, coarse_n)
+        scan_values[:, start:stop] = evaluate(scan_points(np.arange(start, stop)))
+
+    # The first column lexicographically least in (value, |x|, -x), the order
+    # of ``_better``; only rows with an exact tie need more than ``argmin``.
+    best_col = np.argmin(scan_values, axis=1)
     best_f = scan_values[rows, best_col]
+    tied = scan_values == best_f[:, None]
+    tie_rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+    if tie_rows.size:
+        tied, points = tied[tie_rows], scan_points(np.arange(coarse_n), tie_rows)
+        magnitude = np.abs(points)
+        smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
+        tied &= magnitude == smallest[:, None]
+        largest = np.max(np.where(tied, points, -np.inf), axis=1)
+        best_col[tie_rows] = np.argmax(tied & (points == largest[:, None]), axis=1)
+    # The best coarse point and its neighbours, which bracket the refinement.
+    neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, coarse_n - 1)
+    a, best_x, b = scan_points(neighbours).T
 
     # Evaluate 0 wherever the bracket spans it (duplicate lo elsewhere; harmless).
     spans_zero = (lo_arr < 0.0) & (hi_arr > 0.0)
@@ -159,11 +181,6 @@ def minimize_on_grid(
         best_f = np.where(take, zero_values, best_f)
 
     # Golden-section refinement of the best coarse sub-bracket.
-    left_col = np.maximum(best_col - 1, 0)
-    right_col = np.minimum(best_col + 1, coarse_n - 1)
-    a = np.take_along_axis(scan, left_col[:, None], axis=1)[:, 0]
-    b = np.take_along_axis(scan, right_col[:, None], axis=1)[:, 0]
-
     width = float(np.max(b - a))
     if width > tol:
         n_iter = min(

@@ -200,6 +200,39 @@ class TestF0:
     def test_zero_price(self):
         assert f0(0.0, CAL) == 0.0
 
+    @pytest.mark.parametrize("params", [CAL, MULTI], ids=["CAL", "MULTI"])
+    def test_regimes_match_all_branch_formula(self, params):
+        lam, eta = np.asarray(params.lambda_), np.asarray(params.eta)
+        sig2, b_min = np.asarray(params.sigma) ** 2, params.b_min
+        floor_threshold = b_min ** (-(1.0 + eta))
+
+        def all_branch(q):
+            # Every regime's formula on every entry, merged by np.where.
+            scaled = lam * q[..., None]
+            power = scaled ** (eta / (1.0 + eta))
+            interior = sig2 / (lam * eta) * ((1.0 + eta) * power - 1.0)
+            floor_offset = (b_min ** (-eta) - 1.0) / (lam * eta)
+            floored = sig2 * (b_min * q[..., None] + floor_offset)
+            per_usage = np.where(
+                scaled <= 1.0,
+                sig2 * q[..., None],
+                np.where(scaled <= floor_threshold, interior, floored),
+            )
+            return np.sum(per_usage, axis=-1)
+
+        # Prices within 4 ulps of each usage's two regime edges, each edge
+        # hit exactly by one of them, plus a spread over all three regimes.
+        prices = [np.geomspace(1e-3, 1e7, 101), [0.0]]
+        for k in range(params.d):
+            for edge in (1.0, floor_threshold[k]):
+                near = np.full(9, edge / lam[k])
+                near += np.arange(-4, 5) * np.spacing(near)
+                assert (lam[k] * near == edge).any()
+                prices.append(near)
+        q = np.concatenate(prices)
+        for shaped in (q, q[: q.size // 2 * 2].reshape(2, -1)):
+            assert np.array_equal(f0(shaped, params), all_branch(shaped))
+
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             f0(-1e-12, CAL)

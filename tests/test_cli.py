@@ -181,6 +181,22 @@ class TestBuildRunConfig:
         with pytest.raises(ParameterError):
             build_run_config(path)
 
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("grid", "grid", 64.9),
+            ("particles", "n_particles", 16.7),
+            ("common", "n_common", 4.0),
+            ("seed", "seed", 1.5),
+            ("grid", "grid", True),
+            ("seed", "seed", False),
+        ],
+    )
+    def test_typed_non_integer_override_rejected(self, flag, key, value):
+        # A float is never truncated, and a bool is not taken for 0 or 1.
+        with pytest.raises(ParameterError, match=f"{key} = {value!r}: not an integer"):
+            build_run_config(None, {flag: value})
+
     def test_rp_flag_revalidates(self):
         config = build_run_config(None, {"rp": 1.2e-2})
         assert config.params.r_p == 1.2e-2

@@ -7,13 +7,89 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfdr import numerics
+from mfdr.model import calibrated_defaults
 from mfdr.numerics import integrate_samples, minimize_on_grid
+from mfdr.principal import _brackets, _minimize_rate, hbar, hbar_classical
 
 
 def minimize_one(f, lo, hi, **kwargs):
     """One-row ``minimize_on_grid`` call: ``(argmin, min_value, evaluations)``."""
     argmin, min_value, evaluations = minimize_on_grid(f, [lo], [hi], **kwargs)
     return float(argmin[0]), float(min_value[0]), evaluations
+
+
+def one_shot_minimize(f, lo, hi, tol=None, coarse_n=256):
+    """Reference for ``minimize_on_grid`` on valid input: the same steps,
+    but the whole coarse scan is one objective call and the lexicographic
+    pick runs over every row."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if tol is None:
+        tol = numerics._default_tol(lo, hi)
+    evaluations = 0
+
+    def evaluate(points):
+        nonlocal evaluations
+        evaluations += points.size
+        return f(points)
+
+    fractions = np.linspace(0.0, 1.0, coarse_n)
+    scan = lo[:, None] + (hi - lo)[:, None] * fractions[None, :]
+    scan[:, 0] = lo
+    scan[:, -1] = hi
+    scan_values = evaluate(scan)
+    tied = scan_values == np.min(scan_values, axis=1)[:, None]
+    magnitude = np.abs(scan)
+    smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
+    tied &= magnitude == smallest[:, None]
+    largest = np.max(np.where(tied, scan, -np.inf), axis=1)
+    best_col = np.argmax(tied & (scan == largest[:, None]), axis=1)
+    rows = np.arange(len(lo))
+    best_x, best_f = scan[rows, best_col], scan_values[rows, best_col]
+
+    def keep_better(x_new, f_new):
+        nonlocal best_x, best_f
+        take = numerics._better(f_new, x_new, best_f, best_x)
+        best_x, best_f = np.where(take, x_new, best_x), np.where(take, f_new, best_f)
+
+    spans_zero = (lo < 0.0) & (hi > 0.0)
+    if spans_zero.any():
+        zero_col = np.where(spans_zero, 0.0, lo)
+        keep_better(zero_col, evaluate(zero_col[:, None])[:, 0])
+    a = scan[rows, np.maximum(best_col - 1, 0)]
+    b = scan[rows, np.minimum(best_col + 1, coarse_n - 1)]
+    width = float(np.max(b - a))
+    n_iter = 0
+    if width > tol:
+        n_iter = min(
+            numerics._MAX_GOLDEN_ITERATIONS,
+            int(math.ceil(math.log(width / tol) / -math.log(numerics._INV_PHI))),
+        )
+    if n_iter > 0:
+        x1 = b - numerics._INV_PHI * (b - a)
+        x2 = a + numerics._INV_PHI * (b - a)
+        inner = evaluate(np.stack([x1, x2], axis=1))
+        f1, f2 = inner[:, 0].copy(), inner[:, 1].copy()
+        keep_better(x1, f1)
+        keep_better(x2, f2)
+        for _ in range(n_iter):
+            left = f1 < f2
+            a, b = np.where(left, a, x1), np.where(left, x2, b)
+            x_keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
+            span = b - a
+            x_new = np.where(
+                left, b - numerics._INV_PHI * span, a + numerics._INV_PHI * span
+            )
+            f_new = evaluate(x_new[:, None])[:, 0]
+            x1, f1 = np.where(left, x_new, x_keep), np.where(left, f_new, f_keep)
+            x2, f2 = np.where(left, x_keep, x_new), np.where(left, f_keep, f_new)
+            keep_better(x_new, f_new)
+    return best_x, best_f, evaluations
+
+
+def bits(*arrays):
+    """Dtype, shape and raw bytes: equal only if bit for bit equal."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def simpson(f, lo, hi, n_intervals):
@@ -165,6 +241,50 @@ class TestMinimizeOnGrid:
             best = min(points, key=lambda x: (float(f(np.array(x))), abs(x), -x))
             assert argmin[j] == best
             assert min_value[j] == float(f(np.array(best)))
+
+    @pytest.mark.parametrize("n_rows", [3, 64, 1025])
+    @pytest.mark.parametrize("shape", ["plateau", "kink", "flat_zero", "symmetric"])
+    @pytest.mark.parametrize("tol", [None, 1e3])
+    def test_blocked_scan_matches_one_shot(self, n_rows, shape, tol):
+        # Only +, -, *, abs and rounding, so the values are the same on
+        # every platform; the plateaus and symmetric shapes tie exactly.
+        rng = np.random.default_rng(n_rows)
+        center = np.round(rng.uniform(-3.0, 3.0, n_rows), 2)
+        lo = -np.round(rng.uniform(-1.0, 4.0, n_rows), 3)
+        hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
+        lo[::3], hi[::3] = -2.0, 2.0  # symmetric brackets that span 0
+
+        def plateau(x):
+            offset = x - center[:, None]
+            return np.floor(4.0 * offset * offset)
+
+        objectives = {
+            "plateau": plateau,
+            "kink": lambda x: np.abs(x - center[:, None]) * 3.0 + 0.25 * x * x,
+            "flat_zero": lambda x: np.round(2.0 * np.abs(x)),
+            "symmetric": lambda x: (x * x - 1.0) * (x * x - 1.0),
+        }
+        sizes = []
+
+        def spy(points):
+            sizes.append(points.size)
+            return objectives[shape](points)
+
+        argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, tol=tol)
+        assert max(sizes) <= numerics._SCAN_BLOCK_POINTS
+        assert sum(sizes) == evaluations
+        expected = one_shot_minimize(objectives[shape], lo, hi, tol=tol)
+        assert bits(argmin, minima) == bits(*expected[:2])
+        assert evaluations == expected[2]
+
+    @pytest.mark.parametrize("objective", [hbar, hbar_classical])
+    def test_rate_solve_matches_one_shot(self, objective):
+        params = calibrated_defaults()
+        t = numerics._uniform_grid(params.horizon, 1024)
+        z_star, minima = _minimize_rate(t, params, objective is hbar_classical)
+        lo, hi = _brackets(t, params)
+        expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
+        assert bits(z_star, minima) == bits(*expected[:2])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

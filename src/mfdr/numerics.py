@@ -106,8 +106,8 @@ def minimize_on_grid(
     """
     lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_arr = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo_arr.shape != hi_arr.shape or lo_arr.ndim != 1:
-        raise ValueError("lo and hi must be 1-D arrays of equal length")
+    if lo_arr.shape != hi_arr.shape or lo_arr.ndim != 1 or lo_arr.size == 0:
+        raise ValueError("lo and hi must be non-empty 1-D arrays of equal length")
     if not (np.isfinite(lo_arr).all() and np.isfinite(hi_arr).all()):
         raise ValueError("brackets must be finite")
     if not (lo_arr < hi_arr).all():

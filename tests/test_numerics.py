@@ -187,6 +187,8 @@ class TestMinimizeScalar:
             minimize_one(f, 0.0, 1.0, coarse_n=2)
         with pytest.raises(ValueError):
             minimize_one(f, 0.0, 1.0, tol=0.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            minimize_on_grid(f, [], [], tol=1e-3)
 
     @settings(max_examples=40, deadline=None)
     @given(

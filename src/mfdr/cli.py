@@ -65,10 +65,10 @@ from .principal import (
     PRINCIPAL_KINDS,
     _default_principal,
     check_schedule_invariants,
-    compare,
+    compare_cells,
     first_best_report,
-    optimal_schedule,
     solve_contract,
+    solve_contracts,
     value_report,
 )
 
@@ -275,22 +275,22 @@ def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
             "note: r_p = 0, skipping cara schedules (risk-neutral files only)",
             file=sys.stderr,
         )
-    for kind in ("new", "classical"):
-        for principal in principals:
-            payment, effort = optimal_schedule(kind, principal, params, config.grid)
-            t = payment.grid
-            rows = [
-                [t[i], payment.z[i], payment.z_mu[i], payment.gamma[i]]
-                + list(effort.alpha[i])
-                + list(effort.beta[i])
-                for i in range(len(t))
-            ]
-            path = config.out_dir / f"schedule_{kind}_{principal}.csv"
-            files.append(_write_csv(path, header, rows))
-            for problem in check_schedule_invariants(payment, effort, params):
-                failures.append(
-                    _failure("schedule", "schedule_invariants", f"{kind}/{principal}: {problem}")
-                )
+    requests = [(kind, p, params) for kind in ("new", "classical") for p in principals]
+    for (kind, principal, _), solution in zip(requests, solve_contracts(requests, config.grid)):
+        payment, effort = solution.payment, solution.effort
+        t = payment.grid
+        rows = [
+            [t[i], payment.z[i], payment.z_mu[i], payment.gamma[i]]
+            + list(effort.alpha[i])
+            + list(effort.beta[i])
+            for i in range(len(t))
+        ]
+        path = config.out_dir / f"schedule_{kind}_{principal}.csv"
+        files.append(_write_csv(path, header, rows))
+        for problem in check_schedule_invariants(payment, effort, params):
+            failures.append(
+                _failure("schedule", "schedule_invariants", f"{kind}/{principal}: {problem}")
+            )
     return files, failures
 
 
@@ -299,31 +299,22 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     failures: list[dict[str, str]] = []
     rows: list[dict[str, object]] = []
     gains: dict[float, list[tuple[float, float]]] = {}
-    for r_p in config.sweep_rp:
-        for share in config.sweep_share:
-            cell = with_variance_share(
-                validate(dataclasses.replace(config.params, r_p=r_p)), share
-            )
-            report = compare(cell, grid=config.grid)
-            rows.append({"r_p": r_p, "variance_share": share, **report.to_flat()})
-            gains.setdefault(r_p, []).append((share, report.delta_v))
-            slack = 1e-12 * (1.0 + abs(report.delta_v))
-            if report.delta_v < -slack:
-                failures.append(
-                    _failure(
-                        "compare",
-                        "gain_nonnegative",
-                        f"delta_v = {report.delta_v!r} < 0 at r_p={r_p}, share={share}",
-                    )
-                )
-            if report.rel_delta_v < -slack:
-                failures.append(
-                    _failure(
-                        "compare",
-                        "relative_gain_nonnegative",
-                        f"rel_delta_v = {report.rel_delta_v!r} < 0 at r_p={r_p}, share={share}",
-                    )
-                )
+    cells = [(r_p, share) for r_p in config.sweep_rp for share in config.sweep_share]
+    cell_params = [
+        with_variance_share(validate(dataclasses.replace(config.params, r_p=r_p)), share)
+        for r_p, share in cells
+    ]
+    reports = compare_cells(cell_params, grid=config.grid)
+    for (r_p, share), report in zip(cells, reports):
+        rows.append({"r_p": r_p, "variance_share": share, **report.to_flat()})
+        gains.setdefault(r_p, []).append((share, report.delta_v))
+        slack = 1e-12 * (1.0 + abs(report.delta_v))
+        checks = (("gain_nonnegative", "delta_v"), ("relative_gain_nonnegative", "rel_delta_v"))
+        for check, name in checks:
+            value = getattr(report, name)
+            if value < -slack:
+                detail = f"{name} = {value!r} < 0 at r_p={r_p}, share={share}"
+                failures.append(_failure("compare", check, detail))
     # The gain grows with the common-noise share; assert it at the
     # calibrated risk aversion (observed, not proven, elsewhere).
     for r_p, pairs in gains.items():

@@ -17,6 +17,7 @@ here is pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -419,8 +420,10 @@ def read_flat_config(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(key: str, raw: object) -> float:
     try:
+        if isinstance(raw, bool) or not isinstance(raw, (numbers.Real, str)):
+            raise ValueError("only a real number or number text; a bool is not 0 or 1")
         return float(raw)
     except ValueError as exc:
         raise ParameterError([f"{key} = {raw!r}: not a number"]) from exc

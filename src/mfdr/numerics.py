@@ -12,6 +12,8 @@ outputs regardless of threading or call order.
 refinement on a whole family of brackets at once (one per time node, which
 is what the schedule builders use; a single bracket is a one-row call). Its
 scan runs in cache-sized column blocks, calling the objective several times.
+The objective may also be a family of objectives on the same brackets, each
+solved bit for bit as alone, that share the calls (and the scan points).
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -74,6 +76,13 @@ def minimize_on_grid(
     It is called several times per scan, on column blocks of at most
     ``_SCAN_BLOCK_POINTS`` points (one column when ``n_rows`` is larger).
 
+    A family of ``m`` objectives maps shared ``(n_rows, k)`` points (scan,
+    point 0) to ``(m, n_rows, k)`` values, and ``(m, n_rows, k)`` points,
+    objective ``i``'s at ``[i]`` (golden section), to values of that shape.
+    Each objective keeps its own iteration count, so its ``(m, n_rows)``
+    results are those of a call of its own, bit for bit. Scan blocks after
+    the first (sized before ``m`` is known) count ``m`` values per point.
+
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
     flat valleys at exactly zero), then golden-section refinement of the best
@@ -95,7 +104,8 @@ def minimize_on_grid(
     Returns
     -------
     (argmin, min_value, evaluations):
-        Arrays of shape ``(n_rows,)`` and the total evaluation count.
+        Arrays of shape ``(n_rows,)`` (``(m, n_rows)`` for a family) and the
+        number of objective values computed.
 
     Raises
     ------
@@ -120,39 +130,58 @@ def minimize_on_grid(
         raise ValueError("tol must be positive")
 
     n_rows = lo_arr.shape[0]
-    rows = np.arange(n_rows)
     evaluations = 0
+    family: tuple[int, ...] | None = None  # (m,) when f carries m objectives
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
+        nonlocal evaluations, family
         values = np.asarray(f(points), dtype=float)
-        if values.shape != points.shape:
+        if family is None:  # the first call shows whether f is a family
+            family = values.shape[:1] if values.ndim == 3 and len(values) else ()
+        if values.shape != family + points.shape[-2:]:
             raise ValueError(
                 f"objective returned shape {values.shape} for input shape {points.shape}"
             )
         if np.isnan(values).any():
-            row, col = np.argwhere(np.isnan(values))[0]
-            raise ArithmeticError(
-                f"objective returned NaN at x={points[row, col]!r} (bracket row {row})"
-            )
-        evaluations += points.size
+            at = tuple(np.argwhere(np.isnan(values))[0])
+            x = np.broadcast_to(points, values.shape)[at]
+            row = f"objective {at[0]}, bracket row {at[1]}" if family else f"bracket row {at[0]}"
+            raise ArithmeticError(f"objective returned NaN at x={x!r} ({row})")
+        evaluations += values.size
         return values
 
     # Coarse scan on a uniform grid with exact endpoints, in column blocks.
     fractions = np.linspace(0.0, 1.0, coarse_n)
 
-    def scan_points(cols: np.ndarray, at=rows) -> np.ndarray:
-        """Scan points of rows ``at`` in columns ``cols`` (broadcast per row)."""
+    def scan_points(cols: np.ndarray, at=None) -> np.ndarray:
+        """Scan points of rows ``at`` (all brackets if None) in columns ``cols``
+        (broadcast per row); rows are objective-major: row ``r`` has bracket
+        ``r % n_rows``."""
+        at = slice(None) if at is None else at % n_rows
         lo_at, hi_at = lo_arr[at, None], hi_arr[at, None]
         points = lo_at + (hi_at - lo_at) * fractions[cols]
         points = np.where(cols == 0, lo_at, points)
         return np.where(cols == coarse_n - 1, hi_at, points)
 
-    scan_values = np.empty((n_rows, coarse_n))
     block_cols = max(1, _SCAN_BLOCK_POINTS // n_rows)
-    for start in range(0, coarse_n, block_cols):
+    first = evaluate(scan_points(np.arange(min(block_cols, coarse_n))))
+    m = family[0] if family else 1
+    scan_values = np.empty(family + (n_rows, coarse_n))
+    scan_values[..., : first.shape[-1]] = first
+    block_cols = max(1, _SCAN_BLOCK_POINTS // (m * n_rows))
+    for start in range(first.shape[-1], coarse_n, block_cols):
         stop = min(start + block_cols, coarse_n)
-        scan_values[:, start:stop] = evaluate(scan_points(np.arange(start, stop)))
+        scan_values[..., start:stop] = evaluate(scan_points(np.arange(start, stop)))
+
+    # From here on there is one row per (objective, bracket), objective-major.
+    scan_values = scan_values.reshape(m * n_rows, coarse_n)
+    rows = np.arange(m * n_rows)
+
+    def evaluate_rows(x: np.ndarray, live) -> np.ndarray:
+        """Values at ``(rows, k)`` points ``x``; frozen rows (not ``live``, which
+        is True while no objective has run its count) at their best point."""
+        points = x if live is True else np.where(live[:, None], x, best_x[:, None])
+        return evaluate(points.reshape(family + (n_rows, -1))).reshape(rows.size, -1)
 
     # The first column lexicographically least in (value, |x|, -x), the order
     # of ``_better``; only rows with an exact tie need more than ``argmin``.
@@ -169,38 +198,39 @@ def minimize_on_grid(
         best_col[tie_rows] = np.argmax(tied & (points == largest[:, None]), axis=1)
     # The best coarse point and its neighbours, which bracket the refinement.
     neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, coarse_n - 1)
-    a, best_x, b = scan_points(neighbours).T
+    a, best_x, b = scan_points(neighbours, rows).T
 
     # Evaluate 0 wherever the bracket spans it (duplicate lo elsewhere; harmless).
     spans_zero = (lo_arr < 0.0) & (hi_arr > 0.0)
     if spans_zero.any():
-        zero_col = np.where(spans_zero, 0.0, lo_arr)
-        zero_values = evaluate(zero_col[:, None])[:, 0]
+        zero_col = np.where(spans_zero, 0.0, lo_arr)[rows % n_rows]
+        zero_values = evaluate(zero_col[:n_rows, None]).reshape(-1)
         take = _better(zero_values, zero_col, best_f, best_x)
         best_x = np.where(take, zero_col, best_x)
         best_f = np.where(take, zero_values, best_f)
 
-    # Golden-section refinement of the best coarse sub-bracket.
-    width = float(np.max(b - a))
-    if width > tol:
-        n_iter = min(
-            _MAX_GOLDEN_ITERATIONS,
-            int(math.ceil(math.log(width / tol) / -math.log(_INV_PHI))),
-        )
-    else:
-        n_iter = 0
+    # Golden-section refinement of the best coarse sub-bracket, each objective
+    # to the iteration count of its own widest sub-bracket.
+    n_iters = [
+        min(_MAX_GOLDEN_ITERATIONS, math.ceil(math.log(w / tol) / -math.log(_INV_PHI)))
+        if w > tol else 0
+        for w in (b - a).reshape(m, n_rows).max(axis=1).tolist()
+    ]
+    counts = np.repeat(n_iters, n_rows)
 
-    if n_iter > 0:
+    if max(n_iters) > 0:
+        live = True if min(n_iters) > 0 else counts > 0
         x1 = b - _INV_PHI * (b - a)
         x2 = a + _INV_PHI * (b - a)
-        inner = evaluate(np.stack([x1, x2], axis=1))
+        inner = evaluate_rows(np.stack([x1, x2], axis=1), live)
         f1, f2 = inner[:, 0].copy(), inner[:, 1].copy()
         for x_pt, f_pt in ((x1, f1), (x2, f2)):
-            take = _better(f_pt, x_pt, best_f, best_x)
+            take = live & _better(f_pt, x_pt, best_f, best_x)
             best_x = np.where(take, x_pt, best_x)
             best_f = np.where(take, f_pt, best_f)
 
-        for _ in range(n_iter):
+        for iteration in range(max(n_iters)):
+            live = True if min(n_iters) > iteration else counts > iteration
             take_left = f1 < f2
             a = np.where(take_left, a, x1)
             b = np.where(take_left, x2, b)
@@ -208,16 +238,16 @@ def minimize_on_grid(
             f_keep = np.where(take_left, f1, f2)
             span = b - a
             x_new = np.where(take_left, b - _INV_PHI * span, a + _INV_PHI * span)
-            f_new = evaluate(x_new[:, None])[:, 0]
+            f_new = evaluate_rows(x_new[:, None], live)[:, 0]
             x1 = np.where(take_left, x_new, x_keep)
             f1 = np.where(take_left, f_new, f_keep)
             x2 = np.where(take_left, x_keep, x_new)
             f2 = np.where(take_left, f_keep, f_new)
-            take = _better(f_new, x_new, best_f, best_x)
+            take = live & _better(f_new, x_new, best_f, best_x)
             best_x = np.where(take, x_new, best_x)
             best_f = np.where(take, f_new, best_f)
 
-    return best_x, best_f, evaluations
+    return best_x.reshape(family + (n_rows,)), best_f.reshape(family + (n_rows,)), evaluations
 
 
 def _uniform_grid(horizon: float, n_intervals: int) -> np.ndarray:

@@ -22,6 +22,12 @@ risk aversion ``r_p > 0``) and ``risk_neutral`` (values in pence; also the
 rate solve give the principal's value and their argmins the payment rates,
 so :func:`optimal_schedule`, :func:`value_report`, :func:`compare` and
 :func:`first_best_report` all read from it instead of solving again.
+
+:func:`solve_contracts` solves a batch on one grid, each distinct rate
+problem once and bit for bit as alone.  A problem's base is every field that
+:func:`hbar` and the brackets read (not r_p or sigma_circ): the ``new``
+contracts on one base are one problem, and its distinct classical
+``(r_p, sigma_circ)`` one objective family sharing a scan of :func:`hbar`.
 """
 
 from __future__ import annotations
@@ -55,12 +61,14 @@ __all__ = [
     "ValueReport",
     "check_schedule_invariants",
     "compare",
+    "compare_cells",
     "first_best_report",
     "hbar",
     "hbar_classical",
     "m_curve",
     "optimal_schedule",
     "solve_contract",
+    "solve_contracts",
     "value_report",
 ]
 
@@ -235,16 +243,22 @@ def hbar_classical(t, z, params: ModelParams):
     """
     t_arr = np.asarray(t, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    remaining = params.horizon - t_arr
-    sc2 = params.sigma_circ**2
-    base = hbar(t_arr, z_arr, params)
-    extra = params.r_a * sc2 * z_arr**2 + params.r_p * sc2 * (
-        params.delta * remaining - z_arr
-    ) ** 2
-    total = base + extra
+    charge = _common_noise_charge(t_arr, z_arr, params, _classical_charge(params))
+    total = hbar(t_arr, z_arr, params) + charge
     if np.ndim(t) == 0 and np.ndim(z) == 0:
         return float(total)
     return total
+
+
+def _classical_charge(params: ModelParams) -> tuple[float, float]:
+    """``(c_a, c_p) = (r_a sigma_circ^2, r_p sigma_circ^2)`` of ``params``."""
+    return params.r_a * params.sigma_circ**2, params.r_p * params.sigma_circ**2
+
+
+def _common_noise_charge(t, z, params: ModelParams, charge):
+    """What :func:`hbar_classical` adds to :func:`hbar` for ``charge = (c_a, c_p)``."""
+    c_a, c_p = charge
+    return c_a * z**2 + c_p * (params.delta * (params.horizon - t) - z) ** 2
 
 
 def _brackets(t_nodes: np.ndarray, params: ModelParams):
@@ -263,15 +277,20 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
     return lo, hi
 
 
-def _minimize_rate(
-    t_nodes: np.ndarray, params: ModelParams, classical: bool
-):
-    """Minimize the running trade-off rate at every time node at once."""
+def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges=None):
+    """Minimize :func:`hbar` at every time node at once, or with ``charges``
+    a family: one classical rate per :func:`_classical_charge` pair, whose
+    argmins and minima carry a leading objective axis."""
     lo, hi = _brackets(t_nodes, params)
-    objective = hbar_classical if classical else hbar
+    t_col = t_nodes[:, None]
+    if charges is not None:
+        charges = np.asarray(charges, dtype=float).T[:, :, None, None]
 
     def f(points: np.ndarray) -> np.ndarray:
-        return objective(t_nodes[:, None], points, params)
+        values = hbar(t_col, points, params)
+        if charges is None:
+            return values
+        return values + _common_noise_charge(t_col, points, params, charges)
 
     z_star, minima, _ = minimize_on_grid(f, lo, hi)
     return z_star, minima
@@ -317,6 +336,39 @@ def _m_rate(
     )
 
 
+def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
+    """Solve ``(kind, principal, params)`` contracts on one grid, each distinct
+    rate problem once (module docstring), bit for bit as :func:`solve_contract`."""
+    requests = list(requests)
+    problems, families = [], {}
+    for kind, principal, params in requests:
+        _validate_kind(kind)
+        _validate_principal(principal, params)
+        problem = None
+        if kind != "first_best":
+            p_eff = _effective_params(principal, params)
+            base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
+            key = None if kind == "new" else (p_eff.r_p, p_eff.sigma_circ)
+            families.setdefault(base, {})[key] = p_eff
+            problem = base, key
+        problems.append(problem)
+
+    rates = {}
+    for base, members in families.items():
+        t = _uniform_grid(base.horizon, grid)
+        if None in members:
+            rates[base, None] = _minimize_rate(t, base)
+        keys = [key for key in members if key is not None]
+        if keys:
+            charges = [_classical_charge(members[key]) for key in keys]
+            z, minima = _minimize_rate(t, base, charges)
+            rates.update(((base, key), (z[i], minima[i])) for i, key in enumerate(keys))
+    return [
+        _solution(kind, principal, params, grid, rates.get(problem))
+        for (kind, principal, params), problem in zip(requests, problems)
+    ]
+
+
 def solve_contract(
     kind: str, principal: str, params: ModelParams, grid: int = 1024
 ) -> ContractSolution:
@@ -333,8 +385,11 @@ def solve_contract(
     risk-neutral: pence, ``u - xi0``); ``value.ce`` is the certainty
     equivalent ``u - xi0`` in pence for both preferences.
     """
-    _validate_kind(kind)
-    _validate_principal(principal, params)
+    return solve_contracts([(kind, principal, params)], grid)[0]
+
+
+def _solution(kind, principal, params, grid, rate) -> ContractSolution:
+    """One contract from its rate solve's ``(argmins, minima)`` (first_best: None)."""
     p_eff = _effective_params(principal, params)
     horizon = params.horizon
     t = _uniform_grid(horizon, grid)
@@ -345,18 +400,15 @@ def solve_contract(
         z = -_clamped_drift_scale(params.delta * remaining, params)
         gamma = np.full_like(t, -params.theta)
         z_mu = np.zeros_like(t)
-    elif kind == "classical":
-        z, minima = _minimize_rate(t, p_eff, classical=True)
+    else:
+        z, minima = rate
+        z = z.copy()  # not a view shared with another solution
         gamma = _gamma_of_z(z, params)
-        z_mu = np.zeros_like(t)
-    else:  # new
-        z, minima = _minimize_rate(t, p_eff, classical=False)
-        gamma = _gamma_of_z(z, params)
-        if params.sigma_circ == 0.0:
-            # Degenerate common noise: the aggregate rate multiplies a null
-            # process, so every choice pays the same contract.  Use the
-            # classical representative so the population-indexed schedule
-            # collapses onto the classical one column for column.
+        if kind == "classical" or params.sigma_circ == 0.0:
+            # No aggregate rate for classical.  With degenerate common noise it
+            # multiplies a null process, so every choice pays the same contract;
+            # the classical representative makes the population-indexed
+            # schedule collapse onto the classical one column for column.
             z_mu = np.zeros_like(t)
         elif principal == "cara":
             ratio = params.r_p / (params.r_a + params.r_p)
@@ -383,12 +435,7 @@ def solve_contract(
     else:
         v0 = ce
     value = ValueReport(
-        v0=v0,
-        ce=ce,
-        xi0=xi0,
-        m_integral=m_integral,
-        kind=kind,
-        principal=principal,
+        v0=v0, ce=ce, xi0=xi0, m_integral=m_integral, kind=kind, principal=principal
     )
     return ContractSolution(payment=payment, effort=effort, value=value, reservation=res)
 
@@ -420,8 +467,10 @@ def m_curve(
     p_eff = _effective_params(principal, params)
     t_arr = np.asarray(t_nodes, dtype=float)
     minima = None
-    if kind != "first_best":
-        _, minima = _minimize_rate(t_arr, p_eff, classical=kind == "classical")
+    if kind == "new":
+        _, minima = _minimize_rate(t_arr, p_eff)
+    elif kind == "classical":
+        _, (minima,) = _minimize_rate(t_arr, p_eff, [_classical_charge(p_eff)])
     return _m_rate(kind, params, p_eff, t_arr, minima)
 
 
@@ -468,16 +517,6 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     )
 
 
-def _drift_scale_integral(payment: PaymentSchedule, params: ModelParams) -> float:
-    scale = _clamped_drift_scale(payment.z, params)
-    return integrate_samples(scale, 0.0, params.horizon)
-
-
-def _variance_integral(payment: PaymentSchedule, params: ModelParams) -> float:
-    retained = best_response_variance(payment.gamma, params)
-    return integrate_samples(retained, 0.0, params.horizon)
-
-
 def compare(params: ModelParams, grid: int = 1024) -> ComparisonReport:
     """Head-to-head of the aggregate-indexed and own-meter contracts.
 
@@ -499,25 +538,38 @@ def compare(params: ModelParams, grid: int = 1024) -> ComparisonReport:
     the minimum values, which depend on the argmin only to second order;
     they converge to about 1e-12.
     """
-    principal = _default_principal(params)
-    new = solve_contract("new", principal, params, grid)
-    cls = solve_contract("classical", principal, params, grid)
+    return compare_cells([params], grid)[0]
+
+
+def compare_cells(cells, grid: int = 1024) -> list[ComparisonReport]:
+    """:func:`compare` at each parameter set of ``cells``, bit for bit, with
+    all their contracts solved as one :func:`solve_contracts` batch."""
+    cells = list(cells)
+    pairs = [(k, _default_principal(p), p) for p in cells for k in ("new", "classical")]
+    solutions = solve_contracts(pairs, grid)
+    return [_comparison(*cell) for cell in zip(cells, solutions[::2], solutions[1::2])]
+
+
+def _comparison(params: ModelParams, new: ContractSolution, cls: ContractSolution):
     gain = new.value.v0 - cls.value.v0
-    if principal == "cara":
+    if new.value.principal == "cara":
         delta_v = gain / params.r_p
     else:
         delta_v = gain
     rel_delta_v = gain / (1.0 + cls.value.v0)
 
-    new_drift = _drift_scale_integral(new.payment, params)
-    cls_drift = _drift_scale_integral(cls.payment, params)
+    def integral(values: np.ndarray) -> float:
+        return integrate_samples(values, 0.0, params.horizon)
+
+    new_drift = integral(_clamped_drift_scale(new.payment.z, params))
+    cls_drift = integral(_clamped_drift_scale(cls.payment.z, params))
     if cls_drift == 0.0:
         delta_alpha = None
     else:
         delta_alpha = (new_drift - cls_drift) / cls_drift
 
-    new_var = _variance_integral(new.payment, params)
-    cls_var = _variance_integral(cls.payment, params)
+    new_var = integral(best_response_variance(new.payment.gamma, params))
+    cls_var = integral(best_response_variance(cls.payment.gamma, params))
     var_denominator = cls_var + params.horizon * params.sigma_circ**2
     if var_denominator == 0.0:
         delta_beta = None

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,15 +53,18 @@ def column(path: Path, name: str) -> np.ndarray:
 
 
 def count_rate_solves(monkeypatch) -> list[int]:
-    """Wrap the rate solve's minimizer; the list gains one entry per solve."""
+    """Wrap the rate solve's minimizer; the list gains one entry per call,
+    the number of rate problems (objectives) that call solved."""
     import mfdr.principal as principal_module
 
     original = principal_module.minimize_on_grid
     solves: list[int] = []
 
     def counted(*args, **kwargs):
-        solves.append(1)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        argmin = result[0]
+        solves.append(argmin.shape[0] if argmin.ndim == 2 else 1)
+        return result
 
     monkeypatch.setattr(principal_module, "minimize_on_grid", counted)
     return solves
@@ -197,6 +201,30 @@ class TestBuildRunConfig:
         with pytest.raises(ParameterError, match=f"{key} = {value!r}: not an integer"):
             build_run_config(None, {flag: value})
 
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("share", "variance_share", True),
+            ("dt", "dt", True),
+            ("rp", "r_p", False),
+            ("share", "variance_share", [0.5]),
+            ("dt", "dt", b"0.5"),
+            ("rp", "r_p", 1j),
+        ],
+    )
+    def test_typed_non_real_override_rejected(self, flag, key, value):
+        # A bool is not taken for 0 or 1, and a value that is neither a real
+        # number nor text is a configuration error, not a TypeError.
+        message = re.escape(f"{key} = {value!r}: not a number")
+        with pytest.raises(ParameterError, match=message):
+            build_run_config(None, {flag: value})
+
+    def test_typed_real_override_accepted(self):
+        config = build_run_config(None, {"dt": np.float64(0.25), "rp": 0, "share": 1})
+        assert config.sim.dt == 0.25
+        assert config.params.r_p == 0.0
+        assert config.params.sigma == (0.0,)
+
     def test_rp_flag_revalidates(self):
         config = build_run_config(None, {"rp": 1.2e-2})
         assert config.params.r_p == 1.2e-2
@@ -255,6 +283,13 @@ class TestScheduleCommand:
         assert b"\r\n" in raw  # RFC 4180 line endings
         assert b";" not in raw  # '.' decimal, ',' separator
 
+    def test_each_rate_problem_solved_once(self, tmp_path, monkeypatch):
+        # Both new schedules share one solve; the two classical ones (r_p and
+        # 0) are one family.
+        solves = count_rate_solves(monkeypatch)
+        assert main(["schedule", "--out", str(tmp_path), "--grid", "64"]) == 0
+        assert sorted(solves) == [1, 2]
+
     def test_zero_share_new_equals_classical(self, tmp_path):
         out = tmp_path / "out"
         assert main(["schedule", "--out", str(out), "--grid", "64",
@@ -294,6 +329,15 @@ class TestScheduleCommand:
 
 
 class TestCompareCommand:
+    def test_each_rate_problem_solved_once(self, tmp_path, monkeypatch):
+        # 25 cells on 5 variance shares: per share, one solve for the 5 new
+        # contracts (r_p does not enter their rate) and one family of the 5
+        # classical ones.
+        solves = count_rate_solves(monkeypatch)
+        assert main(["compare", "--out", str(tmp_path), "--grid", "64"]) == 0
+        assert len(solves) == 10
+        assert sum(solves) == 30
+
     def test_full_sweep(self, tmp_path):
         out = tmp_path / "out"
         assert main(["compare", "--out", str(out), "--grid", "64"]) == 0

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from mfdr import numerics
 from mfdr.model import calibrated_defaults
 from mfdr.numerics import integrate_samples, minimize_on_grid
-from mfdr.principal import _brackets, _minimize_rate, hbar, hbar_classical
+from mfdr.principal import (
+    _brackets,
+    _classical_charge,
+    _minimize_rate,
+    hbar,
+    hbar_classical,
+)
 
 
 def minimize_one(f, lo, hi, **kwargs):
@@ -283,7 +289,10 @@ class TestMinimizeOnGrid:
     def test_rate_solve_matches_one_shot(self, objective):
         params = calibrated_defaults()
         t = numerics._uniform_grid(params.horizon, 1024)
-        z_star, minima = _minimize_rate(t, params, objective is hbar_classical)
+        if objective is hbar:
+            z_star, minima = _minimize_rate(t, params)
+        else:  # a family of one classical objective
+            (z_star,), (minima,) = _minimize_rate(t, params, [_classical_charge(params)])
         lo, hi = _brackets(t, params)
         expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
         assert bits(z_star, minima) == bits(*expected[:2])
@@ -300,6 +309,116 @@ class TestMinimizeOnGrid:
 
         with pytest.raises(ArithmeticError, match="bracket row"):
             minimize_on_grid(batch, [-1.0, -1.0], [0.5, 1.0])
+
+
+def family_of(objectives):
+    """One family objective made of single-objective callables: shared
+    ``(n, k)`` points go to every objective, ``(m, n, k)`` points row-wise."""
+
+    def f(points):
+        if points.ndim == 2:
+            return np.stack([g(points) for g in objectives])
+        return np.stack([g(p) for g, p in zip(objectives, points)])
+
+    return f
+
+
+def golden_iterations(f, lo, hi):
+    """Golden-section iterations of a single-objective call at the default
+    tol: its one-column calls after the scan, less the point 0 (so some
+    bracket must span 0)."""
+    widths = []
+
+    def spy(points):
+        widths.append(points.shape[-1])
+        return f(points)
+
+    minimize_on_grid(spy, lo, hi)
+    scan_calls = -(-256 // max(1, numerics._SCAN_BLOCK_POINTS // len(lo)))
+    return widths[scan_calls:].count(1) - 1
+
+
+class TestObjectiveFamilies:
+    """A family call gives each objective the bits of a call of its own."""
+
+    def assert_family_matches_alone(self, objectives, lo, hi, **kwargs):
+        sizes = []
+        family = family_of(objectives)
+
+        def spy(points):
+            values = family(points)
+            if points.ndim == 2:
+                sizes.append(values.size)
+            return values
+
+        argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, **kwargs)
+        assert argmin.shape == minima.shape == (len(objectives), len(lo))
+        for i, g in enumerate(objectives):
+            alone = minimize_on_grid(g, lo, hi, **kwargs)
+            assert bits(argmin[i], minima[i]) == bits(*alone[:2])
+        # Scan blocks after the first hold at most the budget of values.
+        assert max(sizes[1:]) <= numerics._SCAN_BLOCK_POINTS
+        assert evaluations >= len(objectives) * len(lo) * 256
+
+    @pytest.mark.parametrize("n_rows", [3, 64, 1025])
+    @pytest.mark.parametrize("tol", [None, 1e-3, 1e3])
+    def test_matches_separate_calls(self, n_rows, tol):
+        # Plateaus and symmetric shapes tie exactly; every third bracket
+        # spans 0.  The last two objectives' best coarse point is the bracket
+        # edge, so their sub-bracket is half as wide and they need fewer
+        # golden-section iterations than the others; more would move the
+        # last one's minimum, which lies inside its first scan step.
+        rng = np.random.default_rng(n_rows)
+        center = np.round(rng.uniform(-3.0, 3.0, n_rows), 2)[:, None]
+        lo = -np.round(rng.uniform(-1.0, 4.0, n_rows), 3)
+        hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
+        lo[::3], hi[::3] = -2.0, 2.0
+        near_lo = (lo + 0.3 * (hi - lo) / 255.0)[:, None]
+        objectives = [
+            lambda x: np.floor(4.0 * (x - center) * (x - center)),
+            lambda x: np.abs(x - center) * 3.0 + 0.25 * x * x,
+            lambda x: np.round(2.0 * np.abs(x)),
+            lambda x: (x * x - 1.0) * (x * x - 1.0),
+            lambda x: 2.0 * x,
+            lambda x: (x - near_lo) ** 2,
+        ]
+        if tol is None:
+            counts = {golden_iterations(g, lo, hi) for g in objectives}
+            assert len(counts) > 1
+        self.assert_family_matches_alone(objectives, lo, hi, tol=tol)
+
+    def test_one_objective_family(self):
+        lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 0.5])
+        self.assert_family_matches_alone([lambda x: (x - 0.3) ** 2], lo, hi)
+
+    def test_rate_kinds_with_different_iteration_counts(self):
+        # At variance share 1 the new and classical rates need 32 and 33
+        # golden-section iterations; the one that is done first must freeze.
+        params = calibrated_defaults(1.0)
+        t = numerics._uniform_grid(params.horizon, 1024)[:, None]
+        lo, hi = _brackets(t[:, 0], params)
+        objectives = [
+            lambda x: hbar(t, x, params),
+            lambda x: hbar_classical(t, x, params),
+        ]
+        assert [golden_iterations(g, lo, hi) for g in objectives] == [32, 33]
+        self.assert_family_matches_alone(objectives, lo, hi)
+
+    def test_nan_names_objective_and_row(self):
+        def bad(points):
+            out = points**2
+            out[1][points[1] > 0.9] = np.nan
+            return out
+
+        def family(points):
+            return bad(np.stack([points, points]) if points.ndim == 2 else points)
+
+        with pytest.raises(ArithmeticError, match=r"objective 1, bracket row 1\)"):
+            minimize_on_grid(family, [-1.0, -1.0], [0.5, 1.0])
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            minimize_on_grid(lambda p: np.empty((0,) + p.shape), [0.0], [1.0])
 
 
 class TestIntegrate:

@@ -19,20 +19,24 @@ from mfdr.agent import (
     f0,
     reservation,
 )
-from mfdr.model import ParameterError, calibrated_defaults
+from mfdr.model import ParameterError, calibrated_defaults, validate, with_variance_share
 from mfdr.numerics import integrate_samples
 from mfdr.principal import (
+    CONTRACT_KINDS,
+    PRINCIPAL_KINDS,
     ComparisonReport,
     EffortSchedule,
     PaymentSchedule,
     check_schedule_invariants,
     compare,
+    compare_cells,
     first_best_report,
     hbar,
     hbar_classical,
     m_curve,
     optimal_schedule,
     solve_contract,
+    solve_contracts,
     value_report,
 )
 
@@ -48,6 +52,22 @@ RN10 = dataclasses.replace(CAL10, r_p=0.0)
 DELTA_ALPHA_CAL05 = 0.1540731139949
 DELTA_BETA_CAL05 = 0.02869287380948
 DELTA_ALPHA_RN10 = 0.4428225881865
+
+
+def sweep_cells():
+    """The command line's 25 default compare cells, then cells at delta = +20
+    and at a_max = 50 (one more base per variance share each)."""
+    cells = [
+        with_variance_share(validate(dataclasses.replace(calibrated_defaults(), r_p=r_p)), share)
+        for r_p in (0.0, 3e-3, 6e-3, 1.2e-2, 3e-2)
+        for share in (0.0, 0.25, 0.5, 0.75, 1.0)
+    ]
+    for change in ({"delta": 20.0}, {"a_max": 50.0}):
+        for r_p in (0.0, 6e-3):
+            for share in (0.5, 1.0):
+                base = dataclasses.replace(calibrated_defaults(share), r_p=r_p, **change)
+                cells.append(validate(base))
+    return cells
 
 
 def wrap_rate_solve(monkeypatch, factor=None):
@@ -193,6 +213,14 @@ class TestHbar:
         assert np.array_equal(
             hbar_classical(t, z, params), hbar(t, z, params)
         )
+
+    @pytest.mark.parametrize("r_p, sigma_circ", [(0.0, 0.06), (3e-2, 0.0), (1.0, 0.5)])
+    def test_reads_neither_rp_nor_sigma_circ(self, r_p, sigma_circ):
+        # Contracts whose parameters differ only in these share a rate solve.
+        t = np.linspace(0.0, CAL05.horizon, 9)[:, None]
+        z = np.linspace(-400.0, 50.0, 13)[None, :]
+        params = dataclasses.replace(CAL05, r_p=r_p, sigma_circ=sigma_circ)
+        assert hbar(t, z, params).tobytes() == hbar(t, z, CAL05).tobytes()
 
     def test_vectorized_matches_scalar(self):
         t = np.array([0.0, 2.0, 5.5])
@@ -533,6 +561,51 @@ class TestSolveContract:
         assert np.array_equal(solution.effort.alpha, effort.alpha)
         assert np.array_equal(solution.effort.beta, effort.beta)
         assert solution.value == value_report(kind, "cara", CAL05, grid=64)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("grid", [1024, 256, 64])
+    def test_compare_cells_matches_per_cell(self, monkeypatch, grid):
+        cells = sweep_cells()
+        tolerances = wrap_rate_solve(monkeypatch)
+        batch = compare_cells(cells, grid)
+        # Per base (5 shares, and 2 each at delta = +20 and a_max = 50): one
+        # new solve and one classical family.
+        assert len(tolerances) == 2 * 9
+        expected = [compare(cell, grid) for cell in cells]
+        # repr tells -0.0 from 0.0 and prints every float exactly.
+        assert [repr(r.to_flat()) for r in batch] == [repr(r.to_flat()) for r in expected]
+
+    def test_solve_contracts_matches_per_request(self):
+        requests = [
+            (kind, principal, params)
+            for params in sweep_cells()[::3]
+            for kind in CONTRACT_KINDS
+            for principal in PRINCIPAL_KINDS
+            if principal == "risk_neutral" or params.r_p > 0.0
+        ]
+        requests += requests[:4]  # repeated requests are solved once
+        batch = solve_contracts(requests, grid=128)
+        assert len(batch) == len(requests)
+        for request, solution in zip(requests, batch):
+            alone = solve_contract(*request, grid=128)
+            for name in ("z", "z_mu", "gamma"):
+                assert np.array_equal(getattr(solution.payment, name), getattr(alone.payment, name))
+            assert np.array_equal(solution.effort.alpha, alone.effort.alpha)
+            assert np.array_equal(solution.effort.beta, alone.effort.beta)
+            assert solution.value == alone.value
+            assert solution.reservation.to_flat() == alone.reservation.to_flat()
+
+    def test_solutions_own_their_arrays(self):
+        first, second = solve_contracts(
+            [("new", "cara", CAL05), ("new", "risk_neutral", CAL05)], grid=64
+        )
+        assert np.array_equal(first.payment.z, second.payment.z)
+        assert not np.shares_memory(first.payment.z, second.payment.z)
+
+    def test_bad_request_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            solve_contracts([("new", "cara", CAL05), ("other", "cara", CAL05)])
 
 
 class TestCompare:

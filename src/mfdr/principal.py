@@ -24,10 +24,14 @@ so :func:`optimal_schedule`, :func:`value_report`, :func:`compare` and
 :func:`first_best_report` all read from it instead of solving again.
 
 :func:`solve_contracts` solves a batch on one grid, each distinct rate
-problem once and bit for bit as alone.  A problem's base is every field that
-:func:`hbar` and the brackets read (not r_p or sigma_circ): the ``new``
-contracts on one base are one problem, and its distinct classical
-``(r_p, sigma_circ)`` one objective family sharing a scan of :func:`hbar`.
+problem once and bit for bit as alone, and each distinct params' reservation
+once.  A problem's base is every field that :func:`hbar` and the brackets
+read (not r_p or sigma_circ), and each base is one objective family, one
+``minimize_on_grid`` call that scans :func:`hbar` once for all members: the
+``new`` contracts on the base are its member with no charge (values
+:func:`hbar` itself), and each distinct classical common-noise charge
+(:func:`_classical_charge`) another.  The rates are declared unimodal, so
+the scan is certified from a few of its columns.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .agent import (
     reservation,
 )
 from .model import ModelParams, ParameterError
-from .numerics import _uniform_grid, integrate_samples, minimize_on_grid
+from .numerics import _uniform_grid, integrate_samples, minimize_on_grid, unimodal
 
 __all__ = [
     "CONTRACT_KINDS",
@@ -277,20 +281,33 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
     return lo, hi
 
 
-def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges=None):
-    """Minimize :func:`hbar` at every time node at once, or with ``charges``
-    a family: one classical rate per :func:`_classical_charge` pair, whose
-    argmins and minima carry a leading objective axis."""
+def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
+    """Minimize a family of rates at every time node at once: per entry of
+    ``charges``, :func:`hbar` itself for ``None`` (the ``new`` rate, no
+    charge added, which must come first) or :func:`hbar` plus the
+    common-noise charge of a :func:`_classical_charge` pair (a classical
+    rate).  Returns ``(argmins, minima)`` with a leading objective axis.
+
+    Every rate is declared :func:`unimodal`: its derivative in ``z``
+    increases on the bracket (that of ``f0`` is the best-response variance,
+    continuous across its regimes, and ``model.validate`` enforces
+    eta >= 1), and it is a sum of non-negative terms, so its values carry a
+    few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
     t_col = t_nodes[:, None]
-    if charges is not None:
-        charges = np.asarray(charges, dtype=float).T[:, :, None, None]
+    plain = int(charges[0] is None)
+    charge = np.asarray(charges[plain:], dtype=float).reshape(-1, 2).T[:, :, None, None]
 
+    @unimodal
     def f(points: np.ndarray) -> np.ndarray:
         values = hbar(t_col, points, params)
-        if charges is None:
+        if points.ndim == 3:  # objective i's points at [i]
+            values[plain:] += _common_noise_charge(t_col, points[plain:], params, charge)
             return values
-        return values + _common_noise_charge(t_col, points, params, charges)
+        family = np.empty((len(charges),) + values.shape)
+        family[:plain] = values
+        np.add(values, _common_noise_charge(t_col, points, params, charge), out=family[plain:])
+        return family
 
     z_star, minima, _ = minimize_on_grid(f, lo, hi)
     return z_star, minima
@@ -348,23 +365,20 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
         if kind != "first_best":
             p_eff = _effective_params(principal, params)
             base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
-            key = None if kind == "new" else (p_eff.r_p, p_eff.sigma_circ)
-            families.setdefault(base, {})[key] = p_eff
-            problem = base, key
+            charge = None if kind == "new" else _classical_charge(p_eff)
+            families.setdefault(base, {})[charge] = None
+            problem = base, charge
         problems.append(problem)
 
     rates = {}
     for base, members in families.items():
-        t = _uniform_grid(base.horizon, grid)
-        if None in members:
-            rates[base, None] = _minimize_rate(t, base)
-        keys = [key for key in members if key is not None]
-        if keys:
-            charges = [_classical_charge(members[key]) for key in keys]
-            z, minima = _minimize_rate(t, base, charges)
-            rates.update(((base, key), (z[i], minima[i])) for i, key in enumerate(keys))
+        charges = sorted(members, key=lambda charge: charge is not None)  # new first
+        z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, charges)
+        rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(charges))
+    distinct = dict.fromkeys(params for _, _, params in requests)
+    reservations = {params: reservation(params, grid) for params in distinct}
     return [
-        _solution(kind, principal, params, grid, rates.get(problem))
+        _solution(kind, principal, params, grid, rates.get(problem), reservations[params])
         for (kind, principal, params), problem in zip(requests, problems)
     ]
 
@@ -388,8 +402,9 @@ def solve_contract(
     return solve_contracts([(kind, principal, params)], grid)[0]
 
 
-def _solution(kind, principal, params, grid, rate) -> ContractSolution:
-    """One contract from its rate solve's ``(argmins, minima)`` (first_best: None)."""
+def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
+    """One contract from its rate solve's ``(argmins, minima)`` (first_best:
+    None) and its params' reservation ``res``, whose arrays it copies."""
     p_eff = _effective_params(principal, params)
     horizon = params.horizon
     t = _uniform_grid(horizon, grid)
@@ -427,7 +442,9 @@ def _solution(kind, principal, params, grid, rate) -> ContractSolution:
         _m_rate(kind, params, p_eff, t, minima), 0.0, horizon
     )
     u = params.delta * horizon * params.x0 - m_integral
-    res = reservation(params, grid)
+    res = dataclasses.replace(
+        res, grid=res.grid.copy(), gamma0=res.gamma0.copy(), beta0=res.beta0.copy()
+    )
     xi0 = res.xi0
     ce = u - xi0
     if principal == "cara":
@@ -467,10 +484,9 @@ def m_curve(
     p_eff = _effective_params(principal, params)
     t_arr = np.asarray(t_nodes, dtype=float)
     minima = None
-    if kind == "new":
-        _, minima = _minimize_rate(t_arr, p_eff)
-    elif kind == "classical":
-        _, (minima,) = _minimize_rate(t_arr, p_eff, [_classical_charge(p_eff)])
+    if kind != "first_best":
+        charge = None if kind == "new" else _classical_charge(p_eff)
+        _, (minima,) = _minimize_rate(t_arr, p_eff, [charge])
     return _m_rate(kind, params, p_eff, t_arr, minima)
 
 

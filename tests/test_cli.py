@@ -284,11 +284,11 @@ class TestScheduleCommand:
         assert b";" not in raw  # '.' decimal, ',' separator
 
     def test_each_rate_problem_solved_once(self, tmp_path, monkeypatch):
-        # Both new schedules share one solve; the two classical ones (r_p and
-        # 0) are one family.
+        # One base: both new schedules share its uncharged member, and the two
+        # classical ones (r_p and 0) are its other two.
         solves = count_rate_solves(monkeypatch)
         assert main(["schedule", "--out", str(tmp_path), "--grid", "64"]) == 0
-        assert sorted(solves) == [1, 2]
+        assert solves == [3]
 
     def test_zero_share_new_equals_classical(self, tmp_path):
         out = tmp_path / "out"
@@ -330,13 +330,13 @@ class TestScheduleCommand:
 
 class TestCompareCommand:
     def test_each_rate_problem_solved_once(self, tmp_path, monkeypatch):
-        # 25 cells on 5 variance shares: per share, one solve for the 5 new
-        # contracts (r_p does not enter their rate) and one family of the 5
-        # classical ones.
+        # 25 cells on 5 variance shares: per share, one family of the rate of
+        # the 5 new contracts (r_p does not enter it) and the 5 classical ones.
+        # At share 0 there is no common noise, so the 5 classical charges are
+        # all zero: one classical rate.
         solves = count_rate_solves(monkeypatch)
         assert main(["compare", "--out", str(tmp_path), "--grid", "64"]) == 0
-        assert len(solves) == 10
-        assert sum(solves) == 30
+        assert sorted(solves) == [2, 6, 6, 6, 6]
 
     def test_full_sweep(self, tmp_path):
         out = tmp_path / "out"

@@ -1,15 +1,17 @@
 """Oracle tests for the minimization and quadrature kernels."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfdr import numerics
-from mfdr.model import calibrated_defaults
-from mfdr.numerics import integrate_samples, minimize_on_grid
+from mfdr import numerics, principal
+from mfdr.model import calibrated_defaults, validate
+from mfdr.numerics import integrate_samples, minimize_on_grid, unimodal
 from mfdr.principal import (
     _brackets,
     _classical_charge,
@@ -289,10 +291,8 @@ class TestMinimizeOnGrid:
     def test_rate_solve_matches_one_shot(self, objective):
         params = calibrated_defaults()
         t = numerics._uniform_grid(params.horizon, 1024)
-        if objective is hbar:
-            z_star, minima = _minimize_rate(t, params)
-        else:  # a family of one classical objective
-            (z_star,), (minima,) = _minimize_rate(t, params, [_classical_charge(params)])
+        charge = None if objective is hbar else _classical_charge(params)
+        (z_star,), (minima,) = _minimize_rate(t, params, [charge])
         lo, hi = _brackets(t, params)
         expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
         assert bits(z_star, minima) == bits(*expected[:2])
@@ -421,6 +421,159 @@ class TestObjectiveFamilies:
             minimize_on_grid(lambda p: np.empty((0,) + p.shape), [0.0], [1.0])
 
 
+CAL = calibrated_defaults()
+
+#: Rate problems of every shape the sweep meets: exact plateaus (share 1),
+#: rewarded deviations, binding and loose drift caps, several usages.
+RATE_CASES = {
+    "defaults": CAL,
+    "share_0": calibrated_defaults(0.0),
+    "share_1": calibrated_defaults(1.0),
+    "delta_plus_20": dataclasses.replace(CAL, delta=20.0),
+    "a_max_1": dataclasses.replace(CAL, a_max=1.0),
+    "a_max_50": dataclasses.replace(CAL, a_max=50.0),
+    "multi": dataclasses.replace(
+        CAL,
+        d=3,
+        rho=(1e-4, 2.5e-4, 5e-5),
+        lambda_=(0.01, 0.05, 0.02),
+        eta=(1.0, 2.0, 1.5),
+        sigma=(0.03, 0.05, 0.02),
+    ),
+}
+
+
+def solve_rate_family(params, grid):
+    """``_minimize_rate`` of the new and the classical rate of ``params``:
+    the ``(f, lo, hi, result)`` of its one ``minimize_on_grid`` call."""
+    calls = []
+    original = principal.minimize_on_grid
+
+    def spy(f, lo, hi, tol=None, coarse_n=256):
+        calls.append((f, lo, hi, original(f, lo, hi, tol, coarse_n)))
+        return calls[-1][-1]
+
+    t = numerics._uniform_grid(params.horizon, grid)
+    with mock.patch.object(principal, "minimize_on_grid", spy):
+        _minimize_rate(t, params, [None, _classical_charge(params)])
+    (call,) = calls
+    return call
+
+
+def full_scan(f, lo, hi):
+    """``minimize_on_grid`` of ``f`` without its unimodal declaration."""
+    return minimize_on_grid(lambda points: f(points), lo, hi)
+
+
+@st.composite
+def rate_params(draw):
+    """Validated parameters: 1-3 usages, eta in [1, 4], zero sigma_k
+    allowed, either sign of delta, a_max from 0.1 to 1000."""
+    d = draw(st.integers(1, 3))
+
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def per_usage(lo, hi):
+        return tuple(uniform(lo, hi) for _ in range(d))
+
+    sigma = tuple(draw(st.sampled_from([0.0, uniform(0.0, 0.2)])) for _ in range(d))
+    return validate(dataclasses.replace(
+        CAL, d=d, rho=per_usage(1e-5, 1e-3), lambda_=per_usage(1e-3, 0.1),
+        eta=per_usage(1.0, 4.0), sigma=sigma, sigma_circ=uniform(0.0, 0.2),
+        a_max=10.0 ** uniform(-1.0, 3.0), b_min=uniform(0.01, 0.5),
+        r_a=uniform(1e-3, 3e-2), r_p=uniform(0.0, 3e-2), theta=uniform(0.0, 0.02),
+        delta=uniform(-100.0, 100.0),
+    ))
+
+
+class TestCertifiedScan:
+    """A declared-unimodal objective gives the full scan's bits from fewer values."""
+
+    @pytest.mark.parametrize("grid", [1024, 256, 64])
+    @pytest.mark.parametrize("case", sorted(RATE_CASES))
+    def test_rate_family_matches_one_shot(self, case, grid):
+        f, lo, hi, (argmin, minima, _) = solve_rate_family(RATE_CASES[case], grid)
+        assert f.unimodal is True
+        for i in range(2):  # the new member, then the classical one
+            expected = one_shot_minimize(lambda x: f(x)[i], lo, hi)
+            assert bits(argmin[i], minima[i]) == bits(*expected[:2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=rate_params())
+    def test_random_rate_families_match_full_scan(self, params):
+        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 64)
+        expected = full_scan(f, lo, hi)
+        assert bits(argmin, minima) == bits(*expected[:2])
+        assert evaluations <= expected[2]
+
+    def test_defaults_certified_at_first_strides(self):
+        # Every row's region certifies one stride either side of its least
+        # sparse column: 18 + 28 scan values per row instead of 256, and the
+        # refinement costs what it costs after a full scan.
+        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(CAL, 1024)
+        rows = argmin.size
+        expected = full_scan(f, lo, hi)
+        assert bits(argmin, minima) == bits(*expected[:2])
+        assert expected[2] - evaluations == rows * (256 - 18 - 28)
+        assert evaluations / 2 <= 100_000
+
+    def test_share_1_plateau_grows_the_region(self):
+        # At share 1 the new rate is 0 on z >= 0 at t = T, an exact plateau
+        # at its least value: that row's region grows past the first strides,
+        # and the call still costs no more than the full scan.
+        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(RATE_CASES["share_1"], 1024)
+        expected = full_scan(f, lo, hi)
+        assert bits(argmin, minima) == bits(*expected[:2])
+        assert expected[2] - argmin.size * (256 - 18 - 28) < evaluations <= expected[2]
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_undeclared_objective_scans_every_column(self, declared):
+        # No bracket spans 0, whose extra point could be a scan point.
+        lo, hi = np.array([0.1, 0.25, -3.0]), np.array([1.0, 3.0, -0.5])
+        seen = []
+
+        def objective(points):
+            seen.append(points)
+            return (points - 0.3) ** 2
+
+        minimize_on_grid(unimodal(objective) if declared else objective, lo, hi)
+        scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 256)
+        scan[:, 0], scan[:, -1] = lo, hi
+        for j in range(len(lo)):
+            evaluated = np.concatenate([points[j] for points in seen])
+            covered = np.count_nonzero(np.isin(scan[j], evaluated))
+            if declared:  # 18 sparse columns and two strides of 14
+                assert covered <= 18 + 28
+            else:
+                assert covered == 256
+
+    @pytest.mark.parametrize("shape", ["valley", "shelf", "constant", "wall", "pit"])
+    @pytest.mark.parametrize("tol", [None, 1e3])
+    def test_declared_plateaus_and_infinities_match_one_shot(self, shape, tol):
+        # Exact (+, -, *, abs, max) unimodal shapes whose regions must grow:
+        # plateaus at the least value, everywhere or up to a bracket end, and
+        # infinite values at or around the least one.
+        rng = np.random.default_rng(5)
+        n_rows = 64
+        center = np.round(rng.uniform(-3.0, 3.0, n_rows), 2)[:, None]
+        lo = -np.round(rng.uniform(-1.0, 4.0, n_rows), 3)
+        hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
+        lo[::3], hi[::3] = -2.0, 2.0
+        objectives = {
+            "valley": lambda x: np.maximum(np.abs(x - center) - 0.5, 0.0),
+            "shelf": lambda x: np.maximum(x - center, 0.0),
+            "constant": lambda x: np.full_like(x, 2.0),
+            "wall": lambda x: np.where(np.abs(x - center) > 1.0, np.inf, (x - center) * (x - center)),
+            "pit": lambda x: np.where(np.abs(x - center) < 0.5, -np.inf, np.abs(x - center)),
+        }
+        objective = objectives[shape]
+        result = minimize_on_grid(unimodal(lambda x: objective(x)), lo, hi, tol=tol)
+        expected = one_shot_minimize(objective, lo, hi, tol=tol)
+        assert bits(*result[:2]) == bits(*expected[:2])
+        assert result[2] <= expected[2]
+
+
 class TestIntegrate:
     def test_exact_on_square(self):
         assert simpson(np.square, 0.0, 1.0, 2) == pytest.approx(
@@ -450,6 +603,13 @@ class TestIntegrate:
 
     def test_degenerate_interval(self):
         assert integrate_samples(np.exp(np.full(5, 2.0)), 2.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_non_finite_bound_rejected(self, side, bound):
+        lo, hi = (bound, 1.0) if side == "lo" else (0.0, bound)
+        with pytest.raises(ValueError, match=f"{side} must be finite"):
+            integrate_samples([1.0, 1.0, 1.0], lo, hi)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

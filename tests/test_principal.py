@@ -570,8 +570,8 @@ class TestBatches:
         tolerances = wrap_rate_solve(monkeypatch)
         batch = compare_cells(cells, grid)
         # Per base (5 shares, and 2 each at delta = +20 and a_max = 50): one
-        # new solve and one classical family.
-        assert len(tolerances) == 2 * 9
+        # family of the new rate and the classical ones.
+        assert len(tolerances) == 9
         expected = [compare(cell, grid) for cell in cells]
         # repr tells -0.0 from 0.0 and prints every float exactly.
         assert [repr(r.to_flat()) for r in batch] == [repr(r.to_flat()) for r in expected]
@@ -602,6 +602,29 @@ class TestBatches:
         )
         assert np.array_equal(first.payment.z, second.payment.z)
         assert not np.shares_memory(first.payment.z, second.payment.z)
+        for name in ("grid", "gamma0", "beta0"):
+            mine, theirs = getattr(first.reservation, name), getattr(second.reservation, name)
+            assert np.array_equal(mine, theirs)
+            assert not np.shares_memory(mine, theirs)
+
+    def test_one_reservation_per_params(self, monkeypatch):
+        original = principal_module.reservation
+        calls = []
+
+        def counted(params, grid):
+            calls.append(params)
+            return original(params, grid)
+
+        monkeypatch.setattr(principal_module, "reservation", counted)
+        compare_cells(sweep_cells()[:25], 256)  # the command line's 25 cells
+        assert len(calls) == 25
+        calls.clear()
+        # The four schedules of ``mfdr schedule``: one params.
+        solve_contracts(
+            [(kind, principal, CAL05) for kind in ("new", "classical") for principal in PRINCIPAL_KINDS],
+            grid=64,
+        )
+        assert len(calls) == 1
 
     def test_bad_request_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -615,7 +638,7 @@ class TestCompare:
     def test_frozen_risk_neutral_full_share(self, monkeypatch):
         tolerances = wrap_rate_solve(monkeypatch)
         comp = compare(RN10)
-        assert len(tolerances) == 2  # one rate solve per contract
+        assert len(tolerances) == 1  # one family for both contracts
         assert comp.delta_v == pytest.approx(2.43266909516, rel=1e-9)
         assert comp.rel_delta_v == pytest.approx(0.365737747047, rel=1e-9)
         alpha_err, _ = argmin_error_bounds(RN10, max(tolerances))
@@ -628,7 +651,7 @@ class TestCompare:
     def test_frozen_cara_half_share(self, monkeypatch):
         tolerances = wrap_rate_solve(monkeypatch)
         comp = compare(CAL05)
-        assert len(tolerances) == 2  # one rate solve per contract
+        assert len(tolerances) == 1  # one family for both contracts
         assert comp.delta_v == pytest.approx(0.392215238248, rel=1e-9)
         assert comp.rel_delta_v == pytest.approx(0.0688262632025, rel=1e-9)
         alpha_err, beta_err = argmin_error_bounds(CAL05, max(tolerances))

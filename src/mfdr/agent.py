@@ -114,9 +114,15 @@ def f0(q, params: ModelParams):
     b_min = params.b_min
     lam_eta = lam * eta
 
+    # At large eta * |log b_min| the floor constants pass the float range:
+    # an infinite threshold floors no entry, which is exact.
+    with np.errstate(over="ignore"):
+        floor_q = b_min ** (-(1.0 + eta))
+        floor_cost = (b_min ** (-eta) - 1.0) / lam_eta
+
     scaled = lam * q_arr[..., None]
     full = scaled <= 1.0
-    floored = scaled > b_min ** (-(1.0 + eta))
+    floored = scaled > floor_q
     interior = ~(full | floored)
     per_usage = np.empty(scaled.shape)
     np.multiply(sig2, q_arr[..., None], out=per_usage, where=full)
@@ -125,7 +131,7 @@ def f0(q, params: ModelParams):
     np.subtract(per_usage, 1.0, out=per_usage, where=interior)
     np.multiply(sig2 / lam_eta, per_usage, out=per_usage, where=interior)
     np.multiply(b_min, q_arr[..., None], out=per_usage, where=floored)
-    np.add(per_usage, (b_min ** (-eta) - 1.0) / lam_eta, out=per_usage, where=floored)
+    np.add(per_usage, floor_cost, out=per_usage, where=floored)
     np.multiply(sig2, per_usage, out=per_usage, where=floored)
     total = np.sum(per_usage, axis=-1)
     if np.ndim(q) == 0:

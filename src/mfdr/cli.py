@@ -309,7 +309,14 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
         rows.append({"r_p": r_p, "variance_share": share, **report.to_flat()})
         gains.setdefault(r_p, []).append((share, report.delta_v))
         slack = 1e-12 * (1.0 + abs(report.delta_v))
-        checks = (("gain_nonnegative", "delta_v"), ("relative_gain_nonnegative", "rel_delta_v"))
+        # rel_delta_v = gain / (1 + v_cls), and delta_v has the gain's sign.
+        # Where 1 + v_cls > 0, delta_v >= 0 proves rel_delta_v >= 0; where
+        # 1 + v_cls < 0 (a classical value below -1) a correct gain reads
+        # negative.  A negative rel_delta_v comes with 1 + v_cls > 0 exactly
+        # when delta_v < 0, so only then is its sign gated.
+        checks = [("gain_nonnegative", "delta_v")]
+        if report.delta_v < 0.0:
+            checks.append(("relative_gain_nonnegative", "rel_delta_v"))
         for check, name in checks:
             value = getattr(report, name)
             if value < -slack:

@@ -20,6 +20,10 @@ Two terminal-payment evaluators are implemented:
 
 Both evaluators target the same continuous-time payment; their pathwise gap
 is a discretisation diagnostic that must shrink linearly in the step size.
+The 4 x 4 factors reach the normals in row blocks of at most 8,192 draws,
+one small matrix product each: a threaded BLAS splits one whole-ensemble
+product across its thread pool, whose workers then spin on every core for
+about 0.1 s after each call.
 
 Verification helpers estimate the agents' certainty equivalent (which must
 match the reservation level — the contracts leave no rent) and the
@@ -62,6 +66,10 @@ _REL_TOL_GRID = 1e-9
 _MAX_STEPS = 2**20
 #: steps per block when building the accumulator law
 _BLOCK_STEPS = 256
+#: Most draws (rows of four normals) per matrix product in ``_apply_factor``:
+#: 4 x 4 x 8,192 multiply-adds stay under OpenBLAS's threading threshold
+#: (m n k > 262,144, that is 16,384 rows).
+_FACTOR_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,24 @@ def _factor(r: np.ndarray) -> np.ndarray:
     return np.where(pivot < 0.0, -factor, factor)
 
 
+def _apply_factor(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """``factor @ eps`` for each 4-vector ``eps`` on the last axis of
+    ``normals``, as an array of shape ``(4,) + normals.shape[:-1]``.
+
+    The rows go in equal blocks of at most ``_FACTOR_ROWS``, one small matrix
+    product each, so no product grows with the ensemble.  Two or more blocks
+    each hold over half that many rows: none is a one-column product, which
+    BLAS evaluates as a matrix-vector product, with other rounding.
+    """
+    rows = normals.reshape(-1, 4)
+    out = np.empty((4, len(rows)))
+    n_blocks = -(-len(rows) // _FACTOR_ROWS)
+    edges = [len(rows) * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(factor, rows[lo:hi].T, out=out[:, lo:hi])
+    return out.reshape((4,) + normals.shape[:-1])
+
+
 def _step_law(
     params: ModelParams, schedule: PaymentSchedule, dt: float, n_steps: int
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
@@ -321,7 +347,7 @@ def simulate(
         params, schedule, dt, n_steps
     )
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    common = common_factor @ rng.standard_normal((cfg.n_common, 4)).T
+    common = _apply_factor(common_factor, rng.standard_normal((cfg.n_common, 4)))
     if cfg.antithetic:
         common[:, 1::2] = -common[:, 0::2]
     normals = rng.standard_normal((cfg.n_common, cfg.n_particles, 4))
@@ -329,7 +355,7 @@ def simulate(
     # terms and, except in ∫z dX°, sigma_circ times the common block.
     base = mean + [params.x0, n_steps * dt * params.x0, 0.0, 0.0]
     base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
-    fields = np.tensordot(idio_factor, normals, axes=(1, 2))
+    fields = _apply_factor(idio_factor, normals)
     fields += base[:, :, None]
     zmu_dsum = np.sum(fields[3], axis=1)
     finite = np.all(np.isfinite(fields), axis=(0, 2)) & np.isfinite(zmu_dsum)

@@ -29,9 +29,10 @@ once.  A problem's base is every field that :func:`hbar` and the brackets
 read (not r_p or sigma_circ), and each base is one objective family, one
 ``minimize_on_grid`` call that scans :func:`hbar` once for all members: the
 ``new`` contracts on the base are its member with no charge (values
-:func:`hbar` itself), and each distinct classical common-noise charge
-(:func:`_classical_charge`) another.  The rates are declared unimodal, so
-the scan is certified from a few of its columns.
+:func:`hbar` itself), and each distinct non-zero classical common-noise
+charge (:func:`_classical_charge`) another; a classical contract without
+common noise (charge zero) is the uncharged member.  The rates are declared
+unimodal, so the scan is certified from a few of its columns.
 """
 
 from __future__ import annotations
@@ -366,6 +367,8 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
             p_eff = _effective_params(principal, params)
             base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
             charge = None if kind == "new" else _classical_charge(p_eff)
+            if charge == (0.0, 0.0):  # hbar + 0: the new member's bits
+                charge = None
             families.setdefault(base, {})[charge] = None
             problem = base, charge
         problems.append(problem)

@@ -24,7 +24,7 @@ from mfdr.agent import (
     reservation,
 )
 from mfdr.cli import main
-from mfdr.model import calibrated_defaults, effort_cost
+from mfdr.model import calibrated_defaults, effort_cost, validate
 
 CAL = calibrated_defaults()  # half the deviation variance from common noise
 
@@ -232,6 +232,20 @@ class TestF0:
         q = np.concatenate(prices)
         for shaped in (q, q[: q.size // 2 * 2].reshape(2, -1)):
             assert np.array_equal(f0(shaped, params), all_branch(shaped))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_floor_beyond_float_range(self):
+        # b_min ** -(1 + eta) overflows at eta = 151, b_min = 4e-8, which
+        # validate accepts: the floor is out of reach, so every price above
+        # the full-retention edge is interior, with no overflow warning.
+        params = validate(dataclasses.replace(CAL, eta=(151.0,), b_min=4e-8))
+        lam, eta, sig2 = params.lambda_[0], params.eta[0], params.sigma[0] ** 2
+        q = np.concatenate([[0.0, 1.0 / lam], np.geomspace(1e-3, 1e300, 61)])
+        scaled = lam * q
+        interior = sig2 / (lam * eta) * ((1.0 + eta) * scaled ** (eta / (1.0 + eta)) - 1.0)
+        expected = np.where(scaled <= 1.0, sig2 * q, interior)
+        assert np.array_equal(f0(q, params), expected)
+        assert f0(1e300, params) == expected[-1]
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from mfdr.model import (
     validate,
     with_variance_share,
 )
-from mfdr.principal import compare, first_best_report, value_report
+from mfdr.principal import ComparisonReport, compare, first_best_report, value_report
 
 # Small-but-honest simulation budget for fast end-to-end runs.
 FAST_SIM = ("--grid", "64", "--particles", "16", "--common", "4",
@@ -333,10 +333,10 @@ class TestCompareCommand:
         # 25 cells on 5 variance shares: per share, one family of the rate of
         # the 5 new contracts (r_p does not enter it) and the 5 classical ones.
         # At share 0 there is no common noise, so the 5 classical charges are
-        # all zero: one classical rate.
+        # all zero and the classical rate is the new one: a family of one.
         solves = count_rate_solves(monkeypatch)
         assert main(["compare", "--out", str(tmp_path), "--grid", "64"]) == 0
-        assert sorted(solves) == [2, 6, 6, 6, 6]
+        assert sorted(solves) == [1, 6, 6, 6, 6]
 
     def test_full_sweep(self, tmp_path):
         out = tmp_path / "out"
@@ -368,6 +368,41 @@ class TestCompareCommand:
         params = with_variance_share(calibrated_defaults(), 1.0)
         report = compare(params, grid=64)
         assert delta_v[cell] == pytest.approx(report.delta_v, rel=1e-11)
+
+    def test_relative_gain_sign_follows_its_denominator(self, tmp_path):
+        # At x0 = 1 every classical value is below -1 (the deviation costs
+        # delta * horizon * x0 = -305 pence), so 1 + v_cls < 0 and
+        # rel_delta_v = gain / (1 + v_cls) is negative while the gain is
+        # positive: correct outputs, not a failed check.
+        path = write_config(tmp_path, {"x0": "1", "sweep_rp": "0, 6e-3",
+                                       "sweep_share": "0.5"})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out),
+                     "--grid", "64"]) == 0
+        delta_v = column(out / "compare.csv", "delta_v")
+        rel = column(out / "compare.csv", "rel_delta_v")
+        for r_p, gain, rel_gain in zip((0.0, 6e-3), delta_v, rel):
+            params = with_variance_share(
+                dataclasses.replace(calibrated_defaults(), x0=1.0, r_p=r_p), 0.5
+            )
+            principal = "cara" if r_p > 0.0 else "risk_neutral"
+            v_cls = value_report("classical", principal, params, 64).v0
+            assert 1.0 + v_cls < 0.0
+            assert gain > 0.0 and rel_gain < 0.0
+            assert rel_gain == pytest.approx(compare(params, grid=64).rel_delta_v, rel=1e-11)
+
+    def test_negative_relative_gain_fails_where_its_sign_is_proven(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A negative gain over a positive 1 + v_cls trips both gates.
+        bad = ComparisonReport(delta_v=-1e-3, rel_delta_v=-2e-3,
+                               delta_alpha=0.1, delta_beta=0.1)
+        monkeypatch.setattr(cli, "compare_cells", lambda cells, grid: [bad] * len(cells))
+        path = write_config(tmp_path, {"sweep_rp": "6e-3", "sweep_share": "0.5"})
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--grid", "16"]) == 1
+        checks = [item["check"] for item in failures_from(capsys.readouterr().err)]
+        assert checks == ["gain_nonnegative", "relative_gain_nonnegative"]
 
     def test_restricted_sweep_from_config(self, tmp_path):
         path = write_config(tmp_path, {"sweep_rp": "6e-3",

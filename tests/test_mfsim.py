@@ -1,6 +1,7 @@
 """Tests for the particle Monte Carlo and its verification reports."""
 
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -321,6 +322,77 @@ class TestExactSampler:
             finally:
                 tracemalloc.stop()
         assert peaks[2048] <= 2.0 * peaks[64]
+
+
+class TestFactorContraction:
+    @pytest.mark.parametrize(
+        "n_common, n_particles, antithetic",
+        [(1, 100_000, False), (20_000, 2, False), (3, 5, False), (20_000, 2, True), (6, 5, True)],
+    )
+    def test_fields_match_per_particle_products(self, n_common, n_particles, antithetic):
+        # Each field is base + L eps for the particle's own 4 normals, drawn in
+        # the Philox order of SimConfig.seed.  These shapes cut the particle
+        # rows (and, at 20,000 scenarios, the common rows) into several
+        # blocks.  BLAS kernels round differently from this reference, so
+        # the match is to a few ulps of the terms' magnitude, not in bits.
+        params = dataclasses.replace(CAL05, x0=0.25)
+        sched, _ = optimal_schedule("new", "cara", params, grid=64)
+        cfg = SimConfig(n_particles=n_particles, n_common=n_common,
+                        dt=params.horizon / 64, seed=31, antithetic=antithetic)
+        ens = simulate(params, sched, cfg)
+
+        _, _, mean, idio_factor, common_factor = mfsim_module._step_law(
+            params, sched, ens.dt, ens.n_steps
+        )
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        zeta = rng.standard_normal((n_common, 4))
+        eps = rng.standard_normal((n_common, n_particles, 4))
+
+        def products(factor, normals):  # (4,) + normals.shape[:-1], no BLAS
+            terms = factor[(slice(None),) + (None,) * (normals.ndim - 1)] * normals
+            return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
+
+        common, common_scale = products(common_factor, zeta)
+        if antithetic:
+            common[:, 1::2] = -common[:, 0::2]
+            common_scale[:, 1::2] = common_scale[:, 0::2]
+        ulps = 4.0 * np.finfo(float).eps
+        for row, got in ((2, ens.z_dw_circ), (3, ens.zmu_dw_circ)):
+            assert np.all(np.abs(got - common[row]) <= ulps * common_scale[row])
+
+        idio, idio_scale = products(idio_factor, eps)
+        loading = params.sigma_circ * np.array([[1.0], [1.0], [0.0], [1.0]])
+        shift = mean + [params.x0, ens.n_steps * ens.dt * params.x0, 0.0, 0.0]
+        base = shift[:, None] + loading * common
+        scale = idio_scale + (np.abs(shift)[:, None] + loading * common_scale)[:, :, None]
+        fields = (ens.x_terminal, ens.x_integral, ens.z_dx_idio, ens.zmu_dx)
+        for row, got in enumerate(fields):
+            reference = idio[row] + base[row][:, None]
+            assert got.shape == (n_common, n_particles)
+            assert np.all(np.abs(got - reference) <= ulps * scale[row])
+        dsum_scale = np.sum(scale[3], axis=1)
+        dsum_reference = np.sum(idio[3] + base[3][:, None], axis=1)
+        assert np.all(np.abs(ens.zmu_dsum - dsum_reference) <= 1e-12 * dsum_scale)
+
+    def test_no_thread_pool_spin_after_simulate(self):
+        # One whole-ensemble matrix product would go to a threaded BLAS's
+        # pool, whose workers then spin on every core for ~0.1 s, billed to
+        # this process while it sleeps.  An earlier test's BLAS call may
+        # still spin, so wait for a quiet window first.
+        sched, _ = optimal_schedule("new", "cara", CAL05, grid=128)
+
+        def cpu_while_sleeping():
+            start = time.process_time()
+            time.sleep(0.05)
+            return time.process_time() - start
+
+        for _ in range(40):
+            if cpu_while_sleeping() < 0.002:
+                break
+        else:
+            pytest.fail("the process never went quiet for 50 ms before the run")
+        simulate(CAL05, sched, SimConfig())
+        assert cpu_while_sleeping() < 0.010
 
 
 class TestAntithetic:

@@ -78,7 +78,6 @@ from .principal import (
     check_schedule_invariants,
     compare,
     first_best_report,
-    m_curve,
     optimal_schedule,
     solve_contract,
     value_report,
@@ -115,7 +114,6 @@ __all__ = [
     "first_best_report",
     "hamiltonian_envelopes",
     "load_params",
-    "m_curve",
     "main",
     "optimal_schedule",
     "reservation",

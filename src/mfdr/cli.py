@@ -64,12 +64,11 @@ from .numerics import _uniform_grid
 from .principal import (
     PRINCIPAL_KINDS,
     _default_principal,
+    _first_best,
     check_schedule_invariants,
     compare_cells,
-    first_best_report,
     solve_contract,
     solve_contracts,
-    value_report,
 )
 
 __all__ = [
@@ -402,8 +401,10 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
 def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     """Write the full-information benchmark and check it dominates."""
     params = config.params
-    benchmark = first_best_report(params, config.grid)
-    contracted = value_report("new", _default_principal(params), params, config.grid)
+    principal = _default_principal(params)
+    requests = [(kind, principal, params) for kind in ("first_best", "new")]
+    first_best, new = solve_contracts(requests, config.grid)
+    benchmark, contracted = _first_best(params, first_best), new.value
     slack = 1e-12 * abs(contracted.v0)
     dominates = benchmark.v_fb >= contracted.v0 - slack
     print(

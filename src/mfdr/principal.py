@@ -9,8 +9,9 @@ quadratic variation.  Three contract kinds are supported:
   trade-off rate :func:`hbar`, ``gamma`` tracks the induced variance
   exposure, and ``z_mu`` rebalances common-noise risk between the parties;
 * ``classical`` — indexation on the consumer's own meter only
-  (``z_mu = 0``), with ``z`` minimizing :func:`hbar_classical`, which
-  charges both parties' common-noise exposure to the performance rate;
+  (``z_mu = 0``), with ``z`` minimizing :func:`hbar` plus the common-noise
+  exposure both parties then carry through the performance rate
+  (:func:`_common_noise_charge`);
 * ``first_best`` — the full-information benchmark, quoted here through the
   shadow rates whose best responses reproduce the first-best efforts.
 
@@ -19,9 +20,10 @@ risk aversion ``r_p > 0``) and ``risk_neutral`` (values in pence; also the
 ``r_p -> 0`` limit of the cara values).
 
 :func:`solve_contract` solves one contract once: the minima of the per-node
-rate solve give the principal's value and their argmins the payment rates,
-so :func:`optimal_schedule`, :func:`value_report`, :func:`compare` and
-:func:`first_best_report` all read from it instead of solving again.
+rate solve give the principal's running cost rate and value, and their
+argmins the payment rates.  :func:`compare` and :func:`first_best_report`
+read from it instead of solving again, and so do :func:`optimal_schedule`
+and :func:`value_report`, which are kept for outside callers.
 
 :func:`solve_contracts` solves a batch on one grid, each distinct rate
 problem once and bit for bit as alone, and each distinct params' reservation
@@ -69,8 +71,6 @@ __all__ = [
     "compare_cells",
     "first_best_report",
     "hbar",
-    "hbar_classical",
-    "m_curve",
     "optimal_schedule",
     "solve_contract",
     "solve_contracts",
@@ -125,11 +125,10 @@ class PaymentSchedule:
     def __post_init__(self):
         _validate_kind(self.kind)
         _validate_principal(self.principal)
-        n = self.z.shape[0]
-        for name in ("z", "z_mu", "gamma"):
+        for name in ("z", "z_mu", "gamma"):  # z first: the others take its shape
             arr = getattr(self, name)
-            if arr.ndim != 1 or arr.shape[0] != n:
-                raise ValueError(f"{name} must be 1-D with {n} nodes")
+            if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.shape != self.z.shape:
+                raise ValueError(f"{name} must be a 1-D numpy array, one entry per node")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         _uniform_grid(self.horizon, self.n_intervals)  # raises on a bad grid
@@ -152,8 +151,10 @@ class EffortSchedule:
     beta: np.ndarray  # (nodes, d) variance retentions
 
     def __post_init__(self):
-        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 2:
-            raise ValueError("alpha and beta must be (nodes, d) arrays")
+        for name in ("alpha", "beta"):
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.ndim != 2 or arr.shape != self.alpha.shape:
+                raise ValueError(f"{name} must be a (nodes, d) numpy array, alpha's shape")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,6 +180,7 @@ class ContractSolution:
     effort: EffortSchedule
     value: ValueReport
     reservation: ReservationReport
+    m_rate: np.ndarray  # principal's running cost rate per node; value.m_integral integrates it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,29 +241,14 @@ def hbar(t, z, params: ModelParams):
     return total
 
 
-def hbar_classical(t, z, params: ModelParams):
-    """Running trade-off rate when only the consumer's own meter is indexed.
-
-    Adds to :func:`hbar` the common-noise exposure both parties are forced
-    to carry through the performance rate:
-    ``r_a sigma_circ^2 z^2 + r_p sigma_circ^2 (delta (T - t) - z)^2``.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    charge = _common_noise_charge(t_arr, z_arr, params, _classical_charge(params))
-    total = hbar(t_arr, z_arr, params) + charge
-    if np.ndim(t) == 0 and np.ndim(z) == 0:
-        return float(total)
-    return total
-
-
 def _classical_charge(params: ModelParams) -> tuple[float, float]:
     """``(c_a, c_p) = (r_a sigma_circ^2, r_p sigma_circ^2)`` of ``params``."""
     return params.r_a * params.sigma_circ**2, params.r_p * params.sigma_circ**2
 
 
 def _common_noise_charge(t, z, params: ModelParams, charge):
-    """What :func:`hbar_classical` adds to :func:`hbar` for ``charge = (c_a, c_p)``."""
+    """What a classical contract adds to :func:`hbar` for ``charge = (c_a, c_p)``,
+    both parties' common-noise exposure: ``c_a z^2 + c_p (delta (T - t) - z)^2``."""
     c_a, c_p = charge
     return c_a * z**2 + c_p * (params.delta * (params.horizon - t) - z) ** 2
 
@@ -324,12 +311,11 @@ def _m_rate(
     kind: str,
     params: ModelParams,
     p_eff: ModelParams,
-    t: np.ndarray,
+    remaining: np.ndarray,
     minima: np.ndarray | None,
 ) -> np.ndarray:
-    """Principal's running cost rate from the rate solve's per-node minima
-    (``None`` for ``first_best``, which needs no solve)."""
-    remaining = params.horizon - t
+    """Principal's running cost rate at the nodes ``remaining = T - t`` from
+    the rate solve's minima there (``None`` for ``first_best``: no solve)."""
     sc2 = params.sigma_circ**2
     ramp_sq = params.delta**2 * remaining**2
     base = 0.5 * params.theta * sc2
@@ -441,9 +427,8 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
     effort = EffortSchedule(
         alpha=best_drift_effort(z, params), beta=best_vol_effort(gamma, params)
     )
-    m_integral = integrate_samples(
-        _m_rate(kind, params, p_eff, t, minima), 0.0, horizon
-    )
+    m_rate = _m_rate(kind, params, p_eff, remaining, minima)
+    m_integral = integrate_samples(m_rate, 0.0, horizon)
     u = params.delta * horizon * params.x0 - m_integral
     res = dataclasses.replace(
         res, grid=res.grid.copy(), gamma0=res.gamma0.copy(), beta0=res.beta0.copy()
@@ -457,7 +442,9 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
     value = ValueReport(
         v0=v0, ce=ce, xi0=xi0, m_integral=m_integral, kind=kind, principal=principal
     )
-    return ContractSolution(payment=payment, effort=effort, value=value, reservation=res)
+    return ContractSolution(
+        payment=payment, effort=effort, value=value, reservation=res, m_rate=m_rate
+    )
 
 
 def optimal_schedule(
@@ -471,26 +458,6 @@ def optimal_schedule(
     """
     solution = solve_contract(kind, principal, params, grid)
     return solution.payment, solution.effort
-
-
-def m_curve(
-    kind: str, principal: str, params: ModelParams, t_nodes: np.ndarray
-) -> np.ndarray:
-    """Principal's running cost rate for a contract kind at given times.
-
-    The certainty-equivalent cost the principal accrues per unit time under
-    the optimal schedule of ``kind``; its time integral enters the value
-    reports with a negative sign.
-    """
-    _validate_kind(kind)
-    _validate_principal(principal, params)
-    p_eff = _effective_params(principal, params)
-    t_arr = np.asarray(t_nodes, dtype=float)
-    minima = None
-    if kind != "first_best":
-        charge = None if kind == "new" else _classical_charge(p_eff)
-        _, (minima,) = _minimize_rate(t_arr, p_eff, [charge])
-    return _m_rate(kind, params, p_eff, t_arr, minima)
 
 
 def value_report(
@@ -511,12 +478,16 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     ``r_p = 0`` the report is in pence and the participation multiplier
     degenerates to zero.
     """
-    principal = _default_principal(params)
-    solution = solve_contract("first_best", principal, params, grid)
+    solution = solve_contract("first_best", _default_principal(params), params, grid)
+    return _first_best(params, solution)
+
+
+def _first_best(params: ModelParams, solution: ContractSolution) -> FirstBestReport:
+    """:func:`first_best_report` from the solved ``first_best`` contract."""
     res = solution.reservation
     u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
     fb_constant = -math.log(-res.r0) / params.r_a
-    if principal == "cara":
+    if solution.value.principal == "cara":
         v_rbar = -math.exp(-params.r_bar * u_fb)
         power = 1.0 + params.r_p / params.r_a
         tilt = (v_rbar / res.r0) ** power

@@ -31,7 +31,13 @@ from mfdr.model import (
     validate,
     with_variance_share,
 )
-from mfdr.principal import compare, m_curve, optimal_schedule, value_report
+from mfdr.principal import (
+    compare,
+    optimal_schedule,
+    solve_contract,
+    solve_contracts,
+    value_report,
+)
 
 CAL = calibrated_defaults()
 TOTAL_STD = 0.085  # calibrated no-effort standard deviation, kW
@@ -161,15 +167,16 @@ def test_criterion_04_degenerate_noise_collapse():
     params = with_variance_share(CAL, 0.0)
     problems: list[str] = []
     for principal in ("cara", "risk_neutral"):
-        new = value_report("new", principal, params, 512)
-        classical = value_report("classical", principal, params, 512)
+        sol_new = solve_contract("new", principal, params, 512)
+        sol_cls = solve_contract("classical", principal, params, 512)
+        new, classical = sol_new.value, sol_cls.value
         if abs(new.v0 - classical.v0) > 1e-10 * abs(classical.v0):
             problems.append(
                 f"{principal}: v0 {new.v0!r} (population-indexed) vs "
                 f"{classical.v0!r} (own meter)"
             )
-        pay_new, eff_new = optimal_schedule("new", principal, params, 512)
-        pay_cls, eff_cls = optimal_schedule("classical", principal, params, 512)
+        pay_new, eff_new = sol_new.payment, sol_new.effort
+        pay_cls, eff_cls = sol_cls.payment, sol_cls.effort
         for label, lhs, rhs in (
             ("z", pay_new.z, pay_cls.z),
             ("z_mu", pay_new.z_mu, pay_cls.z_mu),
@@ -200,15 +207,17 @@ def test_criterion_05_risk_neutral_limit():
 
 def test_criterion_06_dominance_and_orderings():
     problems: list[str] = []
-    t_nodes = np.linspace(0.0, CAL.horizon, 129)
     for r_p in DEFAULT_SWEEP_RP:
         for share in DEFAULT_SWEEP_SHARE:
             cell = with_variance_share(
                 validate(dataclasses.replace(CAL, r_p=r_p)), share
             )
             principal = "cara" if r_p > 0.0 else "risk_neutral"
-            m_new = m_curve("new", principal, cell, t_nodes)
-            m_cls = m_curve("classical", principal, cell, t_nodes)
+            # Running cost rates at the 129 nodes of a 128-interval grid.
+            new, cls = solve_contracts(
+                [("new", principal, cell), ("classical", principal, cell)], 128
+            )
+            m_new, m_cls = new.m_rate, cls.m_rate
             slack = 1e-12 * (1.0 + np.abs(m_cls))
             if np.any(m_cls < m_new - slack):
                 problems.append(
@@ -283,8 +292,8 @@ def test_criterion_08_monte_carlo_cross_validation():
     problems: list[str] = []
     for kind in ("new", "classical"):
         for principal in ("cara", "risk_neutral"):
-            payment, _ = optimal_schedule(kind, principal, CAL, 1024)
-            report = value_report(kind, principal, CAL, 1024)
+            solution = solve_contract(kind, principal, CAL, 1024)
+            payment, report = solution.payment, solution.value
             ensemble = simulate(CAL, payment, cfg)
             payoffs = contract_payoffs(ensemble, payment, CAL, principal)
 

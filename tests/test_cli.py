@@ -540,6 +540,23 @@ class TestFirstBestCommand:
         assert float(rows[0][0]) == pytest.approx(benchmark.v_fb, rel=1e-11)
         assert float(rows[0][4]) == pytest.approx(contracted.v0, rel=1e-11)
 
+    def test_one_batch_one_reservation(self, tmp_path, monkeypatch):
+        # The first-best and the new contract share their params' reservation.
+        import mfdr.principal as principal_module
+
+        original = principal_module.reservation
+        calls = []
+
+        def counted(params, grid):
+            calls.append(grid)
+            return original(params, grid)
+
+        monkeypatch.setattr(principal_module, "reservation", counted)
+        solves = count_rate_solves(monkeypatch)
+        assert main(["first-best", "--grid", "8", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [8]
+        assert solves == [1]
+
     def test_degenerate_baseline_constant_is_zero(self, tmp_path):
         path = write_config(tmp_path, {"kappa": "0", "x0": "0"})
         out = tmp_path / "out"

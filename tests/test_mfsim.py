@@ -10,7 +10,7 @@ import pytest
 import mfdr.mfsim as mfsim_module
 from mfdr.agent import best_response_variance, reservation
 from mfdr.model import ModelParams, ParameterError, calibrated_defaults, validate
-from mfdr.principal import PaymentSchedule, optimal_schedule, value_report
+from mfdr.principal import PaymentSchedule, optimal_schedule, solve_contract
 from mfdr.mfsim import (
     McReport,
     SimConfig,
@@ -578,8 +578,8 @@ class TestVerification:
     @pytest.mark.parametrize("principal", ["cara", "risk_neutral"])
     def test_reports_match_closed_forms(self, kind, principal):
         params = CAL05
-        sched, _ = optimal_schedule(kind, principal, params, grid=1024)
-        rep = value_report(kind, principal, params, grid=1024)
+        solution = solve_contract(kind, principal, params, grid=1024)
+        sched, rep = solution.payment, solution.value
         cfg = SimConfig(n_particles=256, n_common=128, dt=params.horizon / 256, seed=7)
         ens = simulate(params, sched, cfg)
         pay = contract_payoffs(ens, sched, params, principal)
@@ -614,14 +614,14 @@ class TestVerification:
 
     def test_antithetic_halves_effective_samples(self):
         params = CAL05
-        sched, _ = optimal_schedule("new", "cara", params, grid=256)
+        solution = solve_contract("new", "cara", params, grid=256)
+        sched = solution.payment
         cfg = SimConfig(n_particles=64, n_common=64, dt=params.horizon / 128, seed=17,
                         antithetic=True)
         ens = simulate(params, sched, cfg)
         pay = contract_payoffs(ens, sched, params, "cara")
         part = verify_participation(ens, pay, params)
-        val = verify_principal_value(ens, pay, params,
-                                     value_report("new", "cara", params, grid=256))
+        val = verify_principal_value(ens, pay, params, solution.value)
         assert part.n_effective == 32
         assert val.n_effective == 32
         assert abs(part.z_score) <= 4.0
@@ -629,14 +629,14 @@ class TestVerification:
 
     def test_payoff_shape_must_match(self):
         params = CAL05
-        sched, _ = optimal_schedule("new", "cara", params, grid=128)
+        solution = solve_contract("new", "cara", params, grid=128)
+        sched = solution.payment
         ens = simulate(params, sched, SimConfig(n_particles=4, n_common=2, dt=params.horizon / 32))
         pay = contract_payoffs(ens, sched, params, "cara")
         with pytest.raises(ValueError, match="shape"):
             verify_participation(ens, pay[:, :2], params)
         with pytest.raises(ValueError, match="shape"):
-            verify_principal_value(ens, pay[:1], params,
-                                   value_report("new", "cara", params, grid=128))
+            verify_principal_value(ens, pay[:1], params, solution.value)
 
     def test_exact_saturation_without_preference_slope(self):
         # kappa = 0 makes the reservation level zero; a free contract paying

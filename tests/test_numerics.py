@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_principal import hbar_classical
+
 from mfdr import numerics, principal
 from mfdr.model import calibrated_defaults, validate
 from mfdr.numerics import integrate_samples, minimize_on_grid, unimodal
@@ -17,7 +19,6 @@ from mfdr.principal import (
     _classical_charge,
     _minimize_rate,
     hbar,
-    hbar_classical,
 )
 
 

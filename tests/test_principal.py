@@ -27,13 +27,13 @@ from mfdr.principal import (
     ComparisonReport,
     EffortSchedule,
     PaymentSchedule,
+    _classical_charge,
+    _common_noise_charge,
     check_schedule_invariants,
     compare,
     compare_cells,
     first_best_report,
     hbar,
-    hbar_classical,
-    m_curve,
     optimal_schedule,
     solve_contract,
     solve_contracts,
@@ -144,6 +144,17 @@ def _vertex_min_value(xs, ys, i):
     return y1 - (y0 - y2) ** 2 / (8.0 * denom)
 
 
+def hbar_classical(t, z, params):
+    """The classical contract's rate from its formula, independent of the
+    solver's charge helpers: :func:`hbar` plus the common-noise exposure
+    ``r_a sigma_circ^2 z^2 + r_p sigma_circ^2 (delta (T - t) - z)^2``."""
+    t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+    c_a = params.r_a * params.sigma_circ**2
+    c_p = params.r_p * params.sigma_circ**2
+    ramp = params.delta * (params.horizon - t)
+    return hbar(t, z, params) + (c_a * z**2 + c_p * (ramp - z) ** 2)
+
+
 def oracle_value(params, kind, principal, n_t=256, n_z=8001):
     """Independent dense-scan evaluation of a contract's value."""
     horizon = params.horizon
@@ -200,19 +211,20 @@ class TestHbar:
         assert hbar(0.0, 0.0, CAL05) == pytest.approx(expected, rel=1e-14)
 
     def test_classical_dominates_plain(self):
+        # The classical rate is hbar plus this charge.
         rng = np.random.default_rng(2001)
+        charge = _classical_charge(CAL05)
         for _ in range(200):
             t = rng.uniform(0.0, CAL05.horizon)
             z = rng.uniform(-400.0, 100.0)
-            assert hbar_classical(t, z, CAL05) >= hbar(t, z, CAL05)
+            assert _common_noise_charge(t, z, CAL05, charge) >= 0.0
 
     def test_classical_equals_plain_without_common_noise(self):
         params = dataclasses.replace(CAL05, sigma_circ=0.0)
         t = np.linspace(0.0, params.horizon, 7)[:, None]
         z = np.linspace(-300.0, 30.0, 11)[None, :]
-        assert np.array_equal(
-            hbar_classical(t, z, params), hbar(t, z, params)
-        )
+        added = _common_noise_charge(t, z, params, _classical_charge(params))
+        assert added.tobytes() == np.zeros((7, 11)).tobytes()
 
     @pytest.mark.parametrize("r_p, sigma_circ", [(0.0, 0.06), (3e-2, 0.0), (1.0, 0.5)])
     def test_reads_neither_rp_nor_sigma_circ(self, r_p, sigma_circ):
@@ -349,6 +361,28 @@ class TestOptimalSchedule:
                     gamma=np.zeros(5),
                 )
 
+    @pytest.mark.parametrize(
+        "schedule, field, value",
+        [
+            (PaymentSchedule, "z", np.array(1.0)),
+            (PaymentSchedule, "z", [-1.0] * 5),
+            (PaymentSchedule, "z_mu", np.zeros((5, 1))),
+            (PaymentSchedule, "gamma", [-1.0] * 5),
+            (EffortSchedule, "alpha", [[0.0]]),
+            (EffortSchedule, "beta", np.zeros(1)),
+        ],
+        ids=["z-0d", "z-list", "z_mu-2d", "gamma-list", "alpha-list", "beta-1d"],
+    )
+    def test_schedule_rejects_non_arrays(self, schedule, field, value):
+        if schedule is PaymentSchedule:
+            fields = dict(kind="new", principal="cara", horizon=1.0,
+                          z=np.full(5, -1.0), z_mu=np.zeros(5), gamma=np.full(5, -1.0))
+        else:
+            fields = dict(alpha=np.zeros((1, 1)), beta=np.ones((1, 1)))
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            schedule(**fields)
+
     def test_odd_interval_schedule_rejected(self):
         # Simpson quadrature and the reservation need an even interval count.
         for nodes in (2, 6):
@@ -445,11 +479,10 @@ class TestValueReports:
         # Without common noise the two contract kinds have identical rates
         # and identical values, to the last bit.
         params = dataclasses.replace(CAL05, sigma_circ=0.0)
-        new_rep = value_report("new", "cara", params, grid=256)
-        cls_rep = value_report("classical", "cara", params, grid=256)
-        assert new_rep.v0 == cls_rep.v0
-        pay_new, _ = optimal_schedule("new", "cara", params, grid=256)
-        pay_cls, _ = optimal_schedule("classical", "cara", params, grid=256)
+        new = solve_contract("new", "cara", params, grid=256)
+        cls = solve_contract("classical", "cara", params, grid=256)
+        assert new.value.v0 == cls.value.v0
+        pay_new, pay_cls = new.payment, cls.payment
         assert np.array_equal(pay_new.z, pay_cls.z)
         assert np.array_equal(pay_new.gamma, pay_cls.gamma)
         # the aggregate rate would multiply a null process; the degenerate
@@ -716,7 +749,6 @@ class TestCompare:
 
     def test_m_dominance_random_parameters(self):
         rng = np.random.default_rng(777)
-        t_probe = np.linspace(0.0, 1.0, 65)
         for _ in range(100):
             horizon = rng.uniform(1.0, 8.0)
             delta = rng.uniform(-80.0, 30.0)
@@ -740,9 +772,10 @@ class TestCompare:
                 kappa=rng.uniform(0.0, 30.0),
             )
             principal = "cara" if r_p > 0.0 else "risk_neutral"
-            t = t_probe * horizon
-            m_new = m_curve("new", principal, params, t)
-            m_cls = m_curve("classical", principal, params, t)
+            new, cls = solve_contracts(
+                [("new", principal, params), ("classical", principal, params)], 64
+            )
+            m_new, m_cls = new.m_rate, cls.m_rate
             slack = 1e-9 * (1.0 + np.abs(m_new))
             assert (m_cls >= m_new - slack).all()
 

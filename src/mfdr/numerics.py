@@ -12,10 +12,11 @@ outputs regardless of threading or call order.
 refinement on a whole family of brackets at once (one per time node, which
 is what the schedule builders use; a single bracket is a one-row call). Its
 scan runs in cache-sized column blocks, calling the objective several times.
-The objective may also be a family of objectives on the same brackets, each
-solved bit for bit as alone, that share the calls (and the scan points).
-An objective declared :func:`unimodal` gets a certified scan: it evaluates
-only the columns its coarse argmin depends on, with the same results.
+A 2-D array of brackets holds a row per objective, each solved bit for bit
+as alone; the objective always gets points of the brackets' shape plus one
+axis of candidates.  An objective declared :func:`unimodal` gets a
+certified scan: it evaluates only the columns its coarse argmin depends on,
+with the same results.
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -100,21 +101,17 @@ def minimize_on_grid(
     tol: float | None = None,
     coarse_n: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimize a family of bracketed scalar objectives simultaneously.
+    """Minimize bracketed scalar objectives, one bracket per row, at once.
 
-    Each row ``j`` carries its own bracket ``[lo[j], hi[j]]``. The objective
-    ``f`` must accept an array of shape ``(n_rows, k)`` whose row ``j`` holds
-    candidate points for bracket ``j``, and return values of the same shape.
-    It is called several times per scan, on column blocks of at most
-    ``_SCAN_BLOCK_POINTS`` points (one column when ``n_rows`` is larger).
-
-    A family of ``m`` objectives maps shared ``(n_rows, k)`` points (scan,
-    point 0) to ``(m, n_rows, k)`` values, and ``(m, n_rows, k)`` points,
-    objective ``i``'s at ``[i]`` (certified scan, golden section), to values
-    of that shape. Each objective keeps its own iteration count, so its
-    ``(m, n_rows)`` results are those of a call of its own, bit for bit.
-    Scan blocks after the first (sized before ``m`` is known) count ``m``
-    values per point.
+    The brackets ``[lo, hi]`` are ``(n_rows,)`` arrays, one objective's
+    rows, or ``(m, n_rows)`` arrays, ``m`` objectives' rows.  The objective
+    ``f`` must accept points of shape ``lo.shape + (k,)`` whose ``[..., j, :]``
+    are candidates for bracket ``[..., j]``, and return values of that
+    shape.  It is called several times per scan, on column blocks of at
+    most ``_SCAN_BLOCK_POINTS`` points (one column when there are more
+    brackets).  Each objective keeps its own golden-section iteration count,
+    so its results are those of a call of its own at the same ``tol``, bit
+    for bit.
 
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
@@ -141,19 +138,20 @@ def minimize_on_grid(
     f:
         Vectorized objective, shape-preserving as described above.
     lo, hi:
-        Bracket endpoints, one pair per row, with ``lo < hi`` elementwise.
+        Bracket endpoints, ``(n_rows,)`` or ``(m, n_rows)``, with
+        ``lo < hi`` elementwise.
     tol:
-        Absolute bracket-width target; defaults to 1e-9 scaled by the bracket
-        magnitude.
+        Absolute bracket-width target; defaults to 1e-9 scaled by the largest
+        bracket end of all rows.
     coarse_n:
         Number of coarse-scan points per row (>= 3).
 
     Returns
     -------
     (argmin, min_value, evaluations):
-        Arrays of shape ``(n_rows,)`` (``(m, n_rows)`` for a family) and the
-        number of objective values computed (only those evaluated, so a
-        certified scan counts fewer than ``coarse_n`` per row).
+        Arrays of the brackets' shape and the number of objective values
+        computed (only those evaluated, so a certified scan counts fewer
+        than ``coarse_n`` per row).
 
     Raises
     ------
@@ -164,8 +162,8 @@ def minimize_on_grid(
     """
     lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_arr = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo_arr.shape != hi_arr.shape or lo_arr.ndim != 1 or lo_arr.size == 0:
-        raise ValueError("lo and hi must be non-empty 1-D arrays of equal length")
+    if lo_arr.shape != hi_arr.shape or lo_arr.ndim > 2 or lo_arr.size == 0:
+        raise ValueError("lo and hi must be non-empty 1-D or 2-D arrays of equal shape")
     if not (np.isfinite(lo_arr).all() and np.isfinite(hi_arr).all()):
         raise ValueError("brackets must be finite")
     if not (lo_arr < hi_arr).all():
@@ -177,24 +175,29 @@ def minimize_on_grid(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    n_rows = lo_arr.shape[0]
+    # One row per (objective, bracket), objective-major.
+    shape, n_rows = lo_arr.shape, lo_arr.shape[-1]
+    lo_arr, hi_arr = lo_arr.reshape(-1), hi_arr.reshape(-1)
+    rows = np.arange(lo_arr.size)
     evaluations = 0
-    family: tuple[int, ...] | None = None  # (m,) when f carries m objectives
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        nonlocal evaluations, family
-        values = np.asarray(f(points), dtype=float)
-        if family is None:  # the first call shows whether f is a family
-            family = values.shape[:1] if values.ndim == 3 and len(values) else ()
-        if values.shape != family + points.shape[-2:]:
+    def evaluate(points: np.ndarray, live=True) -> np.ndarray:
+        """Values at ``(rows, k)`` points; rows not ``live`` (True while every
+        objective still runs) at their best point instead."""
+        nonlocal evaluations
+        if live is not True:
+            points = np.where(live[:, None], points, best_x[:, None])
+        given = points.reshape(shape + (-1,))
+        values = np.asarray(f(given), dtype=float)
+        if values.shape != given.shape:
             raise ValueError(
-                f"objective returned shape {values.shape} for input shape {points.shape}"
+                f"objective returned shape {values.shape} for input shape {given.shape}"
             )
+        values = values.reshape(points.shape)
         if np.isnan(values).any():
-            at = tuple(np.argwhere(np.isnan(values))[0])
-            x = np.broadcast_to(points, values.shape)[at]
-            row = f"objective {at[0]}, bracket row {at[1]}" if family else f"bracket row {at[0]}"
-            raise ArithmeticError(f"objective returned NaN at x={x!r} ({row})")
+            row, col = np.argwhere(np.isnan(values))[0]
+            at = "objective {}, bracket row {}".format(*divmod(row, n_rows))
+            raise ArithmeticError(f"objective returned NaN at x={points[row, col]!r} ({at})")
         evaluations += values.size
         return values
 
@@ -203,64 +206,27 @@ def minimize_on_grid(
     fractions = np.linspace(0.0, 1.0, coarse_n)
     width = hi_arr - lo_arr
 
-    def inner_points(cols: np.ndarray, at=None) -> np.ndarray:
-        """``lo + (hi - lo) * fraction`` of rows ``at`` (all brackets if None)
-        in columns ``cols`` (broadcast per row), which may round off the
-        bracket ends in the end columns; rows are objective-major: row ``r``
-        has bracket ``r % n_rows``."""
-        at = slice(None) if at is None else at % n_rows
-        points = width[at, None] * fractions[cols]
-        points += lo_arr[at, None]
+    def scan_points(cols: np.ndarray) -> np.ndarray:
+        """``lo + (hi - lo) * fraction`` of each row in columns ``cols``
+        (shared, or one row per row), with the exact bracket ends in columns
+        0 and ``last``."""
+        points = width[:, None] * fractions[cols]
+        points += lo_arr[:, None]
+        if cols.min() == 0:  # a region round holds no end column: no masks
+            np.copyto(points, lo_arr[:, None], where=cols == 0)
+        if cols.max() == last:
+            np.copyto(points, hi_arr[:, None], where=cols == last)
         return points
 
-    def scan_points(cols: np.ndarray, at=None) -> np.ndarray:
-        """:func:`inner_points` with the exact bracket ends in columns 0 and
-        ``last``; a 1-D ``cols`` is ascending, so only its ends can hold them."""
-        points = inner_points(cols, at)
-        at = slice(None) if at is None else at % n_rows
-        if cols.ndim == 1:
-            if cols[0] == 0:
-                points[:, 0] = lo_arr[at]
-            if cols[-1] == last:
-                points[:, -1] = hi_arr[at]
-            return points
-        points = np.where(cols == 0, lo_arr[at, None], points)
-        return np.where(cols == last, hi_arr[at, None], points)
-
-    stride = _SCAN_STRIDE
-    certify = getattr(f, "unimodal", False) is True and last % stride == 0
-    first_cols = np.arange(0, coarse_n, stride if certify else 1)
-    block_cols = max(1, _SCAN_BLOCK_POINTS // n_rows)
-    first = evaluate(scan_points(first_cols[:block_cols]))
-    m = family[0] if family else 1
-    scan_values = np.empty(family + (n_rows, first_cols.size))
-    scan_values[..., : first.shape[-1]] = first
-    block_cols = max(1, _SCAN_BLOCK_POINTS // (m * n_rows))
-    for start in range(first.shape[-1], first_cols.size, block_cols):
-        stop = min(start + block_cols, first_cols.size)
-        scan_values[..., start:stop] = evaluate(scan_points(first_cols[start:stop]))
-
-    # From here on there is one row per (objective, bracket), objective-major.
-    scan_values = scan_values.reshape(m * n_rows, first_cols.size)
-    rows = np.arange(m * n_rows)
-
-    def evaluate_rows(x: np.ndarray, live) -> np.ndarray:
-        """Values at ``(rows, k)`` points ``x``; frozen rows (not ``live``, which
-        is True while no objective has run its count) at their best point."""
-        points = x if live is True else np.where(live[:, None], x, best_x[:, None])
-        return evaluate(points.reshape(family + (n_rows, -1))).reshape(rows.size, -1)
-
-    def scan_rows(first_col: np.ndarray, count: int):
-        """Yield ``(cols, values)`` in column blocks: the ``count`` columns
-        from ``first_col`` of each row (none an end column) and the values."""
+    def scan(points: np.ndarray) -> np.ndarray:
+        """Values at ``(rows, k)`` points, evaluated in column blocks."""
         step = max(1, _SCAN_BLOCK_POINTS // rows.size)
-        for start in range(0, count, step):
-            cols = first_col[:, None] + np.arange(start, min(start + step, count))
-            yield cols, evaluate_rows(inner_points(cols, rows), True)
+        starts = range(0, points.shape[1], step)
+        return np.concatenate([evaluate(points[:, s : s + step]) for s in starts], axis=1)
 
-    def pick(values: np.ndarray, cols: np.ndarray):
-        """Column and value of each row's least scan point among ``values`` at
-        ``cols`` (shared, or one row per row), lexicographically in
+    def pick(cols: np.ndarray, points: np.ndarray, values: np.ndarray):
+        """Column, point and value of each row's least scan point, with
+        ``cols`` shared or one row per row, lexicographically in
         (value, |x|, -x), the order of ``_better``, the first among equals;
         only rows with an exact tie need more than ``argmin``."""
         pos = np.argmin(values, axis=1)
@@ -268,23 +234,26 @@ def minimize_on_grid(
         tied = values == least[:, None]
         tie_rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
         if tie_rows.size:
-            tie_cols = cols if cols.ndim == 1 else cols[tie_rows]
-            tied, points = tied[tie_rows], scan_points(tie_cols, tie_rows)
-            magnitude = np.abs(points)
+            tied, tie_points = tied[tie_rows], points[tie_rows]
+            magnitude = np.abs(tie_points)
             smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
             tied &= magnitude == smallest[:, None]
-            largest = np.max(np.where(tied, points, -np.inf), axis=1)
-            pos[tie_rows] = np.argmax(tied & (points == largest[:, None]), axis=1)
-        return (cols[pos] if cols.ndim == 1 else cols[rows, pos]), least
+            largest = np.max(np.where(tied, tie_points, -np.inf), axis=1)
+            pos[tie_rows] = np.argmax(tied & (tie_points == largest[:, None]), axis=1)
+        return np.broadcast_to(cols, values.shape)[rows, pos], points[rows, pos], least
 
-    best_col, best_f = pick(scan_values, first_cols)
+    stride = _SCAN_STRIDE
+    certify = getattr(f, "unimodal", False) is True and last % stride == 0
+    first_cols = np.arange(0, coarse_n, stride if certify else 1)
+    points = scan_points(first_cols)
+    scan_values = scan(points)
+    best_col, best_x, best_f = pick(first_cols, points, scan_values)
     if certify:
         # A region of whole strides from the sparse pick grows by one stride
         # per round on a side whose edge does not yet certify; the running
         # pick over every value evaluated is the pick on the region, since
         # every other column lies above its least value.
         low = high = best_col // stride  # region edges, sparse index
-        best_x = scan_points(best_col[:, None], rows)[:, 0]
         while True:
             left = (low > 0) & ~_certified(scan_values[rows, low], best_f)
             right = (high < first_cols.size - 1) & ~_certified(scan_values[rows, high], best_f)
@@ -294,24 +263,24 @@ def minimize_on_grid(
             # The stride each growing row adds; rows that are done take stride 0.
             gap = np.where(left, low - 1, np.where(right, high, 0))
             low, high = low - left, high + (right & ~left)
-            for cols, values in scan_rows(stride * gap + 1, stride - 1):
-                col, f_new = pick(values, cols)
-                x_new = inner_points(col[:, None], rows)[:, 0]
-                take = grow & (
-                    _better(f_new, x_new, best_f, best_x)
-                    | ((f_new == best_f) & (x_new == best_x) & (col < best_col))
-                )
-                best_col = np.where(take, col, best_col)
-                best_f = np.where(take, f_new, best_f)
-                best_x = np.where(take, x_new, best_x)
+            cols = stride * gap[:, None] + np.arange(1, stride)
+            points = scan_points(cols)
+            col, x_new, f_new = pick(cols, points, scan(points))
+            take = grow & (
+                _better(f_new, x_new, best_f, best_x)
+                | ((f_new == best_f) & (x_new == best_x) & (col < best_col))
+            )
+            best_col = np.where(take, col, best_col)
+            best_f = np.where(take, f_new, best_f)
+            best_x = np.where(take, x_new, best_x)
     # The best coarse point and its neighbours, which bracket the refinement.
     neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, last)
-    a, best_x, b = scan_points(neighbours, rows).T
+    a, best_x, b = scan_points(neighbours).T
     # Evaluate 0 wherever the bracket spans it (duplicate lo elsewhere; harmless).
     spans_zero = (lo_arr < 0.0) & (hi_arr > 0.0)
     if spans_zero.any():
-        zero_col = np.where(spans_zero, 0.0, lo_arr)[rows % n_rows]
-        zero_values = evaluate(zero_col[:n_rows, None]).reshape(-1)
+        zero_col = np.where(spans_zero, 0.0, lo_arr)
+        zero_values = evaluate(zero_col[:, None])[:, 0]
         take = _better(zero_values, zero_col, best_f, best_x)
         best_x = np.where(take, zero_col, best_x)
         best_f = np.where(take, zero_values, best_f)
@@ -321,7 +290,7 @@ def minimize_on_grid(
     n_iters = [
         min(_MAX_GOLDEN_ITERATIONS, math.ceil(math.log(w / tol) / -math.log(_INV_PHI)))
         if w > tol else 0
-        for w in (b - a).reshape(m, n_rows).max(axis=1).tolist()
+        for w in (b - a).reshape(-1, n_rows).max(axis=1).tolist()
     ]
     counts = np.repeat(n_iters, n_rows)
 
@@ -329,7 +298,7 @@ def minimize_on_grid(
         live = True if min(n_iters) > 0 else counts > 0
         x1 = b - _INV_PHI * (b - a)
         x2 = a + _INV_PHI * (b - a)
-        inner = evaluate_rows(np.stack([x1, x2], axis=1), live)
+        inner = evaluate(np.stack([x1, x2], axis=1), live)
         f1, f2 = inner[:, 0].copy(), inner[:, 1].copy()
         for x_pt, f_pt in ((x1, f1), (x2, f2)):
             take = live & _better(f_pt, x_pt, best_f, best_x)
@@ -345,7 +314,7 @@ def minimize_on_grid(
             f_keep = np.where(take_left, f1, f2)
             span = b - a
             x_new = np.where(take_left, b - _INV_PHI * span, a + _INV_PHI * span)
-            f_new = evaluate_rows(x_new[:, None], live)[:, 0]
+            f_new = evaluate(x_new[:, None], live)[:, 0]
             x1 = np.where(take_left, x_new, x_keep)
             f1 = np.where(take_left, f_new, f_keep)
             x2 = np.where(take_left, x_keep, x_new)
@@ -354,7 +323,7 @@ def minimize_on_grid(
             best_x = np.where(take, x_new, best_x)
             best_f = np.where(take, f_new, best_f)
 
-    return best_x.reshape(family + (n_rows,)), best_f.reshape(family + (n_rows,)), evaluations
+    return best_x.reshape(shape), best_f.reshape(shape), evaluations
 
 
 def _uniform_grid(horizon: float, n_intervals: int) -> np.ndarray:

@@ -28,13 +28,13 @@ and :func:`value_report`, which are kept for outside callers.
 :func:`solve_contracts` solves a batch on one grid, each distinct rate
 problem once and bit for bit as alone, and each distinct params' reservation
 once.  A problem's base is every field that :func:`hbar` and the brackets
-read (not r_p or sigma_circ), and each base is one objective family, one
-``minimize_on_grid`` call that scans :func:`hbar` once for all members: the
-``new`` contracts on the base are its member with no charge (values
-:func:`hbar` itself), and each distinct non-zero classical common-noise
-charge (:func:`_classical_charge`) another; a classical contract without
-common noise (charge zero) is the uncharged member.  The rates are declared
-unimodal, so the scan is certified from a few of its columns.
+read (not r_p or sigma_circ), and its charge the ``(c_a, c_p)`` of the
+common-noise exposure that the rate adds to :func:`hbar`
+(:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
+contract, which is ``(0, 0)`` without common noise, and ``(0, 0)`` for
+``new``, which keeps :func:`hbar`'s bits.  Each base is one ``minimize_on_grid`` call with a row
+of brackets per distinct charge.  The rates are declared unimodal, so the
+scan is certified from a few of its columns.
 """
 
 from __future__ import annotations
@@ -109,6 +109,13 @@ def _effective_params(principal: str, params: ModelParams) -> ModelParams:
     return params
 
 
+def _check_real(name: str, arr: np.ndarray) -> None:
+    """Reject a schedule field that is not finite real numbers (complex,
+    strings, objects, NaN or infinities) with a ValueError naming it."""
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite real numbers")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PaymentSchedule:
     """Payment rates for one contract offer, one per node of :attr:`grid`: the
@@ -129,8 +136,7 @@ class PaymentSchedule:
             arr = getattr(self, name)
             if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.shape != self.z.shape:
                 raise ValueError(f"{name} must be a 1-D numpy array, one entry per node")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
+            _check_real(name, arr)
         _uniform_grid(self.horizon, self.n_intervals)  # raises on a bad grid
 
     @property
@@ -155,6 +161,7 @@ class EffortSchedule:
             arr = getattr(self, name)
             if not isinstance(arr, np.ndarray) or arr.ndim != 2 or arr.shape != self.alpha.shape:
                 raise ValueError(f"{name} must be a (nodes, d) numpy array, alpha's shape")
+            _check_real(name, arr)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,11 +277,11 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
 
 
 def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
-    """Minimize a family of rates at every time node at once: per entry of
-    ``charges``, :func:`hbar` itself for ``None`` (the ``new`` rate, no
-    charge added, which must come first) or :func:`hbar` plus the
-    common-noise charge of a :func:`_classical_charge` pair (a classical
-    rate).  Returns ``(argmins, minima)`` with a leading objective axis.
+    """Minimize, at every time node at once, :func:`hbar` plus the
+    common-noise charge of each ``(c_a, c_p)`` pair of ``charges``: a
+    :func:`_classical_charge` for a classical rate, ``(0, 0)`` for the
+    ``new`` rate (hbar + 0.0, with hbar's bits).  Returns ``(argmins,
+    minima)`` with a leading objective axis.
 
     Every rate is declared :func:`unimodal`: its derivative in ``z``
     increases on the bracket (that of ``f0`` is the best-response variance,
@@ -282,22 +289,15 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
     eta >= 1), and it is a sum of non-negative terms, so its values carry a
     few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
+    shape = (len(charges),) + lo.shape
     t_col = t_nodes[:, None]
-    plain = int(charges[0] is None)
-    charge = np.asarray(charges[plain:], dtype=float).reshape(-1, 2).T[:, :, None, None]
+    charge = np.asarray(charges, dtype=float).T[:, :, None, None]
 
     @unimodal
     def f(points: np.ndarray) -> np.ndarray:
-        values = hbar(t_col, points, params)
-        if points.ndim == 3:  # objective i's points at [i]
-            values[plain:] += _common_noise_charge(t_col, points[plain:], params, charge)
-            return values
-        family = np.empty((len(charges),) + values.shape)
-        family[:plain] = values
-        np.add(values, _common_noise_charge(t_col, points, params, charge), out=family[plain:])
-        return family
+        return hbar(t_col, points, params) + _common_noise_charge(t_col, points, params, charge)
 
-    z_star, minima, _ = minimize_on_grid(f, lo, hi)
+    z_star, minima, _ = minimize_on_grid(f, np.broadcast_to(lo, shape), np.broadcast_to(hi, shape))
     return z_star, minima
 
 
@@ -342,7 +342,10 @@ def _m_rate(
 
 def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     """Solve ``(kind, principal, params)`` contracts on one grid, each distinct
-    rate problem once (module docstring), bit for bit as :func:`solve_contract`."""
+    rate problem once (module docstring), bit for bit as :func:`solve_contract`.
+
+    Raises ``ParameterError`` naming delta, horizon and a_max, which bound
+    the rates, where the solve overflows float64."""
     requests = list(requests)
     problems, families = [], {}
     for kind, principal, params in requests:
@@ -352,24 +355,28 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
         if kind != "first_best":
             p_eff = _effective_params(principal, params)
             base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
-            charge = None if kind == "new" else _classical_charge(p_eff)
-            if charge == (0.0, 0.0):  # hbar + 0: the new member's bits
-                charge = None
+            charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
             families.setdefault(base, {})[charge] = None
             problem = base, charge
         problems.append(problem)
 
-    rates = {}
-    for base, members in families.items():
-        charges = sorted(members, key=lambda charge: charge is not None)  # new first
-        z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, charges)
-        rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(charges))
     distinct = dict.fromkeys(params for _, _, params in requests)
     reservations = {params: reservation(params, grid) for params in distinct}
-    return [
-        _solution(kind, principal, params, grid, rates.get(problem), reservations[params])
-        for (kind, principal, params), problem in zip(requests, problems)
-    ]
+    rates = {}
+    try:
+        with np.errstate(over="raise"):
+            for base, members in families.items():
+                z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, list(members))
+                rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(members))
+            return [
+                _solution(kind, principal, params, grid, rates.get(problem), reservations[params])
+                for (kind, principal, params), problem in zip(requests, problems)
+            ]
+    except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's
+        raise ParameterError(
+            ["delta, horizon, a_max: the contract overflows float64; |delta| * "
+             "horizon and a_max bound its payment rates"]
+        ) from exc
 
 
 def solve_contract(

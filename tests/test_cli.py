@@ -684,6 +684,25 @@ class TestMainExitCodes:
         assert "r_p" in failures_from(capsys.readouterr().err)[0]["detail"]
         assert not out.exists()
 
+    def test_overflowing_rates_exit_two(self, tmp_path, capsys):
+        # |delta| T = 5.5e200 and a_max = 1e300 overflowed z^2 in the rate
+        # solve: a RuntimeWarning on stderr, then exit 2 with "inputs must be
+        # finite".  The reservation does not read delta.
+        path = write_config(tmp_path, {"delta": "-1e200", "a_max": "1e300"})
+        args = ["--config", str(path), "--out", str(tmp_path / "out"), "--grid", "8"]
+        for command in ("schedule", "first-best", "simulate"):
+            assert main([command] + args) == 2
+            detail = failures_from(capsys.readouterr().err)[0]["detail"]
+            assert detail.startswith("delta, horizon, a_max: ")
+        assert main(["reservation"] + args) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "mfdr", "compare"] + args,
+            capture_output=True, text=True, check=False,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("{")  # no warning before the report
+        assert failures_from(result.stderr)[0]["detail"].startswith("delta, horizon, a_max: ")
+
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n", encoding="utf-8")

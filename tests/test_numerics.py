@@ -198,6 +198,8 @@ class TestMinimizeScalar:
             minimize_one(f, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError, match="non-empty"):
             minimize_on_grid(f, [], [], tol=1e-3)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            minimize_on_grid(f, np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -292,7 +294,7 @@ class TestMinimizeOnGrid:
     def test_rate_solve_matches_one_shot(self, objective):
         params = calibrated_defaults()
         t = numerics._uniform_grid(params.horizon, 1024)
-        charge = None if objective is hbar else _classical_charge(params)
+        charge = (0.0, 0.0) if objective is hbar else _classical_charge(params)
         (z_star,), (minima,) = _minimize_rate(t, params, [charge])
         lo, hi = _brackets(t, params)
         expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
@@ -313,12 +315,10 @@ class TestMinimizeOnGrid:
 
 
 def family_of(objectives):
-    """One family objective made of single-objective callables: shared
-    ``(n, k)`` points go to every objective, ``(m, n, k)`` points row-wise."""
+    """The objective of 2-D brackets made of single-objective callables:
+    ``(m, n, k)`` points, objective ``i``'s at ``[i]``."""
 
     def f(points):
-        if points.ndim == 2:
-            return np.stack([g(points) for g in objectives])
         return np.stack([g(p) for g, p in zip(objectives, points)])
 
     return f
@@ -340,26 +340,31 @@ def golden_iterations(f, lo, hi):
 
 
 class TestObjectiveFamilies:
-    """A family call gives each objective the bits of a call of its own."""
+    """2-D brackets give each objective the bits of a call of its own."""
 
-    def assert_family_matches_alone(self, objectives, lo, hi, **kwargs):
+    def assert_family_matches_alone(self, objectives, lo, hi, tol=None):
+        """``lo`` and ``hi``: ``(m, n)`` brackets, or ``(n,)`` ones shared.
+        Each objective alone gets the call's tol, whose default scales with
+        every objective's brackets."""
+        lo, hi = (np.broadcast_to(b, (len(objectives), np.shape(b)[-1])) for b in (lo, hi))
         sizes = []
         family = family_of(objectives)
 
         def spy(points):
-            values = family(points)
-            if points.ndim == 2:
-                sizes.append(values.size)
-            return values
+            assert points.shape[:-1] == lo.shape
+            sizes.append(points.size)
+            return family(points)
 
-        argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, **kwargs)
-        assert argmin.shape == minima.shape == (len(objectives), len(lo))
+        argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, tol=tol)
+        assert argmin.shape == minima.shape == lo.shape
+        tol = numerics._default_tol(lo, hi) if tol is None else tol
         for i, g in enumerate(objectives):
-            alone = minimize_on_grid(g, lo, hi, **kwargs)
+            alone = minimize_on_grid(g, lo[i], hi[i], tol=tol)
             assert bits(argmin[i], minima[i]) == bits(*alone[:2])
-        # Scan blocks after the first hold at most the budget of values.
-        assert max(sizes[1:]) <= numerics._SCAN_BLOCK_POINTS
-        assert evaluations >= len(objectives) * len(lo) * 256
+        # Every call, scan block or not, holds at most the budget of values.
+        assert max(sizes) <= numerics._SCAN_BLOCK_POINTS
+        assert sum(sizes) == evaluations
+        assert evaluations >= lo.size * 256
 
     @pytest.mark.parametrize("n_rows", [3, 64, 1025])
     @pytest.mark.parametrize("tol", [None, 1e-3, 1e3])
@@ -368,28 +373,31 @@ class TestObjectiveFamilies:
         # spans 0.  The last two objectives' best coarse point is the bracket
         # edge, so their sub-bracket is half as wide and they need fewer
         # golden-section iterations than the others; more would move the
-        # last one's minimum, which lies inside its first scan step.
+        # last one's minimum, which lies inside its first scan step.  The
+        # objectives share one row of brackets, then each has a row of its own.
         rng = np.random.default_rng(n_rows)
         center = np.round(rng.uniform(-3.0, 3.0, n_rows), 2)[:, None]
-        lo = -np.round(rng.uniform(-1.0, 4.0, n_rows), 3)
-        hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
-        lo[::3], hi[::3] = -2.0, 2.0
-        near_lo = (lo + 0.3 * (hi - lo) / 255.0)[:, None]
-        objectives = [
-            lambda x: np.floor(4.0 * (x - center) * (x - center)),
-            lambda x: np.abs(x - center) * 3.0 + 0.25 * x * x,
-            lambda x: np.round(2.0 * np.abs(x)),
-            lambda x: (x * x - 1.0) * (x * x - 1.0),
-            lambda x: 2.0 * x,
-            lambda x: (x - near_lo) ** 2,
-        ]
-        if tol is None:
-            counts = {golden_iterations(g, lo, hi) for g in objectives}
-            assert len(counts) > 1
-        self.assert_family_matches_alone(objectives, lo, hi, tol=tol)
+        for bracket_rows in (1, 6):
+            lo = -np.round(rng.uniform(-1.0, 4.0, (bracket_rows, n_rows)), 3)
+            hi = lo + np.round(rng.uniform(0.5, 6.0, lo.shape), 3)
+            lo[:, ::3], hi[:, ::3] = -2.0, 2.0
+            lo, hi = np.broadcast_to(lo, (6, n_rows)), np.broadcast_to(hi, (6, n_rows))
+            near_lo = (lo[5] + 0.3 * (hi[5] - lo[5]) / 255.0)[:, None]
+            objectives = [
+                lambda x: np.floor(4.0 * (x - center) * (x - center)),
+                lambda x: np.abs(x - center) * 3.0 + 0.25 * x * x,
+                lambda x: np.round(2.0 * np.abs(x)),
+                lambda x: (x * x - 1.0) * (x * x - 1.0),
+                lambda x: 2.0 * x,
+                lambda x, near_lo=near_lo: (x - near_lo) ** 2,
+            ]
+            if tol is None:
+                counts = {golden_iterations(g, *b) for g, *b in zip(objectives, lo, hi)}
+                assert len(counts) > 1
+            self.assert_family_matches_alone(objectives, lo, hi, tol=tol)
 
     def test_one_objective_family(self):
-        lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 0.5])
+        lo, hi = np.array([[-1.0, -2.0]]), np.array([[1.0, 0.5]])
         self.assert_family_matches_alone([lambda x: (x - 0.3) ** 2], lo, hi)
 
     def test_rate_kinds_with_different_iteration_counts(self):
@@ -411,15 +419,15 @@ class TestObjectiveFamilies:
             out[1][points[1] > 0.9] = np.nan
             return out
 
-        def family(points):
-            return bad(np.stack([points, points]) if points.ndim == 2 else points)
-
+        lo, hi = np.full((2, 2), -1.0), np.array([[0.5, 1.0]] * 2)
         with pytest.raises(ArithmeticError, match=r"objective 1, bracket row 1\)"):
-            minimize_on_grid(family, [-1.0, -1.0], [0.5, 1.0])
+            minimize_on_grid(bad, lo, hi)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             minimize_on_grid(lambda p: np.empty((0,) + p.shape), [0.0], [1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            minimize_on_grid(lambda p: p, np.empty((0, 1)), np.empty((0, 1)))
 
 
 CAL = calibrated_defaults()
@@ -456,7 +464,7 @@ def solve_rate_family(params, grid):
 
     t = numerics._uniform_grid(params.horizon, grid)
     with mock.patch.object(principal, "minimize_on_grid", spy):
-        _minimize_rate(t, params, [None, _classical_charge(params)])
+        _minimize_rate(t, params, [(0.0, 0.0), _classical_charge(params)])
     (call,) = calls
     return call
 
@@ -497,7 +505,9 @@ class TestCertifiedScan:
         f, lo, hi, (argmin, minima, _) = solve_rate_family(RATE_CASES[case], grid)
         assert f.unimodal is True
         for i in range(2):  # the new member, then the classical one
-            expected = one_shot_minimize(lambda x: f(x)[i], lo, hi)
+            expected = one_shot_minimize(
+                lambda x: f(np.broadcast_to(x, lo.shape + x.shape[-1:]))[i], lo[i], hi[i]
+            )
             assert bits(argmin[i], minima[i]) == bits(*expected[:2])
 
     @settings(max_examples=40, deadline=None)

@@ -370,15 +370,19 @@ class TestOptimalSchedule:
             (PaymentSchedule, "gamma", [-1.0] * 5),
             (EffortSchedule, "alpha", [[0.0]]),
             (EffortSchedule, "beta", np.zeros(1)),
+            (PaymentSchedule, "z", np.full(5, 1 + 0j)),
+            (PaymentSchedule, "z_mu", np.array(["a"] * 5)),
+            (EffortSchedule, "alpha", np.full((2, 1), np.nan)),
         ],
-        ids=["z-0d", "z-list", "z_mu-2d", "gamma-list", "alpha-list", "beta-1d"],
+        ids=["z-0d", "z-list", "z_mu-2d", "gamma-list", "alpha-list", "beta-1d",
+             "z-complex", "z_mu-str", "alpha-nan"],
     )
     def test_schedule_rejects_non_arrays(self, schedule, field, value):
         if schedule is PaymentSchedule:
             fields = dict(kind="new", principal="cara", horizon=1.0,
                           z=np.full(5, -1.0), z_mu=np.zeros(5), gamma=np.full(5, -1.0))
         else:
-            fields = dict(alpha=np.zeros((1, 1)), beta=np.ones((1, 1)))
+            fields = dict(alpha=np.zeros((2, 1)), beta=np.ones((2, 1)))
         fields[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
             schedule(**fields)
@@ -594,6 +598,17 @@ class TestSolveContract:
         assert np.array_equal(solution.effort.alpha, effort.alpha)
         assert np.array_equal(solution.effort.beta, effort.beta)
         assert solution.value == value_report(kind, "cara", CAL05, grid=64)
+
+    @pytest.mark.parametrize("kind", CONTRACT_KINDS)
+    def test_overflow_names_the_fields(self, kind):
+        # |delta| T = 5.5e200 overflowed z^2 in hbar (a RuntimeWarning), and
+        # the solve failed with "inputs must be finite"; first_best's
+        # delta^2 raised a bare OverflowError.  |delta| = 1e150 still solves.
+        params = dataclasses.replace(CAL05, delta=-1e200, a_max=1e300)
+        with pytest.raises(ParameterError, match="^delta, horizon, a_max: "):
+            solve_contract(kind, "risk_neutral", params, grid=8)
+        large = dataclasses.replace(CAL05, delta=-1e150)
+        assert math.isfinite(solve_contract(kind, "risk_neutral", large, grid=8).value.ce)
 
 
 class TestBatches:

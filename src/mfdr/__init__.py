@@ -62,7 +62,6 @@ from .model import (
     ParameterError,
     calibrated_defaults,
     effort_cost,
-    load_params,
     sigma_of,
     Sigma_of,
     validate,
@@ -113,7 +112,6 @@ __all__ = [
     "f0",
     "first_best_report",
     "hamiltonian_envelopes",
-    "load_params",
     "main",
     "optimal_schedule",
     "reservation",

@@ -11,14 +11,16 @@ Units are fixed throughout the package: money in pence, power in kW, time in
 hours.
 
 All parameter containers are immutable after construction and every function
-here is pure, so values can be shared freely across threads.
+here is pure, so values can be shared freely across threads.  The
+``ModelParams`` annotations are the one declaration of the parameter set: each
+field's conversion, config key and key parser are read from them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,7 +35,6 @@ __all__ = [
     "effort_cost",
     "sigma_of",
     "Sigma_of",
-    "load_params",
     "params_from_mapping",
     "read_flat_config",
     "MODEL_CONFIG_KEYS",
@@ -125,25 +126,8 @@ class ModelParams:
     kappa: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", int(self.d))
-        for name in ("rho", "lambda_", "eta", "sigma"):
-            raw = getattr(self, name)
-            if isinstance(raw, (int, float)):
-                raw = (raw,)
-            object.__setattr__(self, name, tuple(float(v) for v in raw))
-        for name in (
-            "sigma_circ",
-            "a_max",
-            "b_min",
-            "r_a",
-            "r_p",
-            "theta",
-            "horizon",
-            "x0",
-            "delta",
-            "kappa",
-        ):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, convert, _ in _KEY_FIELDS.values():
+            object.__setattr__(self, name, convert(getattr(self, name)))
 
     # ------------------------------------------------------------------
     # Derived constants
@@ -367,30 +351,6 @@ def Sigma_of(b: Sequence[float] | np.ndarray, params: ModelParams) -> float:
 # Flat-text configuration
 # ----------------------------------------------------------------------
 
-#: Config keys owned by the model, exactly the ModelParams field names (with
-#: ``lambda`` spelled without the keyword-avoiding underscore).
-MODEL_CONFIG_KEYS = (
-    "d",
-    "rho",
-    "lambda",
-    "eta",
-    "sigma",
-    "sigma_circ",
-    "a_max",
-    "b_min",
-    "r_a",
-    "r_p",
-    "theta",
-    "horizon",
-    "x0",
-    "delta",
-    "kappa",
-)
-
-_LIST_KEYS = {"rho", "lambda", "eta", "sigma"}
-_INT_KEYS = {"d"}
-
-
 def read_flat_config(path: str | Path) -> dict[str, str]:
     """Read a flat ``key = value`` text file into an ordered mapping.
 
@@ -445,6 +405,24 @@ def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, piece) for piece in items)
 
 
+def _float_tuple(raw: object) -> tuple[float, ...]:
+    return tuple(float(v) for v in ((raw,) if isinstance(raw, (int, float)) else raw))
+
+
+#: Config key -> (ModelParams field, converter, parser), in field order, each
+#: chosen once from the field's annotation (``__post_init__`` runs on every
+#: ``replace``); ``lambda`` is spelled without the keyword-avoiding underscore.
+_KINDS = {
+    "int": (int, _parse_int),
+    "float": (float, _parse_float),
+    "tuple[float, ...]": (_float_tuple, _parse_float_list),
+}
+_KEY_FIELDS = {f.name.rstrip("_"): (f.name, *_KINDS[f.type]) for f in fields(ModelParams)}
+
+#: Config keys owned by the model, exactly the ModelParams field names.
+MODEL_CONFIG_KEYS = tuple(_KEY_FIELDS)
+
+
 def params_from_mapping(
     mapping: Mapping[str, str], base: ModelParams | None = None
 ) -> ModelParams:
@@ -462,21 +440,7 @@ def params_from_mapping(
         )
     updates: dict[str, object] = {}
     for key, raw in mapping.items():
-        field = "lambda_" if key == "lambda" else key
-        if key in _INT_KEYS:
-            updates[field] = _parse_int(key, raw)
-        elif key in _LIST_KEYS:
-            updates[field] = _parse_float_list(key, raw)
-        else:
-            updates[field] = _parse_float(key, raw)
+        name, _, parse = _KEY_FIELDS[key]
+        updates[name] = parse(key, raw)
     return validate(replace(params, **updates))
 
-
-def load_params(path: str | Path) -> ModelParams:
-    """Load validated ModelParams from a flat-text config file.
-
-    The file may specify any subset of the parameter keys; unspecified values
-    fall back to :func:`calibrated_defaults`. Keys outside the parameter set
-    are errors (run-level configuration belongs to the command-line layer).
-    """
-    return params_from_mapping(read_flat_config(path))

@@ -196,11 +196,12 @@ class ComparisonReport:
 
     ``delta_alpha`` is ``None`` when neither contract induces any drift
     effort (then a relative effort change is not applicable); the same for
-    ``delta_beta`` when there is no variance at all to manage.
+    ``delta_beta`` when there is no variance at all to manage, and for
+    ``rel_delta_v`` when ``1 + v0`` of the own-meter contract is zero.
     """
 
     delta_v: float
-    rel_delta_v: float
+    rel_delta_v: float | None
     delta_alpha: float | None
     delta_beta: float | None
 
@@ -495,9 +496,11 @@ def _first_best(params: ModelParams, solution: ContractSolution) -> FirstBestRep
     u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
     fb_constant = -math.log(-res.r0) / params.r_a
     if solution.value.principal == "cara":
-        v_rbar = -math.exp(-params.r_bar * u_fb)
+        # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
+        # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
+        # is huge and would amplify the rounding of the ratio.
         power = 1.0 + params.r_p / params.r_a
-        tilt = (v_rbar / res.r0) ** power
+        tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
         v_fb = res.r0 * tilt
         lagrange_rho = (params.r_p / params.r_a) * tilt
         ce_fb = u_fb - res.xi0
@@ -520,7 +523,7 @@ def compare(params: ModelParams, grid: int = 1024) -> ComparisonReport:
     * ``delta_v`` — value gain per unit of principal risk aversion
       (pence-scaled for cara; plain pence difference when ``r_p = 0``);
     * ``rel_delta_v`` — gain relative to ``1 + v0`` of the own-meter
-      contract;
+      contract (``None`` when that is zero);
     * ``delta_alpha`` — relative increase of time-integrated consumption
       reduction (``None`` when neither contract induces any);
     * ``delta_beta`` — relative decrease of time-integrated deviation
@@ -553,7 +556,8 @@ def _comparison(params: ModelParams, new: ContractSolution, cls: ContractSolutio
         delta_v = gain / params.r_p
     else:
         delta_v = gain
-    rel_delta_v = gain / (1.0 + cls.value.v0)
+    rel_base = 1.0 + cls.value.v0
+    rel_delta_v = None if rel_base == 0.0 else gain / rel_base
 
     def integral(values: np.ndarray) -> float:
         return integrate_samples(values, 0.0, params.horizon)

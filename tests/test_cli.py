@@ -404,6 +404,21 @@ class TestCompareCommand:
         checks = [item["check"] for item in failures_from(capsys.readouterr().err)]
         assert checks == ["gain_nonnegative", "relative_gain_nonnegative"]
 
+    def test_gain_may_fall_with_share(self, tmp_path, capsys):
+        # At rho = 1e-11 and share 1 the own-meter contract can replicate the
+        # aggregate-indexed one, so the gain falls towards 0 as the share
+        # grows; it stays >= 0, and no check may fail on it.
+        path = write_config(tmp_path, {"rho": "1e-11"})
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out),
+                     "--grid", "16"]) == 0
+        assert "failures" not in capsys.readouterr().err
+        r_p = column(out / "compare.csv", "r_p")
+        delta_v = column(out / "compare.csv", "delta_v")
+        calibrated = delta_v[np.isclose(r_p, 6e-3)]
+        assert np.all(delta_v >= 0.0)
+        assert np.any(np.diff(calibrated) < 0.0)
+
     def test_restricted_sweep_from_config(self, tmp_path):
         path = write_config(tmp_path, {"sweep_rp": "6e-3",
                                        "sweep_share": "0, 0.5"})
@@ -529,6 +544,14 @@ class TestFirstBestCommand:
         benchmark = first_best_report(calibrated_defaults(), 1024)
         assert float(rows[0][0]) == pytest.approx(benchmark.v_fb, rel=1e-11)
         assert float(rows[0][0]) >= float(rows[0][4])
+
+    def test_dominates_at_tiny_agent_risk_aversion(self, tmp_path):
+        path = write_config(tmp_path, {
+            "eta": "13.64606177902855", "a_max": "0.0002971847182932693",
+            "r_a": "1.677147759480995e-11", "delta": "-0.21393257785695774",
+        })
+        assert main(["first-best", "--config", str(path), "--grid", "16",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_risk_neutral_dispatch(self, tmp_path):
         out = tmp_path / "out"
@@ -660,6 +683,21 @@ class TestMainExitCodes:
         assert key in failures[0]["detail"]
         assert repr(value) in failures[0]["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--rp", "-1e-3", "r_p"), ("--dt", "-1e-7", "dt")]
+    )
+    def test_negative_exponent_value_reaches_its_parser(
+        self, tmp_path, capsys, flag, value, key
+    ):
+        # argparse alone takes "-1e-3" for a flag and exits with its usage.
+        assert main(["compare", "--out", str(tmp_path / "out"), "--grid", "8",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "usage:" not in captured.err + captured.out
+        failures = failures_from(captured.err)
+        assert [item["check"] for item in failures] == ["invalid_configuration"]
+        assert key in failures[0]["detail"]
 
     def test_odd_grid_exits_two(self, tmp_path, capsys):
         assert main(["schedule", "--out", str(tmp_path / "out"),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from mfdr.model import (
     CALIBRATED_TOTAL_STD,
+    MODEL_CONFIG_KEYS,
     ModelParams,
     ParameterError,
     Sigma_of,
     calibrated_defaults,
     effort_cost,
-    load_params,
     params_from_mapping,
     read_flat_config,
     sigma_of,
@@ -287,7 +287,7 @@ class TestConfigIO:
             "delta = -55.44\n"
             "kappa = 11.76\n"
         )
-        p = load_params(path)
+        p = params_from_mapping(read_flat_config(path))
         assert p.lambda_ == (2.8e-2,)
         assert p.delta == -55.44
         assert p.a_max == 609.84
@@ -295,7 +295,7 @@ class TestConfigIO:
     def test_partial_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text("r_p = 0.0\ntheta = 0.01\n")
-        p = load_params(path)
+        p = params_from_mapping(read_flat_config(path))
         base = calibrated_defaults()
         assert p.r_p == 0.0
         assert p.theta == 0.01
@@ -306,19 +306,19 @@ class TestConfigIO:
         path = tmp_path / "model.cfg"
         path.write_text("horizon = 5.5\nbogus_key = 1\n")
         with pytest.raises(ParameterError, match="bogus_key"):
-            load_params(path)
+            params_from_mapping(read_flat_config(path))
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text("theta = 1e-3\ntheta = 2e-3\n")
         with pytest.raises(ParameterError):
-            load_params(path)
+            params_from_mapping(read_flat_config(path))
 
     def test_bad_number_rejected(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text("theta = not-a-number\n")
         with pytest.raises(ParameterError, match="theta"):
-            load_params(path)
+            params_from_mapping(read_flat_config(path))
 
     def test_vector_keys_parse_comma_lists(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -329,7 +329,7 @@ class TestConfigIO:
             "eta = 1.0, 2.0\n"
             "sigma = 0.03, 0.04\n"
         )
-        p = load_params(path)
+        p = params_from_mapping(read_flat_config(path))
         assert p.d == 2
         assert p.rho == (1e-4, 2e-4)
         assert p.lambda_ == (0.01, 0.02)
@@ -338,7 +338,7 @@ class TestConfigIO:
         path = tmp_path / "model.cfg"
         path.write_text("b_min = 2.0\n")
         with pytest.raises(ParameterError, match="b_min"):
-            load_params(path)
+            params_from_mapping(read_flat_config(path))
 
     def test_comments_and_sections_tolerated(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -347,8 +347,24 @@ class TestConfigIO:
             "# model horizon in hours\n"
             "horizon = 4.0  ; inline note\n"
         )
-        p = load_params(path)
+        p = params_from_mapping(read_flat_config(path))
         assert p.horizon == 4.0
+
+    def test_keys_are_the_fields(self):
+        names = [f.name for f in dataclasses.fields(ModelParams)]
+        assert list(MODEL_CONFIG_KEYS) == [
+            "lambda" if name == "lambda_" else name for name in names
+        ]
+
+    def test_fields_convert_by_annotation(self):
+        p = dataclasses.replace(
+            calibrated_defaults(), d=np.int64(1), rho=1, sigma=[np.float64(0.05)],
+            horizon=np.float32(4.0),
+        )
+        assert type(p.d) is int
+        assert p.rho == (1.0,) and type(p.rho[0]) is float
+        assert p.sigma == (0.05,) and type(p.sigma[0]) is float
+        assert p.horizon == 4.0 and type(p.horizon) is float
 
     def test_mapping_api(self):
         p = params_from_mapping({"lambda": "0.05", "r_p": "0"})

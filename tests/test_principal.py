@@ -548,6 +548,19 @@ class TestFirstBest:
         strict = first_best_report(CAL05)
         assert strict.v_fb > value_report("new", "cara", CAL05).v0 + 1e-6
 
+    def test_dominates_at_tiny_agent_risk_aversion(self):
+        # power = 1 + r_p/r_a is ~3.6e8 here, and ce_fb equals the new
+        # contract's CE: a tilt taken as (v_rbar/r0)**power amplified the
+        # ratio's rounding to put v_fb 3e-10 below v0.
+        params = validate(dataclasses.replace(
+            calibrated_defaults(), eta=(13.64606177902855,),
+            a_max=0.0002971847182932693, r_a=1.677147759480995e-11,
+            delta=-0.21393257785695774,
+        ))
+        fb = first_best_report(params, grid=16)
+        v_new = value_report("new", "cara", params, 16).v0
+        assert fb.v_fb >= v_new - 1e-12 * abs(v_new)
+
     def test_lagrange_multiplier(self):
         assert first_best_report(CAL05).lagrange_rho > 0.0
         assert first_best_report(RN05).lagrange_rho == 0.0
@@ -729,6 +742,17 @@ class TestCompare:
                 assert comp.rel_delta_v >= -1e-12
                 if comp.delta_beta is not None:
                     assert comp.delta_beta >= -1e-12
+
+    def test_zero_relative_denominator_gives_none(self):
+        # No noise, no target and no quadratic-variation cost: the classical
+        # value is exactly -1, so 1 + v_cls = 0 and the relative gain does
+        # not apply.
+        params = validate(dataclasses.replace(
+            calibrated_defaults(), sigma=(0.0,), sigma_circ=0.0, delta=0.0, theta=0.0
+        ))
+        comp = compare(params, 8)
+        assert comp.delta_v == 0.0
+        assert comp.rel_delta_v is None
 
     def test_risk_neutral_rate_ordering(self):
         pay_new, _ = optimal_schedule("new", "risk_neutral", RN05)

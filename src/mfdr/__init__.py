@@ -13,8 +13,8 @@ conditional-law particle Monte Carlo.
 Modules
 -------
 model:
-    Market, preference, and cost primitives (parameters, effort costs,
-    volatility maps, calibrated defaults, config loading).
+    Market, preference, and cost primitives (parameters valid by
+    construction, effort costs, calibrated defaults, config loading).
 agent:
     Consumer best responses, Hamiltonian envelopes, the volatility-incentive
     envelope F0, and the no-contract reservation utility.
@@ -62,8 +62,6 @@ from .model import (
     ParameterError,
     calibrated_defaults,
     effort_cost,
-    sigma_of,
-    Sigma_of,
     validate,
     with_variance_share,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "ReservationReport",
     "RunConfig",
     "SimConfig",
-    "Sigma_of",
     "ValueReport",
     "best_drift_effort",
     "best_effort_cost",
@@ -115,7 +112,6 @@ __all__ = [
     "main",
     "optimal_schedule",
     "reservation",
-    "sigma_of",
     "simulate",
     "solve_contract",
     "validate",

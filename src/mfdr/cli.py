@@ -57,10 +57,8 @@ from .model import (
     _parse_float,
     _parse_float_list,
     _parse_int,
-    calibrated_defaults,
     params_from_mapping,
     read_flat_config,
-    validate,
     with_variance_share,
 )
 from .numerics import _uniform_grid
@@ -198,7 +196,7 @@ def build_run_config(
             [f"unknown config key {key!r}" for key in sorted(unknown)]
         )
     model_map = {k: v for k, v in file_map.items() if k in MODEL_CONFIG_KEYS}
-    params = params_from_mapping(model_map) if model_map else calibrated_defaults()
+    params = params_from_mapping(model_map)
 
     values: dict[str, object] = {}
     for key, (flag, parse, _, _) in _RUN_KEYS.items():
@@ -212,7 +210,7 @@ def build_run_config(
         params = with_variance_share(params, share)
     if overrides.get("rp") is not None:
         r_p = _parse_float("r_p", overrides["rp"])
-        params = validate(dataclasses.replace(params, r_p=r_p))
+        params = dataclasses.replace(params, r_p=r_p)
     sim = SimConfig(**{key: values.pop(key) for key in _SIM_KEYS if key in values})
     return RunConfig(params=params, sim=sim, **values)  # type: ignore[arg-type]
 
@@ -299,7 +297,7 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
     rows: list[dict[str, object]] = []
     cells = [(r_p, share) for r_p in config.sweep_rp for share in config.sweep_share]
     cell_params = [
-        with_variance_share(validate(dataclasses.replace(config.params, r_p=r_p)), share)
+        with_variance_share(dataclasses.replace(config.params, r_p=r_p), share)
         for r_p, share in cells
     ]
     reports = compare_cells(cell_params, grid=config.grid)
@@ -469,7 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, helptext) in _COMMANDS.items():
-        subparsers.add_parser(name, parents=[shared], help=helptext)
+        # No prefix abbreviations: every value flag argparse accepts is one
+        # that _join_values knows by its full spelling.
+        subparsers.add_parser(name, parents=[shared], help=helptext, allow_abbrev=False)
     return parser
 
 

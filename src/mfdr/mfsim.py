@@ -45,7 +45,7 @@ from .agent import (
     hamiltonian_envelopes,
     reservation,
 )
-from .model import ModelParams, ParameterError, validate
+from .model import ModelParams, ParameterError
 from .numerics import integrate_samples
 from .principal import PRINCIPAL_KINDS, PaymentSchedule, ValueReport
 
@@ -340,7 +340,6 @@ def simulate(
     pure function of ``(params, schedule, cfg)`` whose memory does not grow
     with the number of steps.
     """
-    validate(params)
     _check_grids(schedule, params)
     dt, n_steps = _resolve_steps(params, cfg)
     cost_integral, qv_integral, mean, idio_factor, common_factor = _step_law(
@@ -381,26 +380,35 @@ def simulate(
     )
 
 
-def _simpson_running_terms(
-    schedule: PaymentSchedule, params: ModelParams
-) -> float:
-    """Simpson integral of the deterministic running terms of the payment.
+def _running_rate(
+    z: np.ndarray,
+    zmu: np.ndarray,
+    gamma: np.ndarray,
+    params: ModelParams,
+    indexing: Literal["common_noise", "law"],
+) -> np.ndarray:
+    """Deterministic running terms of the payment per unit time, at rates
+    ``(z, zmu, gamma)``.
 
-    The integrand collects, per unit time, minus the drift and volatility
+    The common-noise-indexed rate collects minus the drift and volatility
     Hamiltonian envelopes (halved), the volatility-payment correction
     ``(gamma + r_a z^2) * Sigma*(gamma) / 2``, and the common-noise risk
-    loading ``r_a sigma_circ^2 (z + z_mu)^2 / 2``.
+    loading ``r_a sigma_circ^2 (z + z_mu)^2 / 2``.  The law-indexed payment
+    pays ``z_mu`` against the population's mean increments, not against
+    ``sigma_circ dW°``; it adds back their drift, ``z_mu rho_bar`` times the
+    clamped drift scale ``min(max(-z, 0), a_max)``.
     """
-    z, zmu, gamma = schedule.z, schedule.z_mu, schedule.gamma
     env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
-    f = (
+    rate = (
         -0.5 * env.h_d
         - 0.5 * env.h_v
         + 0.5 * (gamma + params.r_a * z**2) * var
         + 0.5 * params.r_a * params.sigma_circ**2 * (z + zmu) ** 2
     )
-    return integrate_samples(f, 0.0, schedule.horizon)
+    if indexing == "law":
+        rate = rate + zmu * params.rho_bar * _clamped_drift_scale(z, params)
+    return rate
 
 
 def contract_payoffs(
@@ -449,7 +457,8 @@ def contract_payoffs(
     sc = params.sigma_circ
 
     if indexing == "common_noise":
-        det = _simpson_running_terms(schedule, params)
+        rate = _running_rate(schedule.z, schedule.z_mu, schedule.gamma, params, indexing)
+        det = integrate_samples(rate, 0.0, schedule.horizon)
         payoff = (
             xi0
             + det
@@ -465,18 +474,7 @@ def contract_payoffs(
     z, zmu, gamma = _sample_schedule(
         schedule, np.arange(ensemble.n_steps), ensemble.n_steps
     )
-    env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
-    var = best_response_variance(gamma, params)
-    scale = _clamped_drift_scale(z, params)
-    det_rate = (
-        -0.5 * env.h_d
-        - 0.5 * env.h_v
-        - 0.5 * gamma * sc**2
-        + zmu * params.rho_bar * scale
-        + 0.5 * (gamma + params.r_a * z**2) * (var + sc**2)
-        + 0.5 * params.r_a * sc**2 * zmu * (zmu + 2.0 * z)
-    )
-    det = float(np.sum(det_rate) * ensemble.dt)
+    det = float(np.sum(_running_rate(z, zmu, gamma, params, indexing)) * ensemble.dt)
     loo_mean_increment = (ensemble.zmu_dsum[:, None] - ensemble.zmu_dx) / (n - 1)
     payoff = (
         xi0

@@ -10,10 +10,12 @@ correlates the whole population.
 Units are fixed throughout the package: money in pence, power in kW, time in
 hours.
 
-All parameter containers are immutable after construction and every function
-here is pure, so values can be shared freely across threads.  The
-``ModelParams`` annotations are the one declaration of the parameter set: each
-field's conversion, config key and key parser are read from them.
+Every ``ModelParams`` is valid: construction and ``dataclasses.replace`` run
+:func:`validate`, so no caller checks a model again.  Parameter containers are
+immutable and every function here is pure, so values can be shared freely
+across threads.  The ``ModelParams`` annotations are the one declaration of
+the parameter set: each field's conversion, config key and key parser are read
+from them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "calibrated_defaults",
     "with_variance_share",
     "effort_cost",
-    "sigma_of",
-    "Sigma_of",
     "params_from_mapping",
     "read_flat_config",
     "MODEL_CONFIG_KEYS",
@@ -64,7 +64,11 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All market, preference, and cost constants.
+    """All market, preference, and cost constants, valid by construction.
+
+    Building or ``dataclasses.replace``-ing one converts each field by its
+    annotation and then runs :func:`validate`, which raises
+    :class:`ParameterError` listing every violated bound.
 
     Attributes
     ----------
@@ -128,6 +132,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name, convert, _ in _KEY_FIELDS.values():
             object.__setattr__(self, name, convert(getattr(self, name)))
+        validate(self)
 
     # ------------------------------------------------------------------
     # Derived constants
@@ -154,7 +159,8 @@ def validate(params: ModelParams) -> ModelParams:
     """Check every domain invariant; return the params or raise ParameterError.
 
     All violations are collected and reported together, each naming the field
-    and the violated bound.
+    and the violated bound.  ``ModelParams.__post_init__`` calls it, so every
+    ``ModelParams`` already passes.
     """
     v: list[str] = []
     if params.d < 1:
@@ -247,7 +253,6 @@ def with_variance_share(params: ModelParams, variance_share: float) -> ModelPara
     inferred, so a single-usage model rebuilds it directly and a multi-usage
     model raises ParameterError.
     """
-    validate(params)
     share = float(variance_share)
     if not 0.0 <= share <= 1.0:
         raise ParameterError(
@@ -275,32 +280,6 @@ def with_variance_share(params: ModelParams, variance_share: float) -> ModelPara
     return replace(params, sigma=sigma, sigma_circ=sigma_circ)
 
 
-def _check_effort_domain(
-    a: np.ndarray | None, b: np.ndarray | None, params: ModelParams
-) -> list[str]:
-    problems: list[str] = []
-    if a is not None:
-        if a.shape != (params.d,):
-            problems.append(f"a: expected {params.d} entries, got {a.shape}")
-        else:
-            caps = np.asarray(params.rho) * params.a_max
-            for k in range(params.d):
-                if not 0.0 <= a[k] <= caps[k]:
-                    problems.append(
-                        f"a[{k}] = {a[k]}: must lie in [0, rho[{k}]*a_max = {caps[k]}]"
-                    )
-    if b is not None:
-        if b.shape != (params.d,):
-            problems.append(f"b: expected {params.d} entries, got {b.shape}")
-        else:
-            for k in range(params.d):
-                if not params.b_min <= b[k] <= 1.0:
-                    problems.append(
-                        f"b[{k}] = {b[k]}: must lie in [b_min = {params.b_min}, 1]"
-                    )
-    return problems
-
-
 def effort_cost(
     a: Sequence[float] | np.ndarray,
     b: Sequence[float] | np.ndarray,
@@ -316,7 +295,24 @@ def effort_cost(
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    problems = _check_effort_domain(a_arr, b_arr, params)
+    problems: list[str] = []
+    if a_arr.shape != (params.d,):
+        problems.append(f"a: expected {params.d} entries, got {a_arr.shape}")
+    else:
+        caps = np.asarray(params.rho) * params.a_max
+        for k in range(params.d):
+            if not 0.0 <= a_arr[k] <= caps[k]:
+                problems.append(
+                    f"a[{k}] = {a_arr[k]}: must lie in [0, rho[{k}]*a_max = {caps[k]}]"
+                )
+    if b_arr.shape != (params.d,):
+        problems.append(f"b: expected {params.d} entries, got {b_arr.shape}")
+    else:
+        for k in range(params.d):
+            if not params.b_min <= b_arr[k] <= 1.0:
+                problems.append(
+                    f"b[{k}] = {b_arr[k]}: must lie in [b_min = {params.b_min}, 1]"
+                )
     if problems:
         raise ParameterError(problems)
     rho = np.asarray(params.rho)
@@ -326,25 +322,6 @@ def effort_cost(
     c_alpha = float(np.sum(a_arr**2 / rho))
     c_beta = float(np.sum(sig2 / (lam * eta) * (b_arr ** (-eta) - 1.0)))
     return 0.5 * (c_alpha + c_beta)
-
-
-def sigma_of(b: Sequence[float] | np.ndarray, params: ModelParams) -> np.ndarray:
-    """Per-usage volatility vector under effort b: (sigma[k]·sqrt(b[k]))_k."""
-    b_arr = np.asarray(b, dtype=float)
-    problems = _check_effort_domain(None, b_arr, params)
-    if problems:
-        raise ParameterError(problems)
-    return np.asarray(params.sigma) * np.sqrt(b_arr)
-
-
-def Sigma_of(b: Sequence[float] | np.ndarray, params: ModelParams) -> float:
-    """Aggregate idiosyncratic variance rate under effort b: Σ_k sigma[k]²·b[k].
-
-    Monotone nondecreasing in every b[k]; ranges over
-    [b_min·Sigma_of(1), Sigma_of(1)] on the admissible box.
-    """
-    vec = sigma_of(b, params)
-    return float(np.sum(vec**2))
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +375,9 @@ def _parse_int(key: str, raw: object) -> int:
         raise ParameterError([f"{key} = {raw!r}: not an integer"]) from exc
 
 
-def _parse_float_list(key: str, raw: str) -> tuple[float, ...]:
+def _parse_float_list(key: str, raw: object) -> tuple[float, ...]:
+    if not isinstance(raw, str):
+        raise ParameterError([f"{key} = {raw!r}: not a comma-separated list"])
     items = [piece.strip() for piece in raw.split(",") if piece.strip() != ""]
     if not items:
         raise ParameterError([f"{key} = {raw!r}: empty list"])
@@ -423,16 +402,13 @@ _KEY_FIELDS = {f.name.rstrip("_"): (f.name, *_KINDS[f.type]) for f in fields(Mod
 MODEL_CONFIG_KEYS = tuple(_KEY_FIELDS)
 
 
-def params_from_mapping(
-    mapping: Mapping[str, str], base: ModelParams | None = None
-) -> ModelParams:
-    """Build validated ModelParams from flat-text key/value pairs.
+def params_from_mapping(mapping: Mapping[str, str]) -> ModelParams:
+    """Build ModelParams from flat-text key/value pairs.
 
     Keys must be ModelParams field names (``lambda`` for the volatility
-    efficiency). Missing keys keep the value from ``base`` (calibrated
-    defaults if no base is given); unknown keys are errors.
+    efficiency). Missing keys keep the calibrated defaults; unknown keys are
+    errors.
     """
-    params = base if base is not None else calibrated_defaults()
     unknown = [key for key in mapping if key not in MODEL_CONFIG_KEYS]
     if unknown:
         raise ParameterError(
@@ -442,5 +418,5 @@ def params_from_mapping(
     for key, raw in mapping.items():
         name, _, parse = _KEY_FIELDS[key]
         updates[name] = parse(key, raw)
-    return validate(replace(params, **updates))
+    return replace(calibrated_defaults(), **updates)
 

@@ -286,9 +286,9 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
 
     Every rate is declared :func:`unimodal`: its derivative in ``z``
     increases on the bracket (that of ``f0`` is the best-response variance,
-    continuous across its regimes, and ``model.validate`` enforces
-    eta >= 1), and it is a sum of non-negative terms, so its values carry a
-    few ulps of relative error."""
+    continuous across its regimes, and eta >= 1 holds for every
+    ``ModelParams``, which validates on construction), and it is a sum of
+    non-negative terms, so its values carry a few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
     shape = (len(charges),) + lo.shape
     t_col = t_nodes[:, None]

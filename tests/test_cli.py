@@ -699,6 +699,21 @@ class TestMainExitCodes:
         assert [item["check"] for item in failures] == ["invalid_configuration"]
         assert key in failures[0]["detail"]
 
+    @pytest.mark.parametrize("flags", [["--r", "-1e-3"], ["--gri", "8"]])
+    def test_flag_prefixes_rejected(self, tmp_path, capsys, flags):
+        # _join_values joins a negative value only to a fully spelled flag,
+        # so a prefix must be no flag at all: with prefixes, "--r -1e-3" got
+        # argparse's "expected one argument" and "--gri 8" set the grid.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--out", str(out), "--grid", "8"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+        assert main(["compare", "--out", str(out), "--grid", "8", "--rp", "-1e-3"]) == 2
+        failures = failures_from(capsys.readouterr().err)
+        assert [item["check"] for item in failures] == ["invalid_configuration"]
+        assert not out.exists()
+
     def test_odd_grid_exits_two(self, tmp_path, capsys):
         assert main(["schedule", "--out", str(tmp_path / "out"),
                      "--grid", "3"]) == 2

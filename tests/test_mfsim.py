@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mfdr.mfsim as mfsim_module
-from mfdr.agent import best_response_variance, reservation
+from mfdr.agent import best_response_variance, hamiltonian_envelopes, reservation
 from mfdr.model import ModelParams, ParameterError, calibrated_defaults, validate
 from mfdr.principal import PaymentSchedule, optimal_schedule, solve_contract
 from mfdr.mfsim import (
@@ -490,6 +490,31 @@ class TestPayoffEvaluators:
         paid, _ = optimal_schedule("new", "cara", short, grid=8)
         with pytest.raises(ValueError, match="incompatible grids.*8 intervals over 2.75 h.*under 8 over 5.5 h"):
             contract_payoffs(ens, paid, short, "cara")
+
+    @pytest.mark.parametrize("kind", ["new", "classical"])
+    @pytest.mark.parametrize("principal", ["cara", "risk_neutral"])
+    def test_law_rate_matches_seven_term_integrand(self, kind, principal):
+        # Oracle: the law evaluator's integrand as it was written out before
+        # both evaluators shared one rate function, its common-noise terms
+        # expanded and the mean-increment drift added back.
+        params, sc = CAL05, CAL05.sigma_circ
+        sched, _ = optimal_schedule(kind, principal, params, grid=1024)
+        z, zmu, gamma = sched.z, sched.z_mu, sched.gamma
+        env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
+        var = best_response_variance(gamma, params)
+        scale = np.minimum(np.maximum(-z, 0.0), params.a_max)
+        oracle = (
+            -0.5 * env.h_d
+            - 0.5 * env.h_v
+            - 0.5 * gamma * sc**2
+            + zmu * params.rho_bar * scale
+            + 0.5 * (gamma + params.r_a * z**2) * (var + sc**2)
+            + 0.5 * params.r_a * sc**2 * zmu * (zmu + 2.0 * z)
+        )
+        rate = mfsim_module._running_rate(z, zmu, gamma, params, "law")
+        np.testing.assert_allclose(rate, oracle, rtol=0.0, atol=1e-14)
+        exposure = rate - mfsim_module._running_rate(z, zmu, gamma, params, "common_noise")
+        np.testing.assert_allclose(exposure, zmu * params.rho_bar * scale, rtol=0.0, atol=1e-14)
 
     def test_law_gap_is_deterministic_without_idiosyncratic_noise(self):
         params = CAL10

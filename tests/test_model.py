@@ -13,12 +13,10 @@ from mfdr.model import (
     MODEL_CONFIG_KEYS,
     ModelParams,
     ParameterError,
-    Sigma_of,
     calibrated_defaults,
     effort_cost,
     params_from_mapping,
     read_flat_config,
-    sigma_of,
     validate,
     with_variance_share,
 )
@@ -102,9 +100,8 @@ class TestValidate:
         validate(calibrated_defaults())
 
     def test_eta_below_one_rejected(self):
-        p = dataclasses.replace(calibrated_defaults(), eta=(0.999,))
         with pytest.raises(ParameterError, match="eta"):
-            validate(p)
+            dataclasses.replace(calibrated_defaults(), eta=(0.999,))
 
     def test_eta_exactly_one_accepted(self):
         validate(dataclasses.replace(calibrated_defaults(), eta=(1.0,)))
@@ -130,9 +127,8 @@ class TestValidate:
         ],
     )
     def test_single_violations(self, field, value):
-        p = dataclasses.replace(calibrated_defaults(), **{field: value})
         with pytest.raises(ParameterError):
-            validate(p)
+            dataclasses.replace(calibrated_defaults(), **{field: value})
 
     @pytest.mark.parametrize(
         "field",
@@ -143,24 +139,44 @@ class TestValidate:
         p = calibrated_defaults()
         value = (math.inf,) if isinstance(getattr(p, field), tuple) else math.inf
         with pytest.raises(ParameterError, match="inf"):
-            validate(dataclasses.replace(p, **{field: value}))
+            dataclasses.replace(p, **{field: value})
 
     def test_vector_length_mismatch(self):
-        p = dataclasses.replace(calibrated_defaults(), rho=(1e-4, 2e-4))
         with pytest.raises(ParameterError, match="rho"):
-            validate(p)
+            dataclasses.replace(calibrated_defaults(), rho=(1e-4, 2e-4))
 
     def test_all_violations_collected(self):
-        p = dataclasses.replace(
-            calibrated_defaults(), b_min=0.0, r_a=-1.0, horizon=-2.0
-        )
         with pytest.raises(ParameterError) as excinfo:
-            validate(p)
+            dataclasses.replace(
+                calibrated_defaults(), b_min=0.0, r_a=-1.0, horizon=-2.0
+            )
         text = str(excinfo.value)
         assert "b_min" in text
         assert "r_a" in text
         assert "horizon" in text
         assert len(excinfo.value.violations) >= 3
+
+    def test_replace_cannot_build_an_invalid_model(self):
+        # No solve may price a model off its domain: compare returned
+        # delta_v = 0.954 for this one when only callers ran validate.
+        with pytest.raises(ParameterError, match=r"rho\[0\]") as excinfo:
+            dataclasses.replace(calibrated_defaults(), rho=(-9.3e-5,))
+        assert excinfo.value.violations == [
+            "rho[0] = -9.3e-05: must be finite and > 0"
+        ]
+
+    def test_constructor_validates(self):
+        fields = dataclasses.asdict(calibrated_defaults())
+        with pytest.raises(ParameterError) as excinfo:
+            ModelParams(**{**fields, "d": 2})
+        assert excinfo.value.violations == [
+            f"{name}: expected 2 entries, got 1"
+            for name in ("rho", "lambda_", "eta", "sigma")
+        ]
+
+    def test_validate_returns_its_argument(self):
+        p = calibrated_defaults()
+        assert validate(p) is p
 
     def test_frozen(self):
         p = calibrated_defaults()
@@ -234,37 +250,6 @@ class TestEffortCost:
         c_lo_b = effort_cost((a,), (lo,), p)
         c_hi_b = effort_cost((a,), (hi,), p)
         assert c_lo_b >= c_hi_b
-
-
-class TestVolatilityMaps:
-    def test_reference_values(self):
-        p = calibrated_defaults(0.5)
-        s = sigma_of((0.25,), p)
-        assert isinstance(s, np.ndarray)
-        assert s[0] == pytest.approx(p.sigma[0] * 0.5, rel=1e-15)
-        assert Sigma_of((0.25,), p) == pytest.approx(
-            p.sigma[0] ** 2 * 0.25, rel=1e-15
-        )
-
-    def test_full_retention_recovers_base_variance(self):
-        p = calibrated_defaults(0.5)
-        assert Sigma_of((1.0,), p) == pytest.approx(
-            p.sigma[0] ** 2, rel=1e-15
-        )
-
-    def test_linearity_in_retention(self):
-        p = dataclasses.replace(
-            calibrated_defaults(),
-            d=2,
-            rho=(1e-4, 2e-4),
-            lambda_=(0.01, 0.02),
-            eta=(1.0, 1.0),
-            sigma=(0.03, 0.04),
-        )
-        full = Sigma_of((1.0, 1.0), p)
-        half = Sigma_of((0.5, 0.5), p)
-        assert half == pytest.approx(0.5 * full, rel=1e-14)
-        assert full == pytest.approx(0.03**2 + 0.04**2, rel=1e-14)
 
 
 class TestConfigIO:
@@ -370,6 +355,13 @@ class TestConfigIO:
         p = params_from_mapping({"lambda": "0.05", "r_p": "0"})
         assert p.lambda_ == (0.05,)
         assert p.r_p == 0.0
+
+    @pytest.mark.parametrize("raw", [(1e-4,), 1e-4, None])
+    def test_list_key_needs_text(self, raw):
+        # A list value that is not text is a ParameterError naming the key,
+        # as for the number keys, not an AttributeError from str.split.
+        with pytest.raises(ParameterError, match=r"^rho = .*: not a comma-separated list$"):
+            params_from_mapping({"rho": raw})
 
     def test_read_flat_config_returns_raw_strings(self, tmp_path):
         path = tmp_path / "model.cfg"

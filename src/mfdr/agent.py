@@ -95,8 +95,7 @@ def f0(q, params: ModelParams):
     ``min over b of (q * Sigma(b) + c_beta(b))``, evaluated in closed form
     per usage: full retention while ``lambda_k * q <= 1``, an interior
     power-law regime above that, and a floor regime once the optimal
-    retention would fall below ``b_min``. Each entry evaluates only its own
-    regime's formula (masked ufuncs), so the power runs only on interior ones.
+    retention would fall below ``b_min`` (see :func:`_f0_kernel`).
 
     Scalar ``q`` returns a float; arrays return an array of the same shape.
 
@@ -108,11 +107,35 @@ def f0(q, params: ModelParams):
     q_arr = _as_array(q)
     if (q_arr < 0.0).any():
         raise ValueError(f"q must be nonnegative, got {np.min(q_arr)!r}")
+    total = _f0_kernel(params)(q_arr)
+    if np.ndim(q) == 0:
+        return float(total)
+    return total
+
+
+def _f0_kernel(params: ModelParams):
+    """:func:`f0` of ``params`` as a function of a price array ``q`` that it
+    does not check (finite, >= 0), with the per-usage constants computed once.
+
+    Each regime's formula runs on the whole ``q.shape + (d,)`` array, and a
+    0/1 factor of its regime selects it, which is exact: the power's input
+    is 0 outside the interior regime, so the interior formula gives the
+    finite ``-sig2 / (lambda eta)`` there, which the factor turns into
+    -0.0, and the full retention charge ``sig2 q`` is 0 outside its
+    regime.  No regime's formula can then overflow where its own entries do
+    not.  Where ``sig2 / (lambda eta)`` itself overflows (with a warning,
+    or an error under ``errstate``), the factor would make NaN of it, so
+    ``np.where`` selects instead.  The power keeps that layout, which fixes
+    the SIMD path that sets its last bits when d > 1.  The floor formula
+    runs, on its own entries only, when some entry floors.
+    """
     lam = np.asarray(params.lambda_)
     eta = np.asarray(params.eta)
     sig2 = np.asarray(params.sigma) ** 2
     b_min = params.b_min
     lam_eta = lam * eta
+    power, slope, interior_scale = eta / (1.0 + eta), 1.0 + eta, sig2 / lam_eta
+    finite_scale = np.isfinite(interior_scale).all()
 
     # At large eta * |log b_min| the floor constants pass the float range:
     # an infinite threshold floors no entry, which is exact.
@@ -120,23 +143,33 @@ def f0(q, params: ModelParams):
         floor_q = b_min ** (-(1.0 + eta))
         floor_cost = (b_min ** (-eta) - 1.0) / lam_eta
 
-    scaled = lam * q_arr[..., None]
-    full = scaled <= 1.0
-    floored = scaled > floor_q
-    interior = ~(full | floored)
-    per_usage = np.empty(scaled.shape)
-    np.multiply(sig2, q_arr[..., None], out=per_usage, where=full)
-    np.power(scaled, eta / (1.0 + eta), out=per_usage, where=interior)
-    np.multiply(1.0 + eta, per_usage, out=per_usage, where=interior)
-    np.subtract(per_usage, 1.0, out=per_usage, where=interior)
-    np.multiply(sig2 / lam_eta, per_usage, out=per_usage, where=interior)
-    np.multiply(b_min, q_arr[..., None], out=per_usage, where=floored)
-    np.add(per_usage, floor_cost, out=per_usage, where=floored)
-    np.multiply(sig2, per_usage, out=per_usage, where=floored)
-    total = np.sum(per_usage, axis=-1)
-    if np.ndim(q) == 0:
-        return float(total)
-    return total
+    def values(q: np.ndarray) -> np.ndarray:
+        q_k = q[..., None]
+        scaled = lam * q_k
+        full = scaled <= 1.0
+        floored = scaled > floor_q
+        some_floored = floored.any()
+        interior = ~(full | floored) if some_floored else ~full
+        factor = interior.astype(float)
+        per_usage = np.power(scaled * factor, power)
+        per_usage *= slope
+        per_usage -= 1.0
+        per_usage *= interior_scale
+        full_charge = full.astype(float) if some_floored else 1.0 - factor
+        full_charge *= q_k
+        full_charge *= sig2
+        if finite_scale:
+            per_usage *= factor
+            per_usage += full_charge
+        else:
+            per_usage = np.where(interior, per_usage, full_charge)
+        if some_floored:
+            np.multiply(b_min, q_k, out=per_usage, where=floored)
+            np.add(per_usage, floor_cost, out=per_usage, where=floored)
+            np.multiply(sig2, per_usage, out=per_usage, where=floored)
+        return np.sum(per_usage, axis=-1)
+
+    return values
 
 
 def best_response_variance(gamma, params: ModelParams):

@@ -213,24 +213,20 @@ def calibrated_defaults(variance_share: float = 0.5) -> ModelParams:
     Defaults that the calibration study leaves open: a_max = 2·|delta|·horizon
     (keeps the drift cap slack on the whole calibrated range), b_min = 0.01
     (never binds at calibrated rates), x0 = 0.
+
+    The split is :func:`with_variance_share` of the even split, so both
+    routes give the same bits at every share.
     """
-    share = float(variance_share)
-    if not 0.0 <= share <= 1.0:
-        raise ParameterError(
-            [f"variance_share = {share}: must lie in [0, 1]"]
-        )
     horizon = 5.5
     delta = -55.44
-    total_var = CALIBRATED_TOTAL_STD**2
-    sigma = math.sqrt((1.0 - share) * total_var)
-    sigma_circ = math.sqrt(share * total_var)
-    return ModelParams(
+    half_std = math.sqrt(0.5 * CALIBRATED_TOTAL_STD**2)
+    even = ModelParams(
         d=1,
         rho=(9.3e-5,),
         lambda_=(2.8e-2,),
         eta=(1.0,),
-        sigma=(sigma,),
-        sigma_circ=sigma_circ,
+        sigma=(half_std,),
+        sigma_circ=half_std,
         a_max=2.0 * abs(delta) * horizon,
         b_min=0.01,
         r_a=5.7e-3,
@@ -241,6 +237,7 @@ def calibrated_defaults(variance_share: float = 0.5) -> ModelParams:
         delta=delta,
         kappa=11.76,
     )
+    return with_variance_share(even, variance_share)
 
 
 def with_variance_share(params: ModelParams, variance_share: float) -> ModelParams:

@@ -13,10 +13,12 @@ refinement on a whole family of brackets at once (one per time node, which
 is what the schedule builders use; a single bracket is a one-row call). Its
 scan runs in cache-sized column blocks, calling the objective several times.
 A 2-D array of brackets holds a row per objective, each solved bit for bit
-as alone; the objective always gets points of the brackets' shape plus one
-axis of candidates.  An objective declared :func:`unimodal` gets a
-certified scan: it evaluates only the columns its coarse argmin depends on,
-with the same results.
+as alone.  An undeclared objective always gets points of the brackets' shape
+plus one axis of candidates.  An objective declared :func:`unimodal` takes
+the rows protocol instead: it gets ``(points, rows)``, the candidates of
+only the flat bracket rows that still need a value, and its scan is
+certified: it evaluates only the columns its coarse argmin depends on, with
+the same results.
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -50,8 +52,10 @@ _SCAN_STRIDE = 15
 _CERTIFICATE_MARGIN = 2.0**-40
 
 #: Most points per objective call of the blocked coarse scan: each float64
-#: temporary stays within 128 KiB, which the allocator reuses without page faults.
-_SCAN_BLOCK_POINTS = 16384
+#: temporary stays within 64 KiB, so a call's temporaries together stay
+#: below the size at which the allocator returns freed memory to the system
+#: and has to fault it in again on the next call.
+_SCAN_BLOCK_POINTS = 8192
 
 
 def _default_tol(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -60,18 +64,18 @@ def _default_tol(lo: np.ndarray, hi: np.ndarray) -> float:
     return 1e-9 * (1.0 + scale)
 
 
-def _better(
-    f_new: np.ndarray, x_new: np.ndarray, f_best: np.ndarray, x_best: np.ndarray
-) -> np.ndarray:
+def _better(f_new: np.ndarray, x_new, f_best: np.ndarray, x_best: np.ndarray) -> np.ndarray:
     """Deterministic comparison: lower value wins; exact ties go to the point
-    with smaller magnitude, then to the larger (rightmost) point."""
-    return (f_new < f_best) | (
-        (f_new == f_best)
-        & (
+    with smaller magnitude, then to the larger (rightmost) point.  The points
+    are compared only when some value ties."""
+    better = f_new < f_best
+    tied = f_new == f_best
+    if tied.any():
+        better |= tied & (
             (np.abs(x_new) < np.abs(x_best))
             | ((np.abs(x_new) == np.abs(x_best)) & (x_new > x_best))
         )
-    )
+    return better
 
 
 def _certified(edge: np.ndarray, least: np.ndarray) -> np.ndarray:
@@ -81,7 +85,7 @@ def _certified(edge: np.ndarray, least: np.ndarray) -> np.ndarray:
         return edge - least > _CERTIFICATE_MARGIN * (np.abs(edge) + np.abs(least))
 
 
-def unimodal(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+def unimodal(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
     """Declare ``f`` unimodal for :func:`minimize_on_grid` and return it.
 
     The declaration promises that, on every bracket, the objective is
@@ -89,13 +93,16 @@ def unimodal(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np
     value's) and that each computed value is within a few ulps of the exact
     one, as for a sum of non-negative terms.  Its scan may then certify the
     coarse argmin from a few columns (see :func:`minimize_on_grid`).
+
+    It also states that ``f`` takes the rows protocol: ``f(points, rows)``
+    with ``(r, k)`` points for the ``(r,)`` flat bracket rows ``rows``.
     """
     f.unimodal = True
     return f
 
 
 def minimize_on_grid(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     lo: Sequence[float] | np.ndarray,
     hi: Sequence[float] | np.ndarray,
     tol: float | None = None,
@@ -104,14 +111,25 @@ def minimize_on_grid(
     """Minimize bracketed scalar objectives, one bracket per row, at once.
 
     The brackets ``[lo, hi]`` are ``(n_rows,)`` arrays, one objective's
-    rows, or ``(m, n_rows)`` arrays, ``m`` objectives' rows.  The objective
-    ``f`` must accept points of shape ``lo.shape + (k,)`` whose ``[..., j, :]``
-    are candidates for bracket ``[..., j]``, and return values of that
-    shape.  It is called several times per scan, on column blocks of at
+    rows, or ``(m, n_rows)`` arrays, ``m`` objectives' rows.  Each objective
+    keeps its own golden-section iteration count, so its results are those
+    of a call of its own at the same ``tol``, bit for bit.
+
+    The objective ``f`` is called several times, on column blocks of at
     most ``_SCAN_BLOCK_POINTS`` points (one column when there are more
-    brackets).  Each objective keeps its own golden-section iteration count,
-    so its results are those of a call of its own at the same ``tol``, bit
-    for bit.
+    rows): the scan, the point 0, the refinement's two inner points, then
+    one column per golden-section iteration.  How it is called depends on
+    its declaration:
+
+    * undeclared: ``f(points)`` with points of shape ``lo.shape + (k,)``
+      whose ``[..., j, :]`` are candidates for bracket ``[..., j]``,
+      returning values of that shape.  Every call holds every row; a row
+      that needs no value then is given its best point so far;
+    * declared with :func:`unimodal`: ``f(points, rows)`` with points of
+      shape ``(r, k)`` and ``rows`` the ``(r,)`` increasing flat indices, in the
+      objective-major order of ``lo.reshape(-1)``, of the brackets they
+      are candidates for, returning values of shape ``(r, k)``.  Only rows
+      that still need a value are asked for one.
 
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
@@ -128,15 +146,17 @@ def minimize_on_grid(
     values keep it growing, at most to the full scan.  Once both edges
     certify, unimodality puts every column outside the region strictly above
     that least value, so the pick on the region is the pick on the full
-    scan, and the results are the full scan's, bit for bit.  An interior
-    argmin off a plateau costs 18 + 28 values per row instead of 256 (at the
-    default ``coarse_n``); every round evaluates one stride on every row, so
-    rows that are done spend theirs on the first stride, for nothing.
+    scan, and the results are the full scan's, bit for bit.  A round
+    evaluates only the rows whose region grows: an interior argmin off a
+    plateau costs 18 + 28 values per row instead of 256 (at the default
+    ``coarse_n``), and a row on a plateau costs no other row anything.
+    Golden-section iterations likewise evaluate only the rows of objectives
+    that still iterate.
 
     Parameters
     ----------
     f:
-        Vectorized objective, shape-preserving as described above.
+        Vectorized objective, called as described above.
     lo, hi:
         Bracket endpoints, ``(n_rows,)`` or ``(m, n_rows)``, with
         ``lo < hi`` elementwise.
@@ -178,27 +198,36 @@ def minimize_on_grid(
     # One row per (objective, bracket), objective-major.
     shape, n_rows = lo_arr.shape, lo_arr.shape[-1]
     lo_arr, hi_arr = lo_arr.reshape(-1), hi_arr.reshape(-1)
-    rows = np.arange(lo_arr.size)
+    every = np.arange(lo_arr.size)
+    declared = getattr(f, "unimodal", False) is True
     evaluations = 0
 
-    def evaluate(points: np.ndarray, live=True) -> np.ndarray:
-        """Values at ``(rows, k)`` points; rows not ``live`` (True while every
-        objective still runs) at their best point instead."""
+    def evaluate(points: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
+        """Values at ``(rows.size, k)`` points of the flat bracket rows ``rows``."""
         nonlocal evaluations
-        if live is not True:
-            points = np.where(live[:, None], points, best_x[:, None])
-        given = points.reshape(shape + (-1,))
-        values = np.asarray(f(given), dtype=float)
+        partial = rows.size != every.size
+        given = points
+        if declared:
+            values = np.asarray(f(points, rows), dtype=float)
+        else:  # every row, the others at their best points
+            if partial:
+                given = np.repeat(best_x[:, None], points.shape[1], axis=1)
+                given[rows] = points
+            given = given.reshape(shape + (-1,))
+            values = np.asarray(f(given), dtype=float)
         if values.shape != given.shape:
             raise ValueError(
                 f"objective returned shape {values.shape} for input shape {given.shape}"
             )
-        values = values.reshape(points.shape)
-        if np.isnan(values).any():
-            row, col = np.argwhere(np.isnan(values))[0]
-            at = "objective {}, bracket row {}".format(*divmod(row, n_rows))
-            raise ArithmeticError(f"objective returned NaN at x={points[row, col]!r} ({at})")
         evaluations += values.size
+        if not declared:
+            values = values.reshape(every.size, -1)
+            if partial:
+                values = values[rows]
+        if math.isnan(values.min()):  # the least value is NaN if any is
+            row, col = np.argwhere(np.isnan(values))[0]
+            at = "objective {}, bracket row {}".format(*divmod(rows[row], n_rows))
+            raise ArithmeticError(f"objective returned NaN at x={points[row, col]!r} ({at})")
         return values
 
     # Coarse scan on a uniform grid with exact endpoints, in column blocks.
@@ -206,84 +235,100 @@ def minimize_on_grid(
     fractions = np.linspace(0.0, 1.0, coarse_n)
     width = hi_arr - lo_arr
 
-    def scan_points(cols: np.ndarray) -> np.ndarray:
-        """``lo + (hi - lo) * fraction`` of each row in columns ``cols``
-        (shared, or one row per row), with the exact bracket ends in columns
-        0 and ``last``."""
-        points = width[:, None] * fractions[cols]
-        points += lo_arr[:, None]
-        if cols.min() == 0:  # a region round holds no end column: no masks
-            np.copyto(points, lo_arr[:, None], where=cols == 0)
-        if cols.max() == last:
-            np.copyto(points, hi_arr[:, None], where=cols == last)
+    def scan_points(frac: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
+        """``lo + (hi - lo) * frac`` of each of ``rows``, with ``frac`` shared
+        or one row per row (the bracket ends are set by the caller)."""
+        sel = slice(None) if rows.size == every.size else rows
+        points = width[sel, None] * frac
+        points += lo_arr[sel, None]
         return points
 
-    def scan(points: np.ndarray) -> np.ndarray:
-        """Values at ``(rows, k)`` points, evaluated in column blocks."""
+    def scan(points: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
+        """Values at ``(rows.size, k)`` points, evaluated in column blocks."""
         step = max(1, _SCAN_BLOCK_POINTS // rows.size)
+        if step >= points.shape[1]:
+            return evaluate(points, rows)
         starts = range(0, points.shape[1], step)
-        return np.concatenate([evaluate(points[:, s : s + step]) for s in starts], axis=1)
+        return np.concatenate([evaluate(points[:, s : s + step], rows) for s in starts], axis=1)
 
-    def pick(cols: np.ndarray, points: np.ndarray, values: np.ndarray):
-        """Column, point and value of each row's least scan point, with
-        ``cols`` shared or one row per row, lexicographically in
-        (value, |x|, -x), the order of ``_better``, the first among equals;
-        only rows with an exact tie need more than ``argmin``."""
+    def pick(points: np.ndarray, values: np.ndarray):
+        """Position, point and value of each row's least scan point,
+        lexicographically in (value, |x|, -x), the order of ``_better``, the
+        first among equals; only rows with an exact tie need more than
+        ``argmin``, and only a call with more least values than rows has one."""
+        index = np.arange(values.shape[0])
         pos = np.argmin(values, axis=1)
-        least = values[rows, pos]
+        least = values[index, pos]
         tied = values == least[:, None]
-        tie_rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
-        if tie_rows.size:
+        if np.count_nonzero(tied) > index.size:
+            tie_rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
             tied, tie_points = tied[tie_rows], points[tie_rows]
             magnitude = np.abs(tie_points)
             smallest = np.min(np.where(tied, magnitude, np.inf), axis=1)
             tied &= magnitude == smallest[:, None]
             largest = np.max(np.where(tied, tie_points, -np.inf), axis=1)
             pos[tie_rows] = np.argmax(tied & (tie_points == largest[:, None]), axis=1)
-        return np.broadcast_to(cols, values.shape)[rows, pos], points[rows, pos], least
+        return pos, points[index, pos], least
 
     stride = _SCAN_STRIDE
-    certify = getattr(f, "unimodal", False) is True and last % stride == 0
-    first_cols = np.arange(0, coarse_n, stride if certify else 1)
-    points = scan_points(first_cols)
+    certify = declared and last % stride == 0
+    first_cols = np.arange(0, coarse_n, stride if certify else 1)  # from 0 to last
+    points = scan_points(fractions[first_cols])
+    points[:, 0], points[:, -1] = lo_arr, hi_arr
     scan_values = scan(points)
-    best_col, best_x, best_f = pick(first_cols, points, scan_values)
+    pos, best_x, best_f = pick(points, scan_values)
+    best_col = first_cols[pos]
     if certify:
         # A region of whole strides from the sparse pick grows by one stride
         # per round on a side whose edge does not yet certify; the running
         # pick over every value evaluated is the pick on the region, since
-        # every other column lies above its least value.
-        low = high = best_col // stride  # region edges, sparse index
+        # every other column lies above its least value.  A row whose region
+        # stops growing never grows again: its edges and least value stay.
+        gap_fractions = fractions[:last].reshape(-1, stride)[:, 1:]  # (gaps, stride - 1)
+        low = best_col // stride  # region edges, sparse index
+        high = low.copy()
+        active = every
         while True:
-            left = (low > 0) & ~_certified(scan_values[rows, low], best_f)
-            right = (high < first_cols.size - 1) & ~_certified(scan_values[rows, high], best_f)
-            grow = left | right
-            if not grow.any():
-                break
-            # The stride each growing row adds; rows that are done take stride 0.
-            gap = np.where(left, low - 1, np.where(right, high, 0))
-            low, high = low - left, high + (right & ~left)
-            cols = stride * gap[:, None] + np.arange(1, stride)
-            points = scan_points(cols)
-            col, x_new, f_new = pick(cols, points, scan(points))
-            take = grow & (
-                _better(f_new, x_new, best_f, best_x)
-                | ((f_new == best_f) & (x_new == best_x) & (col < best_col))
+            low_edge, high_edge, least = low[active], high[active], best_f[active]
+            left = (low_edge > 0) & ~_certified(scan_values[active, low_edge], least)
+            right = (high_edge < first_cols.size - 1) & ~_certified(
+                scan_values[active, high_edge], least
             )
-            best_col = np.where(take, col, best_col)
-            best_f = np.where(take, f_new, best_f)
-            best_x = np.where(take, x_new, best_x)
+            grow = left | right
+            if not grow.all():
+                active, low_edge, high_edge, left, right = (
+                    v[grow] for v in (active, low_edge, high_edge, left, right)
+                )
+                if not active.size:
+                    break
+            # The stride each growing row adds, on its left side first.
+            gap = np.where(left, low_edge - 1, high_edge)
+            low[active] = low_edge - left
+            high[active] = high_edge + (right & ~left)
+            points = scan_points(gap_fractions[gap], active)
+            pos, x_new, f_new = pick(points, scan(points, active))
+            col = stride * gap + 1 + pos
+            f_old, x_old, col_old = best_f[active], best_x[active], best_col[active]
+            take = _better(f_new, x_new, f_old, x_old) | (
+                (f_new == f_old) & (x_new == x_old) & (col < col_old)
+            )
+            best_col[active] = np.where(take, col, col_old)
+            best_f[active] = np.where(take, f_new, f_old)
+            best_x[active] = np.where(take, x_new, x_old)
     # The best coarse point and its neighbours, which bracket the refinement.
     neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, last)
-    a, best_x, b = scan_points(neighbours).T
-    # Evaluate 0 wherever the bracket spans it (duplicate lo elsewhere; harmless).
-    spans_zero = (lo_arr < 0.0) & (hi_arr > 0.0)
-    if spans_zero.any():
-        zero_col = np.where(spans_zero, 0.0, lo_arr)
-        zero_values = evaluate(zero_col[:, None])[:, 0]
-        take = _better(zero_values, zero_col, best_f, best_x)
-        best_x = np.where(take, zero_col, best_x)
-        best_f = np.where(take, zero_values, best_f)
+    points = scan_points(fractions[neighbours])
+    np.copyto(points, lo_arr[:, None], where=neighbours == 0)
+    np.copyto(points, hi_arr[:, None], where=neighbours == last)
+    a, best_x, b = np.ascontiguousarray(points.T)
+    # Evaluate 0 wherever the bracket spans it.
+    spans_zero = np.flatnonzero((lo_arr < 0.0) & (hi_arr > 0.0))
+    if spans_zero.size:
+        zero_values = evaluate(np.zeros((spans_zero.size, 1)), spans_zero)[:, 0]
+        x_old, f_old = best_x[spans_zero], best_f[spans_zero]
+        take = _better(zero_values, 0.0, f_old, x_old)
+        best_x[spans_zero] = np.where(take, 0.0, x_old)
+        best_f[spans_zero] = np.where(take, zero_values, f_old)
 
     # Golden-section refinement of the best coarse sub-bracket, each objective
     # to the iteration count of its own widest sub-bracket.
@@ -293,35 +338,42 @@ def minimize_on_grid(
         for w in (b - a).reshape(-1, n_rows).max(axis=1).tolist()
     ]
     counts = np.repeat(n_iters, n_rows)
-
-    if max(n_iters) > 0:
-        live = True if min(n_iters) > 0 else counts > 0
-        x1 = b - _INV_PHI * (b - a)
-        x2 = a + _INV_PHI * (b - a)
-        inner = evaluate(np.stack([x1, x2], axis=1), live)
+    live = every if min(n_iters) > 0 else np.flatnonzero(counts > 0)
+    if live.size:
+        # The live rows' state, compacted whenever an objective finishes.
+        if live.size != every.size:
+            a, b = a[live], b[live]
+        step = _INV_PHI * (b - a)
+        x1, x2 = b - step, a + step
+        inner = scan(np.stack([x1, x2], axis=1), live)
         f1, f2 = inner[:, 0].copy(), inner[:, 1].copy()
+        x_best, f_best = best_x[live], best_f[live]
         for x_pt, f_pt in ((x1, f1), (x2, f2)):
-            take = live & _better(f_pt, x_pt, best_f, best_x)
-            best_x = np.where(take, x_pt, best_x)
-            best_f = np.where(take, f_pt, best_f)
+            take = _better(f_pt, x_pt, f_best, x_best)
+            x_best, f_best = np.where(take, x_pt, x_best), np.where(take, f_pt, f_best)
 
+        ends = set(n_iters)
+        left = np.empty(live.size, dtype=bool)
         for iteration in range(max(n_iters)):
-            live = True if min(n_iters) > iteration else counts > iteration
-            take_left = f1 < f2
-            a = np.where(take_left, a, x1)
-            b = np.where(take_left, x2, b)
-            x_keep = np.where(take_left, x1, x2)
-            f_keep = np.where(take_left, f1, f2)
-            span = b - a
-            x_new = np.where(take_left, b - _INV_PHI * span, a + _INV_PHI * span)
+            if iteration in ends:  # some objectives are done: drop their rows
+                best_x[live], best_f[live] = x_best, f_best
+                keep = counts[live] > iteration
+                live = live[keep]
+                a, b, x1, x2, f1, f2, x_best, f_best, left = (
+                    v[keep] for v in (a, b, x1, x2, f1, f2, x_best, f_best, left)
+                )
+            np.less(f1, f2, out=left)
+            a = np.where(left, a, x1)
+            b = np.where(left, x2, b)
+            step = _INV_PHI * (b - a)
+            x_new = np.where(left, b - step, a + step)
             f_new = evaluate(x_new[:, None], live)[:, 0]
-            x1 = np.where(take_left, x_new, x_keep)
-            f1 = np.where(take_left, f_new, f_keep)
-            x2 = np.where(take_left, x_keep, x_new)
-            f2 = np.where(take_left, f_keep, f_new)
-            take = live & _better(f_new, x_new, best_f, best_x)
-            best_x = np.where(take, x_new, best_x)
-            best_f = np.where(take, f_new, best_f)
+            # The inner point kept moves to the slot the new one does not take.
+            x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+            f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+            take = _better(f_new, x_new, f_best, x_best)
+            x_best, f_best = np.where(take, x_new, x_best), np.where(take, f_new, f_best)
+        best_x[live], best_f[live] = x_best, f_best
 
     return best_x.reshape(shape), best_f.reshape(shape), evaluations
 

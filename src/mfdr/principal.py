@@ -32,9 +32,12 @@ read (not r_p or sigma_circ), and its charge the ``(c_a, c_p)`` of the
 common-noise exposure that the rate adds to :func:`hbar`
 (:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
 contract, which is ``(0, 0)`` without common noise, and ``(0, 0)`` for
-``new``, which keeps :func:`hbar`'s bits.  Each base is one ``minimize_on_grid`` call with a row
-of brackets per distinct charge.  The rates are declared unimodal, so the
-scan is certified from a few of its columns.
+``new``, which keeps :func:`hbar`'s bits.  Each base is one
+``minimize_on_grid`` call with a row of brackets per distinct charge.  The
+rates are declared unimodal, so the scan is certified from a few of its
+columns, and each objective call computes only the bracket rows that still
+need a value, through :func:`hbar`'s formula with f0's constants computed
+once per solve (:func:`_minimize_rate`).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import numpy as np
 from .agent import (
     ReservationReport,
     _clamped_drift_scale,
+    _f0_kernel,
     best_drift_effort,
     best_response_variance,
     best_response_vol_cost,
@@ -239,14 +243,17 @@ def hbar(t, z, params: ModelParams):
     """
     t_arr = np.asarray(t, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    remaining = params.horizon - t_arr
-    exposure = f0(params.theta + params.r_a * z_arr**2, params)
-    scale = _clamped_drift_scale(z_arr, params)
-    drift_gap = params.rho_bar * (scale + params.delta * remaining) ** 2
-    total = exposure + drift_gap
+    total = _hbar_from(lambda q: f0(q, params), t_arr, z_arr, params)
     if np.ndim(t) == 0 and np.ndim(z) == 0:
         return float(total)
     return total
+
+
+def _hbar_from(f0_of, t: np.ndarray, z: np.ndarray, params: ModelParams):
+    """:func:`hbar`'s formula, with ``f0_of(q)`` the f0 of ``params``."""
+    exposure = f0_of(params.theta + params.r_a * z**2)
+    scale = _clamped_drift_scale(z, params)
+    return exposure + params.rho_bar * (scale + params.delta * (params.horizon - t)) ** 2
 
 
 def _classical_charge(params: ModelParams) -> tuple[float, float]:
@@ -284,6 +291,12 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
     ``new`` rate (hbar + 0.0, with hbar's bits).  Returns ``(argmins,
     minima)`` with a leading objective axis.
 
+    The objective is built once per solve: it holds each bracket row's
+    time node and charge, and :func:`f0`'s constants, and computes
+    :func:`hbar`'s formula (:func:`_hbar_from`) plus
+    :func:`_common_noise_charge` on the rows it is asked for, with their
+    bits.  Without a charge it adds none.
+
     Every rate is declared :func:`unimodal`: its derivative in ``z``
     increases on the bracket (that of ``f0`` is the best-response variance,
     continuous across its regimes, and eta >= 1 holds for every
@@ -291,14 +304,25 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
     non-negative terms, so its values carry a few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
     shape = (len(charges),) + lo.shape
-    t_col = t_nodes[:, None]
-    charge = np.asarray(charges, dtype=float).T[:, :, None, None]
+    t_rows = np.tile(t_nodes, len(charges))[:, None]
+    starts = np.arange(len(charges) + 1) * t_nodes.size  # each objective's first row
+    charged = [(i, charge) for i, charge in enumerate(charges) if any(charge)]
+    f0_of = _f0_kernel(params)
 
     @unimodal
-    def f(points: np.ndarray) -> np.ndarray:
-        return hbar(t_col, points, params) + _common_noise_charge(t_col, points, params, charge)
+    def rate(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        t = t_rows if rows.size == t_rows.shape[0] else t_rows[rows]
+        total = _hbar_from(f0_of, t, points, params)
+        if charged:  # rows run objective-major: one slice per objective
+            bounds = np.searchsorted(rows, starts)
+            for i, charge in charged:
+                s = slice(bounds[i], bounds[i + 1])
+                total[s] += _common_noise_charge(t[s], points[s], params, charge)
+        return total
 
-    z_star, minima, _ = minimize_on_grid(f, np.broadcast_to(lo, shape), np.broadcast_to(hi, shape))
+    z_star, minima, _ = minimize_on_grid(
+        rate, np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+    )
     return z_star, minima
 
 

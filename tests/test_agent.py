@@ -247,6 +247,15 @@ class TestF0:
         assert np.array_equal(f0(q, params), expected)
         assert f0(1e300, params) == expected[-1]
 
+    def test_interior_scale_beyond_float_range(self):
+        # sigma^2 / (lambda eta) overflows at sigma = 1, lambda = 1e-310,
+        # which validate accepts: every finite price then keeps full
+        # retention, at its finite sigma^2 q.
+        params = validate(dataclasses.replace(CAL, sigma=(1.0,), lambda_=(1e-310,)))
+        q = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 61)])
+        with np.errstate(over="ignore"):  # the constant, not any price's value
+            assert np.array_equal(f0(q, params), q)
+
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             f0(-1e-12, CAL)

@@ -17,6 +17,7 @@ from mfdr.numerics import integrate_samples, minimize_on_grid, unimodal
 from mfdr.principal import (
     _brackets,
     _classical_charge,
+    _common_noise_charge,
     _minimize_rate,
     hbar,
 )
@@ -469,9 +470,26 @@ def solve_rate_family(params, grid):
     return call
 
 
-def full_scan(f, lo, hi):
-    """``minimize_on_grid`` of ``f`` without its unimodal declaration."""
-    return minimize_on_grid(lambda points: f(points), lo, hi)
+def rate_oracle(params, grid):
+    """The family's objective from public :func:`hbar` and
+    ``_common_noise_charge``, not the solver's: ``(2, n, k)`` points, the
+    new rate's at ``[0]`` and the classical rate's at ``[1]``."""
+    t = numerics._uniform_grid(params.horizon, grid)[:, None]
+    charges = [(0.0, 0.0), _classical_charge(params)]
+
+    def f(points):
+        return np.stack([
+            hbar(t, x, params) + _common_noise_charge(t, x, params, charge)
+            for x, charge in zip(points, charges)
+        ])
+
+    return f
+
+
+def full_scan(params, grid, lo, hi):
+    """``minimize_on_grid`` of the family's oracle, which is undeclared, so
+    every column is scanned."""
+    return minimize_on_grid(rate_oracle(params, grid), lo, hi)
 
 
 @st.composite
@@ -502,58 +520,102 @@ class TestCertifiedScan:
     @pytest.mark.parametrize("grid", [1024, 256, 64])
     @pytest.mark.parametrize("case", sorted(RATE_CASES))
     def test_rate_family_matches_one_shot(self, case, grid):
-        f, lo, hi, (argmin, minima, _) = solve_rate_family(RATE_CASES[case], grid)
+        params = RATE_CASES[case]
+        f, lo, hi, (argmin, minima, _) = solve_rate_family(params, grid)
         assert f.unimodal is True
+        oracle = rate_oracle(params, grid)
         for i in range(2):  # the new member, then the classical one
             expected = one_shot_minimize(
-                lambda x: f(np.broadcast_to(x, lo.shape + x.shape[-1:]))[i], lo[i], hi[i]
+                lambda x: oracle(np.broadcast_to(x, lo.shape + x.shape[-1:]))[i], lo[i], hi[i]
             )
             assert bits(argmin[i], minima[i]) == bits(*expected[:2])
 
     @settings(max_examples=40, deadline=None)
     @given(params=rate_params())
     def test_random_rate_families_match_full_scan(self, params):
-        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 64)
-        expected = full_scan(f, lo, hi)
+        # pytest turns a RuntimeWarning (an overflow, say) into an error.
+        _, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 64)
+        expected = full_scan(params, 64, lo, hi)
         assert bits(argmin, minima) == bits(*expected[:2])
         assert evaluations <= expected[2]
 
     def test_defaults_certified_at_first_strides(self):
-        # Every row's region certifies one stride either side of its least
-        # sparse column: 18 + 28 scan values per row instead of 256, and the
-        # refinement costs what it costs after a full scan.
+        # Every row's region certifies within one stride either side of its
+        # least sparse column: 18 + 28 scan values per row instead of 256, or
+        # 18 + 14 where the first stride holds a value low enough to certify
+        # the other edge too.  Then the point 0 (every bracket spans it), the
+        # two inner points and 33 golden-section iterations, exactly.
         f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(CAL, 1024)
-        rows = argmin.size
-        expected = full_scan(f, lo, hi)
-        assert bits(argmin, minima) == bits(*expected[:2])
-        assert expected[2] - evaluations == rows * (256 - 18 - 28)
-        assert evaluations / 2 <= 100_000
+        calls = []
+
+        @unimodal
+        def spy(points, rows):
+            calls.append((points.copy(), rows.copy()))
+            return f(points, rows)
+
+        again = minimize_on_grid(spy, lo, hi)
+        assert bits(*again[:2]) == bits(argmin, minima) and again[2] == evaluations
+        assert bits(argmin, minima) == bits(*full_scan(CAL, 1024, lo, hi)[:2])
+        every = np.arange(lo.size)
+        widths = [points.shape[1] for points, _ in calls]
+        inner = len(widths) - 1 - widths[::-1].index(2)  # golden calls take one point
+        zero_points, zero_rows = calls[inner - 1]
+        assert np.array_equal(zero_rows, every) and not zero_points.any()
+        assert np.array_equal(calls[inner][1], every)
+        scanned, iterations = np.zeros(lo.size, dtype=int), np.zeros(lo.size, dtype=int)
+        for points, rows in calls[: inner - 1]:
+            scanned[rows] += points.shape[1]
+        for points, rows in calls[inner + 1 :]:
+            iterations[rows] += points.shape[1]
+        assert set(np.unique(scanned)) == {18 + 14, 18 + 28}
+        assert (iterations == 33).all()
+        assert evaluations == scanned.sum() + lo.size * (1 + 2 + 33) == 161_366
 
     def test_share_1_plateau_grows_the_region(self):
         # At share 1 the new rate is 0 on z >= 0 at t = T, an exact plateau
         # at its least value: that row's region grows past the first strides,
-        # and the call still costs no more than the full scan.
-        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(RATE_CASES["share_1"], 1024)
-        expected = full_scan(f, lo, hi)
-        assert bits(argmin, minima) == bits(*expected[:2])
-        assert expected[2] - argmin.size * (256 - 18 - 28) < evaluations <= expected[2]
+        # and only that row pays for it.
+        params = RATE_CASES["share_1"]
+        f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 1024)
+        asked = np.zeros(lo.size, dtype=int)
+
+        @unimodal
+        def spy(points, rows):
+            np.add.at(asked, rows, points.shape[1])
+            return f(points, rows)
+
+        again = minimize_on_grid(spy, lo, hi)
+        assert bits(*again[:2]) == bits(argmin, minima) and again[2] == evaluations
+        assert bits(argmin, minima) == bits(*full_scan(params, 1024, lo, hi)[:2])
+        # Scan, two strides, the point 0, two inner points, <= 33 iterations.
+        certified_early = 18 + 28 + 1 + 2 + 33
+        plateau = lo.shape[1] - 1  # the new rate's row at t = T
+        assert asked[plateau] > certified_early + 14
+        assert np.max(np.delete(asked, plateau)) <= certified_early
+        assert evaluations == asked.sum() <= 140_000
 
     @pytest.mark.parametrize("declared", [False, True])
     def test_undeclared_objective_scans_every_column(self, declared):
         # No bracket spans 0, whose extra point could be a scan point.
         lo, hi = np.array([0.1, 0.25, -3.0]), np.array([1.0, 3.0, -0.5])
-        seen = []
+        seen = [[] for _ in lo]
 
         def objective(points):
-            seen.append(points)
+            for j, row in enumerate(points):
+                seen[j].append(row)
             return (points - 0.3) ** 2
 
-        minimize_on_grid(unimodal(objective) if declared else objective, lo, hi)
+        @unimodal
+        def declared_objective(points, rows):
+            for j, row in zip(rows, points):
+                seen[j].append(row)
+            return (points - 0.3) ** 2
+
+        minimize_on_grid(declared_objective if declared else objective, lo, hi)
         scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 256)
         scan[:, 0], scan[:, -1] = lo, hi
         for j in range(len(lo)):
-            evaluated = np.concatenate([points[j] for points in seen])
-            covered = np.count_nonzero(np.isin(scan[j], evaluated))
+            covered = np.count_nonzero(np.isin(scan[j], np.concatenate(seen[j])))
             if declared:  # 18 sparse columns and two strides of 14
                 assert covered <= 18 + 28
             else:
@@ -572,17 +634,52 @@ class TestCertifiedScan:
         hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
         lo[::3], hi[::3] = -2.0, 2.0
         objectives = {
-            "valley": lambda x: np.maximum(np.abs(x - center) - 0.5, 0.0),
-            "shelf": lambda x: np.maximum(x - center, 0.0),
-            "constant": lambda x: np.full_like(x, 2.0),
-            "wall": lambda x: np.where(np.abs(x - center) > 1.0, np.inf, (x - center) * (x - center)),
-            "pit": lambda x: np.where(np.abs(x - center) < 0.5, -np.inf, np.abs(x - center)),
+            "valley": lambda x, c: np.maximum(np.abs(x - c) - 0.5, 0.0),
+            "shelf": lambda x, c: np.maximum(x - c, 0.0),
+            "constant": lambda x, c: np.full_like(x, 2.0),
+            "wall": lambda x, c: np.where(np.abs(x - c) > 1.0, np.inf, (x - c) * (x - c)),
+            "pit": lambda x, c: np.where(np.abs(x - c) < 0.5, -np.inf, np.abs(x - c)),
         }
         objective = objectives[shape]
-        result = minimize_on_grid(unimodal(lambda x: objective(x)), lo, hi, tol=tol)
-        expected = one_shot_minimize(objective, lo, hi, tol=tol)
+        declared = unimodal(lambda x, rows: objective(x, center[rows]))
+        result = minimize_on_grid(declared, lo, hi, tol=tol)
+        expected = one_shot_minimize(lambda x: objective(x, center), lo, hi, tol=tol)
         assert bits(*result[:2]) == bits(*expected[:2])
         assert result[2] <= expected[2]
+
+    def test_finished_objective_rows_get_no_values(self):
+        # Two declared objectives whose golden-section iteration counts
+        # differ: once the first is done, its rows are never asked for a
+        # value again, and each objective keeps the bits of a call of its own.
+        n = 64
+        lo, hi = np.full((2, n), -2.0), np.full((2, n), 2.0)
+        lo[1] = -1.0  # half the sub-bracket width: fewer iterations
+        center = np.linspace(-0.9, 0.9, n)
+
+        def value(points, rows):
+            return (points - center[rows % n, None]) ** 2 + rows[:, None] // n
+
+        asked = []
+
+        @unimodal
+        def spy(points, rows):
+            asked.append((points.shape[1], rows.copy()))
+            return value(points, rows)
+
+        argmin, minima, _ = minimize_on_grid(spy, lo, hi)
+        # The golden section: a call on both inner points, then one point a call.
+        start = [k for k, _ in asked].index(2)
+        golden = [rows for _, rows in asked[start + 1 :]]
+        every, longer = np.arange(2 * n), np.arange(n)  # objective 0 iterates longer
+        assert np.array_equal(asked[start][1], every)
+        assert np.array_equal(golden[0], every) and np.array_equal(golden[-1], longer)
+        assert all(np.array_equal(rows, every) or np.array_equal(rows, longer) for rows in golden)
+        tol = numerics._default_tol(lo, hi)
+        for i in range(2):
+            alone = minimize_on_grid(
+                unimodal(lambda p, rows, i=i: value(p, rows + i * n)), lo[i], hi[i], tol=tol
+            )
+            assert bits(argmin[i], minima[i]) == bits(*alone[:2])
 
 
 class TestIntegrate:

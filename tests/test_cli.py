@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -615,6 +616,81 @@ class TestReservationCommand:
         _, rows = read_table(out / "reservation_report.csv")
         assert rows[0][0] == "0"   # xi0
         assert rows[0][1] == "-1"  # r0
+
+
+def fmt_oracle(value: object) -> str:
+    """Reference text of one cell, computed cell by cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value) + 0.0, ".12g")
+
+
+def csv_oracle(columns: dict) -> bytes:
+    """What stdlib csv.writer writes from ``fmt_oracle``'s text, row by row."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    writer.writerows([fmt_oracle(v) for v in row] for row in zip(*cells, strict=True))
+    return buffer.getvalue().encode("utf-8")
+
+
+EDGE_FLOATS = np.array([
+    -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+    123456789012345.0, 0.1 + 0.2, 1.0 / 3.0, -2.5e-7, 1e300, 999999999999.5,
+])
+
+
+def writer_tables() -> dict[str, dict]:
+    """Tables of every column kind the commands hand the CSV writer."""
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-12, 13, (40, 3))
+    values[: len(EDGE_FLOATS), 1] = EDGE_FLOATS
+    mixed = [None, True, False, 3, -0.0, 0.1 + 0.2, np.float64(-0.0), np.int64(-7),
+             "participation", "a,b", 'say "hi"', "two\nlines", "", float("nan")]
+    return {
+        "edge floats": {"x": EDGE_FLOATS, "neg": -EDGE_FLOATS},
+        # values[:, k] is a strided view of a (nodes, d) array.
+        "strided views": {"t": values[:, 0], **cli._usage_columns("alpha", values)},
+        "records": {"check": mixed, "value": list(EDGE_FLOATS) + [None],
+                    "n": range(len(mixed))},
+        "arrays beside lists": {"path": range(4), "flag": [True, False, None, True],
+                                "mean": values[:4, 2], "ints": np.arange(4)},
+        "float32 array": {"a": values[:5, 0].astype(np.float32), "b": range(5)},
+        "one column": {"only": [None, "", 1.5, "x"]},
+        "no rows": {"t": np.empty(0), "name": []},
+    }
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("name", list(writer_tables()))
+    def test_matches_stdlib_csv_writer(self, tmp_path, name):
+        columns = writer_tables()[name]
+        path = cli._write_csv(tmp_path / "table.csv", columns)
+        assert path.read_bytes() == csv_oracle(columns)
+
+    def test_cell_text(self, tmp_path):
+        columns = {"x": np.array([-0.0, 0.1 + 0.2, 123456789012345.0]),
+                   "flag": [True, None, False], "n": range(3)}
+        path = cli._write_csv(tmp_path / "table.csv", columns)
+        assert path.read_bytes() == (
+            b"x,flag,n\r\n0,true,0\r\n0.3,,1\r\n1.23456789012e+14,false,2\r\n"
+        )
+
+    @pytest.mark.parametrize("columns", [
+        {"a": np.zeros(3), "b": np.zeros(2)},
+        {"a": np.zeros(3), "b": [1.0, 2.0, 3.0, 4.0]},
+        {"a": range(2), "b": ["x"]},
+    ])
+    def test_ragged_columns_raise(self, tmp_path, columns):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "table.csv", columns)
 
 
 class TestAllCommands:

@@ -6,9 +6,10 @@ deviations interact through a common weather shock. The package computes
 closed-form payment-rate schedules (on the deviation, on the population's mean
 deviation, and on the quadratic variation), the consumers' induced effort
 schedules, the principal's value functions for population-indexed and
-classical contracts plus the first-best benchmark, and the comparison metrics
-between them — and validates every closed form against an independent
-conditional-law particle Monte Carlo.
+classical contracts, the comparison metrics between them, and the
+full-information (first-best) benchmark, a report rather than a contract —
+and validates every closed form against an independent conditional-law
+particle Monte Carlo.
 
 Modules
 -------
@@ -19,8 +20,9 @@ agent:
     Consumer best responses, Hamiltonian envelopes, the volatility-incentive
     envelope F0, and the no-contract reservation utility.
 principal:
-    Optimal payment schedules, value reports, first-best benchmark, and
-    contract comparisons in the linear energy-value-discrepancy regime.
+    Optimal payment schedules and value reports of the two contract kinds,
+    their comparisons, and the first-best benchmark report, in the linear
+    energy-value-discrepancy regime.
 numerics:
     Deterministic bracketed minimization and Simpson quadrature kernels.
 mfsim:

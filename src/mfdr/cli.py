@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -65,6 +66,7 @@ from .model import (
 )
 from .numerics import _uniform_grid
 from .principal import (
+    CONTRACT_KINDS,
     PRINCIPAL_KINDS,
     _default_principal,
     _first_best,
@@ -94,8 +96,6 @@ _Z_LIMIT = 3.89
 DEFAULT_SWEEP_RP = (0.0, 3e-3, 6e-3, 1.2e-2, 3e-2)
 DEFAULT_SWEEP_SHARE = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-_SIMULATABLE_KINDS = ("new", "classical")
-
 
 def _parse_bool(key: str, raw: str | bool) -> bool:
     if isinstance(raw, bool):
@@ -116,7 +116,7 @@ _RUN_KEYS: dict[str, tuple[str | None, Callable[[str, object], object], str | No
     "variance_share": ("share", _parse_float, "F",
                        "common-noise share of the total variance, in [0, 1]"),
     "kind": ("kind", lambda key, raw: str(raw), "KIND",
-             "contract kind for simulate: " + " or ".join(_SIMULATABLE_KINDS)),
+             "contract kind for simulate: " + " or ".join(CONTRACT_KINDS)),
     "sweep_rp": (None, _parse_float_list, None, None),
     "sweep_share": (None, _parse_float_list, None, None),
     "grid": ("grid", _parse_int, "N", "schedule/quadrature grid intervals (even)"),
@@ -154,10 +154,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.kind not in _SIMULATABLE_KINDS:
-            problems.append(
-                f"kind must be one of {_SIMULATABLE_KINDS}, got {self.kind!r}"
-            )
+        if self.kind not in CONTRACT_KINDS:
+            problems.append(f"kind must be one of {CONTRACT_KINDS}, got {self.kind!r}")
         if not self.sweep_rp:
             problems.append("sweep_rp must not be empty")
         if not self.sweep_share:
@@ -402,9 +400,9 @@ def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]
     """Write the full-information benchmark and check it dominates."""
     params = config.params
     principal = _default_principal(params)
-    requests = [(kind, principal, params) for kind in ("first_best", "new")]
-    first_best, new = solve_contracts(requests, config.grid)
-    benchmark, contracted = _first_best(params, first_best), new.value
+    new = solve_contract("new", principal, params, config.grid)
+    # The benchmark reads the new contract's reservation: one per command.
+    benchmark, contracted = _first_best(params, config.grid, new.reservation), new.value
     slack = 1e-12 * abs(contracted.v0)
     dominates = benchmark.v_fb >= contracted.v0 - slack
     print(
@@ -469,6 +467,7 @@ _COMMANDS = {
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # argparse parsers keep no state between parse_args calls
 def _build_parser() -> argparse.ArgumentParser:
     # Flag values stay text: build_run_config parses and checks them like
     # file values, so a bad one exits 2 with the JSON failure list.

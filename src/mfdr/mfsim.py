@@ -437,11 +437,6 @@ def contract_payoffs(
         raise ValueError(
             f"principal_kind must be one of {PRINCIPAL_KINDS}, got {principal_kind!r}"
         )
-    if schedule.kind == "first_best":
-        raise ValueError(
-            "contract_payoffs evaluates implementable payment schedules; "
-            "the first-best benchmark is not one of them"
-        )
     if schedule.principal != principal_kind:
         raise ValueError(
             f"schedule was built for a {schedule.principal!r} principal, "

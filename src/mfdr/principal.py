@@ -3,7 +3,7 @@
 The designer quotes three payment rates over time: a performance rate ``z``
 on the consumer's own deviation, an aggregate rate ``z_mu`` on the
 population's mean deviation, and a variance rate ``gamma`` on realized
-quadratic variation.  Three contract kinds are supported:
+quadratic variation.  Two contract kinds are supported:
 
 * ``new`` — the aggregate-indexed contract: ``z`` minimizes the running
   trade-off rate :func:`hbar`, ``gamma`` tracks the induced variance
@@ -11,9 +11,11 @@ quadratic variation.  Three contract kinds are supported:
 * ``classical`` — indexation on the consumer's own meter only
   (``z_mu = 0``), with ``z`` minimizing :func:`hbar` plus the common-noise
   exposure both parties then carry through the performance rate
-  (:func:`_common_noise_charge`);
-* ``first_best`` — the full-information benchmark, quoted here through the
-  shadow rates whose best responses reproduce the first-best efforts.
+  (:func:`_common_noise_charge`).
+
+The full-information benchmark is no offer: the producer picks the efforts
+directly, and :func:`first_best_report` computes them, their running cost
+rate and their value in closed form, with no rate solve.
 
 Two principal preferences are supported: ``cara`` (exponential utility with
 risk aversion ``r_p > 0``) and ``risk_neutral`` (values in pence; also the
@@ -21,9 +23,9 @@ risk aversion ``r_p > 0``) and ``risk_neutral`` (values in pence; also the
 
 :func:`solve_contract` solves one contract once: the minima of the per-node
 rate solve give the principal's running cost rate and value, and their
-argmins the payment rates.  :func:`compare` and :func:`first_best_report`
-read from it instead of solving again, and so do :func:`optimal_schedule`
-and :func:`value_report`, which are kept for outside callers.
+argmins the payment rates.  :func:`compare` reads from it instead of solving
+again, and so do :func:`optimal_schedule` and :func:`value_report`, which
+are kept for outside callers.
 
 :func:`solve_contracts` solves a batch on one grid, each distinct rate
 problem once and bit for bit as alone, and each distinct params' reservation
@@ -42,6 +44,7 @@ once per solve (:func:`_minimize_rate`).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
@@ -81,7 +84,7 @@ __all__ = [
     "value_report",
 ]
 
-CONTRACT_KINDS = ("new", "classical", "first_best")
+CONTRACT_KINDS = ("new", "classical")
 PRINCIPAL_KINDS = ("cara", "risk_neutral")
 
 
@@ -243,10 +246,7 @@ def hbar(t, z, params: ModelParams):
     """
     t_arr = np.asarray(t, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    total = _hbar_from(lambda q: f0(q, params), t_arr, z_arr, params)
-    if np.ndim(t) == 0 and np.ndim(z) == 0:
-        return float(total)
-    return total
+    return _hbar_from(lambda q: f0(q, params), t_arr, z_arr, params)
 
 
 def _hbar_from(f0_of, t: np.ndarray, z: np.ndarray, params: ModelParams):
@@ -332,37 +332,29 @@ def _gamma_of_z(z: np.ndarray, params: ModelParams) -> np.ndarray:
     )
 
 
-def _m_rate(
-    kind: str,
-    params: ModelParams,
-    p_eff: ModelParams,
-    remaining: np.ndarray,
-    minima: np.ndarray | None,
-) -> np.ndarray:
+def _m_rate(kind, params, p_eff, remaining, minima) -> np.ndarray:
     """Principal's running cost rate at the nodes ``remaining = T - t`` from
-    the rate solve's minima there (``None`` for ``first_best``: no solve)."""
+    the rate solve's minima there."""
     sc2 = params.sigma_circ**2
     ramp_sq = params.delta**2 * remaining**2
     base = 0.5 * params.theta * sc2
-
     if kind == "new":
-        return base + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq + (
-            0.5 * minima
-        )
-    if kind == "classical":
-        return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
+        return base + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq + 0.5 * minima
+    return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
 
-    # first_best
-    scale = _clamped_drift_scale(params.delta * remaining, params)
-    damping = 0.5 * params.theta * best_response_variance(
-        -params.theta, params
-    ) + 0.5 * best_response_vol_cost(-params.theta, params)
-    return (
-        base
-        + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq
-        + 0.5 * params.rho_bar * (scale + params.delta * remaining) ** 2
-        + damping
-    )
+
+@contextlib.contextmanager
+def _overflow_guard():
+    """Raise ``ParameterError`` naming delta, horizon and a_max, which bound
+    the rates, where the enclosed computation overflows float64."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's
+        raise ParameterError(
+            ["delta, horizon, a_max: the contract overflows float64; |delta| * "
+             "horizon and a_max bound its payment rates"]
+        ) from exc
 
 
 def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
@@ -376,32 +368,23 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     for kind, principal, params in requests:
         _validate_kind(kind)
         _validate_principal(principal, params)
-        problem = None
-        if kind != "first_best":
-            p_eff = _effective_params(principal, params)
-            base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
-            charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
-            families.setdefault(base, {})[charge] = None
-            problem = base, charge
-        problems.append(problem)
+        p_eff = _effective_params(principal, params)
+        base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
+        charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
+        families.setdefault(base, {})[charge] = None
+        problems.append((base, charge))
 
     distinct = dict.fromkeys(params for _, _, params in requests)
     reservations = {params: reservation(params, grid) for params in distinct}
     rates = {}
-    try:
-        with np.errstate(over="raise"):
-            for base, members in families.items():
-                z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, list(members))
-                rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(members))
-            return [
-                _solution(kind, principal, params, grid, rates.get(problem), reservations[params])
-                for (kind, principal, params), problem in zip(requests, problems)
-            ]
-    except (FloatingPointError, OverflowError) as exc:  # numpy's, Python's
-        raise ParameterError(
-            ["delta, horizon, a_max: the contract overflows float64; |delta| * "
-             "horizon and a_max bound its payment rates"]
-        ) from exc
+    with _overflow_guard():
+        for base, members in families.items():
+            z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, list(members))
+            rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(members))
+        return [
+            _solution(kind, principal, params, grid, rates[problem], reservations[params])
+            for (kind, principal, params), problem in zip(requests, problems)
+        ]
 
 
 def solve_contract(
@@ -409,10 +392,9 @@ def solve_contract(
 ) -> ContractSolution:
     """Solve the optimal contract of ``kind`` once on a uniform grid.
 
-    One rate solve (none for ``first_best``) on the ``grid + 1`` nodes gives
-    both the payment schedule, from the per-node argmins, and the value
-    report, from the per-node minima; the efforts are the best responses to
-    the payment.  The performance and variance rates of the ``new`` kind do
+    One rate solve on the ``grid + 1`` nodes gives both the payment
+    schedule, from the per-node argmins, and the value report, from the
+    per-node minima; the efforts are the best responses to the payment.  The performance and variance rates of the ``new`` kind do
     not depend on the principal's risk aversion or on the common-noise
     level — only the aggregate rate ``z_mu`` does.
 
@@ -424,33 +406,27 @@ def solve_contract(
 
 
 def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
-    """One contract from its rate solve's ``(argmins, minima)`` (first_best:
-    None) and its params' reservation ``res``, whose arrays it copies."""
+    """One contract from its rate solve's ``(argmins, minima)`` and its
+    params' reservation ``res``, whose arrays it copies."""
     p_eff = _effective_params(principal, params)
     horizon = params.horizon
     t = _uniform_grid(horizon, grid)
     remaining = horizon - t
 
-    minima = None
-    if kind == "first_best":
-        z = -_clamped_drift_scale(params.delta * remaining, params)
-        gamma = np.full_like(t, -params.theta)
+    z, minima = rate
+    z = z.copy()  # not a view shared with another solution
+    gamma = _gamma_of_z(z, params)
+    if kind == "classical" or params.sigma_circ == 0.0:
+        # No aggregate rate for classical.  With degenerate common noise it
+        # multiplies a null process, so every choice pays the same contract;
+        # the classical representative makes the population-indexed
+        # schedule collapse onto the classical one column for column.
         z_mu = np.zeros_like(t)
+    elif principal == "cara":
+        ratio = params.r_p / (params.r_a + params.r_p)
+        z_mu = -z + ratio * params.delta * remaining
     else:
-        z, minima = rate
-        z = z.copy()  # not a view shared with another solution
-        gamma = _gamma_of_z(z, params)
-        if kind == "classical" or params.sigma_circ == 0.0:
-            # No aggregate rate for classical.  With degenerate common noise it
-            # multiplies a null process, so every choice pays the same contract;
-            # the classical representative makes the population-indexed
-            # schedule collapse onto the classical one column for column.
-            z_mu = np.zeros_like(t)
-        elif principal == "cara":
-            ratio = params.r_p / (params.r_a + params.r_p)
-            z_mu = -z + ratio * params.delta * remaining
-        else:
-            z_mu = -z
+        z_mu = -z
 
     payment = PaymentSchedule(
         kind=kind, principal=principal, horizon=horizon,
@@ -504,39 +480,63 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     """Full-information benchmark: what the principal could achieve if the
     efforts were contractible directly.
 
-    The risk-sharing value is computed through the harmonic risk aversion
+    The efforts are chosen, not induced: the drift effort follows the target
+    ramp ``delta (T - t)`` within its box and the variance retention is the
+    best response to ``gamma = -theta``.  No rate solve is run.  The
+    risk-sharing value is computed through the harmonic risk aversion
     ``r_bar`` and tilted back to the principal's preference; its certainty
     equivalent always dominates every implementable contract's.  With
     ``r_p = 0`` the report is in pence and the participation multiplier
     degenerates to zero.
+
+    Raises ``ParameterError`` naming delta, horizon and a_max where the
+    report overflows float64.
     """
-    solution = solve_contract("first_best", _default_principal(params), params, grid)
-    return _first_best(params, solution)
+    return _first_best(params, grid, reservation(params, grid))
 
 
-def _first_best(params: ModelParams, solution: ContractSolution) -> FirstBestReport:
-    """:func:`first_best_report` from the solved ``first_best`` contract."""
-    res = solution.reservation
-    u_fb = params.delta * params.horizon * params.x0 - solution.value.m_integral
-    fb_constant = -math.log(-res.r0) / params.r_a
-    if solution.value.principal == "cara":
-        # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
-        # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
-        # is huge and would amplify the rounding of the ratio.
-        power = 1.0 + params.r_p / params.r_a
-        tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
-        v_fb = res.r0 * tilt
-        lagrange_rho = (params.r_p / params.r_a) * tilt
-        ce_fb = u_fb - res.xi0
-    else:
-        v_fb = u_fb - res.xi0
-        lagrange_rho = 0.0
-        ce_fb = v_fb
+def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> FirstBestReport:
+    """:func:`first_best_report` on ``grid`` from ``params``' reservation ``res``."""
+    with _overflow_guard():
+        remaining = params.horizon - _uniform_grid(params.horizon, grid)
+        scale = _clamped_drift_scale(params.delta * remaining, params)
+        efforts = EffortSchedule(
+            alpha=best_drift_effort(-scale, params),
+            beta=best_vol_effort(np.full_like(remaining, -params.theta), params),
+        )
+        sc2 = params.sigma_circ**2
+        ramp_sq = params.delta**2 * remaining**2
+        damping = 0.5 * params.theta * best_response_variance(
+            -params.theta, params
+        ) + 0.5 * best_response_vol_cost(-params.theta, params)
+        m_rate = (
+            0.5 * params.theta * sc2
+            + 0.5 * (sc2 * params.r_bar - params.rho_bar) * ramp_sq
+            + 0.5 * params.rho_bar * (scale + params.delta * remaining) ** 2
+            + damping
+        )
+        u_fb = params.delta * params.horizon * params.x0 - integrate_samples(
+            m_rate, 0.0, params.horizon
+        )
+        fb_constant = -math.log(-res.r0) / params.r_a
+        if _default_principal(params) == "cara":
+            # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
+            # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
+            # is huge and would amplify the rounding of the ratio.
+            power = 1.0 + params.r_p / params.r_a
+            tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
+            v_fb = res.r0 * tilt
+            lagrange_rho = (params.r_p / params.r_a) * tilt
+            ce_fb = u_fb - res.xi0
+        else:
+            v_fb = u_fb - res.xi0
+            lagrange_rho = 0.0
+            ce_fb = v_fb
     return FirstBestReport(
         v_fb=v_fb,
         lagrange_rho=lagrange_rho,
         ce_fb=ce_fb,
-        efforts=solution.effort,
+        efforts=efforts,
         fb_contract_constant=fb_constant,
     )
 
@@ -625,22 +625,13 @@ def check_schedule_invariants(
     remaining = params.horizon - t
     scale_tol = 1e-10 * (1.0 + abs(params.delta) * params.horizon)
 
-    if payment.kind == "first_best":
-        if not np.allclose(payment.gamma, -params.theta, rtol=0.0, atol=1e-14):
-            problems.append("first_best variance rate must equal -theta")
-        mirror = payment.z + _clamped_drift_scale(params.delta * remaining, params)
-        if np.max(np.abs(mirror)) > scale_tol:
-            problems.append(
-                "first_best performance rate must mirror the target ramp"
-            )
-    else:
-        expected_gamma = _gamma_of_z(payment.z, params)
-        gamma_err = np.max(np.abs(payment.gamma - expected_gamma))
-        if gamma_err > 1e-12 * (1.0 + np.max(np.abs(expected_gamma))):
-            problems.append(
-                "variance rate does not track -max(theta + r_a z^2, "
-                f"1/lambda_bar); max error {gamma_err:.3e}"
-            )
+    expected_gamma = _gamma_of_z(payment.z, params)
+    gamma_err = np.max(np.abs(payment.gamma - expected_gamma))
+    if gamma_err > 1e-12 * (1.0 + np.max(np.abs(expected_gamma))):
+        problems.append(
+            "variance rate does not track -max(theta + r_a z^2, "
+            f"1/lambda_bar); max error {gamma_err:.3e}"
+        )
 
     if payment.kind == "new":
         if params.sigma_circ == 0.0:

@@ -453,12 +453,11 @@ class TestPayoffEvaluators:
             contract_payoffs(ens, sched, params, "quadratic")
 
     def test_rejects_first_best_schedule(self):
-        params = CAL05
-        sched, _ = optimal_schedule("first_best", "cara", params, grid=128)
-        ens_sched, _ = optimal_schedule("new", "cara", params, grid=128)
-        ens = simulate(params, ens_sched, SimConfig(n_particles=2, n_common=1, dt=params.horizon / 32))
-        with pytest.raises(ValueError, match="first-best"):
-            contract_payoffs(ens, sched, params, "cara")
+        # The first best is no offer, so no payment schedule can carry it.
+        sched, _ = optimal_schedule("new", "cara", CAL05, grid=128)
+        with pytest.raises(ValueError, match="kind"):
+            PaymentSchedule(kind="first_best", principal="cara", horizon=sched.horizon,
+                            z=sched.z, z_mu=sched.z_mu, gamma=sched.gamma)
 
     def test_rejects_unknown_indexing(self):
         params = CAL05

@@ -29,6 +29,7 @@ from mfdr.principal import (
     PaymentSchedule,
     _classical_charge,
     _common_noise_charge,
+    _first_best,
     check_schedule_invariants,
     compare,
     compare_cells,
@@ -202,16 +203,18 @@ def oracle_value(params, kind, principal, n_t=256, n_z=8001):
 class TestHbar:
     def test_terminal_value_at_zero_rate(self):
         expected = f0(CAL05.theta, CAL05)  # ramp is gone at t = T
-        assert hbar(CAL05.horizon, 0.0, CAL05) == pytest.approx(
-            expected, rel=1e-14
-        )
+        value = hbar(CAL05.horizon, 0.0, CAL05)
+        assert value.shape == ()  # scalars in, a 0-d array out
+        assert value == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(1.445e-5, rel=1e-12)
 
     def test_initial_value_at_zero_rate(self):
         expected = f0(CAL05.theta, CAL05) + CAL05.rho_bar * (
             CAL05.delta * CAL05.horizon
         ) ** 2
-        assert hbar(0.0, 0.0, CAL05) == pytest.approx(expected, rel=1e-14)
+        value = hbar(0.0, 0.0, CAL05)
+        assert value.shape == ()
+        assert value == pytest.approx(expected, rel=1e-14)
 
     def test_classical_dominates_plain(self):
         # The classical rate is hbar plus this charge.
@@ -242,7 +245,7 @@ class TestHbar:
         z = np.array([-100.0, 0.0, 25.0])
         vec = hbar(t, z, CAL05)
         for i in range(3):
-            assert vec[i] == hbar(float(t[i]), float(z[i]), CAL05)
+            assert hbar(float(t[i]), float(z[i]), CAL05).tobytes() == vec[i].tobytes()
 
 
 class TestOptimalSchedule:
@@ -290,7 +293,7 @@ class TestOptimalSchedule:
         assert (pay.gamma == -1.0 / params.lambda_bar).all()
 
     def test_efforts_are_best_responses(self):
-        for kind in ("new", "classical", "first_best"):
+        for kind in CONTRACT_KINDS:
             pay, eff = optimal_schedule(kind, "cara", CAL05, grid=64)
             assert np.array_equal(eff.alpha, best_drift_effort(pay.z, CAL05))
             assert np.array_equal(eff.beta, best_vol_effort(pay.gamma, CAL05))
@@ -300,16 +303,16 @@ class TestOptimalSchedule:
         assert (pay.z_mu == 0.0).all()
 
     def test_first_best_schedule_slots(self):
-        pay, eff = optimal_schedule("first_best", "cara", CAL05, grid=64)
-        remaining = CAL05.horizon - pay.grid
-        expected_z = -np.minimum(
+        # The first best is no schedule: its report holds the best responses
+        # to the mirrored target ramp and to gamma = -theta.
+        eff = first_best_report(CAL05, grid=64).efforts
+        remaining = CAL05.horizon - np.linspace(0.0, CAL05.horizon, 65)
+        mirrored_ramp = -np.minimum(
             np.maximum(-CAL05.delta * remaining, 0.0), CAL05.a_max
         )
-        assert np.array_equal(pay.z, expected_z)
-        assert (pay.gamma == -CAL05.theta).all()
-        assert (pay.z_mu == 0.0).all()
+        assert np.array_equal(eff.alpha, best_drift_effort(mirrored_ramp, CAL05))
         # Constant variance retention at the first best.
-        assert (eff.beta == eff.beta[0]).all()
+        assert (eff.beta == best_vol_effort(-CAL05.theta, CAL05)).all()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -322,7 +325,7 @@ class TestOptimalSchedule:
             optimal_schedule("new", "cara", RN05)  # r_p = 0
 
     def test_invariant_checker_passes_clean_schedules(self):
-        for kind in ("new", "classical", "first_best"):
+        for kind in CONTRACT_KINDS:
             for principal, params in (("cara", CAL05), ("risk_neutral", RN05)):
                 pay, eff = optimal_schedule(kind, principal, params, grid=64)
                 assert check_schedule_invariants(pay, eff, params) == []
@@ -592,10 +595,15 @@ class TestFirstBest:
         assert fb.v_fb >= value_report("new", "risk_neutral", RN05).v0
 
     def test_value_report_first_best_consistent(self):
-        fb = first_best_report(CAL05)
-        rep = value_report("first_best", "cara", CAL05)
-        assert rep.v0 == pytest.approx(fb.v_fb, rel=1e-12)
-        assert rep.ce == pytest.approx(fb.ce_fb, rel=1e-12)
+        # ``mfdr first-best`` builds the report on the new contract's
+        # reservation; that route gives first_best_report's bits.
+        for params, principal in ((CAL05, "cara"), (RN10, "risk_neutral")):
+            new = solve_contract("new", principal, params, grid=64)
+            routed = _first_best(params, 64, new.reservation)
+            alone = first_best_report(params, grid=64)
+            assert repr(routed.to_flat()) == repr(alone.to_flat())
+            assert routed.efforts.alpha.tobytes() == alone.efforts.alpha.tobytes()
+            assert routed.efforts.beta.tobytes() == alone.efforts.beta.tobytes()
 
 
 class TestSolveContract:
@@ -604,6 +612,10 @@ class TestSolveContract:
     )
     def test_one_rate_solve_per_contract(self, monkeypatch, kind, solves):
         tolerances = wrap_rate_solve(monkeypatch)
+        if kind == "first_best":  # a report, not a contract kind
+            first_best_report(CAL05, grid=64)
+            assert len(tolerances) == solves
+            return
         solution = solve_contract(kind, "cara", CAL05, grid=64)
         assert len(tolerances) == solves
         payment, effort = optimal_schedule(kind, "cara", CAL05, grid=64)
@@ -615,16 +627,19 @@ class TestSolveContract:
         assert np.array_equal(solution.effort.beta, effort.beta)
         assert solution.value == value_report(kind, "cara", CAL05, grid=64)
 
-    @pytest.mark.parametrize("kind", CONTRACT_KINDS)
+    @pytest.mark.parametrize("kind", [*CONTRACT_KINDS, "first_best"])
     def test_overflow_names_the_fields(self, kind):
         # |delta| T = 5.5e200 overflowed z^2 in hbar (a RuntimeWarning), and
-        # the solve failed with "inputs must be finite"; first_best's
+        # the solve failed with "inputs must be finite"; the first best's
         # delta^2 raised a bare OverflowError.  |delta| = 1e150 still solves.
-        params = dataclasses.replace(CAL05, delta=-1e200, a_max=1e300)
+        def ce(params):  # risk-neutral, in pence
+            if kind == "first_best":
+                return first_best_report(dataclasses.replace(params, r_p=0.0), grid=8).ce_fb
+            return solve_contract(kind, "risk_neutral", params, grid=8).value.ce
+
         with pytest.raises(ParameterError, match="^delta, horizon, a_max: "):
-            solve_contract(kind, "risk_neutral", params, grid=8)
-        large = dataclasses.replace(CAL05, delta=-1e150)
-        assert math.isfinite(solve_contract(kind, "risk_neutral", large, grid=8).value.ce)
+            ce(dataclasses.replace(CAL05, delta=-1e200, a_max=1e300))
+        assert math.isfinite(ce(dataclasses.replace(CAL05, delta=-1e150)))
 
 
 class TestBatches:
@@ -724,6 +739,17 @@ class TestCompare:
         assert alpha_rel < 4e-8 and beta_rel < 4e-8
         assert comp.delta_alpha == pytest.approx(DELTA_ALPHA_CAL05, rel=alpha_rel)
         assert comp.delta_beta == pytest.approx(DELTA_BETA_CAL05, rel=beta_rel)
+
+    @pytest.mark.parametrize("grid", [64, 256, 1024])
+    def test_risk_neutral_full_share_effort_gain_closed_form(self, grid):
+        # At share 1 f0 vanishes, so the new contract's drift scale is the
+        # ramp -delta (T - t) and the classical one that ramp shrunk by
+        # rho_bar / (rho_bar + r_a sigma_circ^2) at every node (a_max does
+        # not bind).  The gain is their ratio less 1 at any grid; the solve
+        # reaches it to its argmin plateau, ~1.7e-8 relative.
+        closed_form = RN10.r_a * RN10.sigma_circ**2 / RN10.rho_bar
+        assert closed_form == pytest.approx(0.44282258064516, rel=1e-13)
+        assert compare(RN10, grid).delta_alpha == pytest.approx(closed_form, rel=5e-8)
 
     def test_frozen_effort_gains_are_converged(self, monkeypatch):
         tolerances = wrap_rate_solve(monkeypatch, factor=1e-5)

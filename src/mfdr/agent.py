@@ -113,9 +113,17 @@ def f0(q, params: ModelParams):
     return total
 
 
-def _f0_kernel(params: ModelParams):
+def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
     """:func:`f0` of ``params`` as a function of a price array ``q`` that it
     does not check (finite, >= 0), with the per-usage constants computed once.
+
+    ``sig2`` replaces the squares of ``params.sigma``: a ``(d,)`` array, or
+    per-row constants of shape ``(rows, 1, d)`` for ``(rows, k)`` prices.
+    The function takes ``(q, rows=None)``: with per-row constants, ``rows``
+    (an index array) selects the rows of ``q``, all of them when None;
+    ``(d,)`` constants ignore it.  Each row's values are those of its own
+    ``sigma`` alone, bit for bit: the per-row factors enter only elementwise
+    products, and the power's input ``lambda q`` keeps its layout.
 
     Each regime's formula runs on the whole ``q.shape + (d,)`` array, and a
     0/1 factor of its regime selects it, which is exact: the power's input
@@ -125,17 +133,21 @@ def _f0_kernel(params: ModelParams):
     regime.  No regime's formula can then overflow where its own entries do
     not.  Where ``sig2 / (lambda eta)`` itself overflows (with a warning,
     or an error under ``errstate``), the factor would make NaN of it, so
-    ``np.where`` selects instead.  The power keeps that layout, which fixes
-    the SIMD path that sets its last bits when d > 1.  The floor formula
-    runs, on its own entries only, when some entry floors.
+    ``np.where`` selects instead, for every row when any row's overflows:
+    on a finite row both give the same values.  The power keeps that
+    layout, which fixes the SIMD path that sets its last bits when d > 1.
+    The floor formula runs, on its own entries only, when some entry
+    floors.
     """
     lam = np.asarray(params.lambda_)
     eta = np.asarray(params.eta)
-    sig2 = np.asarray(params.sigma) ** 2
+    if sig2 is None:
+        sig2 = np.asarray(params.sigma) ** 2
     b_min = params.b_min
     lam_eta = lam * eta
-    power, slope, interior_scale = eta / (1.0 + eta), 1.0 + eta, sig2 / lam_eta
-    finite_scale = np.isfinite(interior_scale).all()
+    power, slope, all_scales = eta / (1.0 + eta), 1.0 + eta, sig2 / lam_eta
+    finite_scale = np.isfinite(all_scales).all()
+    per_row = sig2.ndim > 1
 
     # At large eta * |log b_min| the floor constants pass the float range:
     # an infinite threshold floors no entry, which is exact.
@@ -143,7 +155,10 @@ def _f0_kernel(params: ModelParams):
         floor_q = b_min ** (-(1.0 + eta))
         floor_cost = (b_min ** (-eta) - 1.0) / lam_eta
 
-    def values(q: np.ndarray) -> np.ndarray:
+    def values(q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        s2, interior_scale = sig2, all_scales
+        if per_row and rows is not None:
+            s2, interior_scale = sig2[rows], all_scales[rows]
         q_k = q[..., None]
         scaled = lam * q_k
         full = scaled <= 1.0
@@ -157,7 +172,7 @@ def _f0_kernel(params: ModelParams):
         per_usage *= interior_scale
         full_charge = full.astype(float) if some_floored else 1.0 - factor
         full_charge *= q_k
-        full_charge *= sig2
+        full_charge *= s2
         if finite_scale:
             per_usage *= factor
             per_usage += full_charge
@@ -166,17 +181,28 @@ def _f0_kernel(params: ModelParams):
         if some_floored:
             np.multiply(b_min, q_k, out=per_usage, where=floored)
             np.add(per_usage, floor_cost, out=per_usage, where=floored)
-            np.multiply(sig2, per_usage, out=per_usage, where=floored)
+            np.multiply(s2, per_usage, out=per_usage, where=floored)
         return np.sum(per_usage, axis=-1)
 
     return values
 
 
+def _retained_variance(b: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Retained variance ``Sigma(b)`` of the retentions ``b`` (last axis d)."""
+    return np.sum(np.asarray(params.sigma) ** 2 * b, axis=-1)
+
+
+def _vol_cost(b: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Damping cost ``c_beta(b)`` of the retentions ``b`` (last axis d)."""
+    lam = np.asarray(params.lambda_)
+    eta = np.asarray(params.eta)
+    sig2 = np.asarray(params.sigma) ** 2
+    return np.sum(sig2 / (lam * eta) * (b ** (-eta) - 1.0), axis=-1)
+
+
 def best_response_variance(gamma, params: ModelParams):
     """Retained variance ``Sigma(b)`` at the optimal retention for ``gamma``."""
-    b = best_vol_effort(gamma, params)
-    sig2 = np.asarray(params.sigma) ** 2
-    total = np.sum(sig2 * b, axis=-1)
+    total = _retained_variance(best_vol_effort(gamma, params), params)
     if np.ndim(gamma) == 0:
         return float(total)
     return total
@@ -184,12 +210,7 @@ def best_response_variance(gamma, params: ModelParams):
 
 def best_response_vol_cost(gamma, params: ModelParams):
     """Damping cost ``c_beta(b)`` at the optimal retention for ``gamma``."""
-    b = best_vol_effort(gamma, params)
-    lam = np.asarray(params.lambda_)
-    eta = np.asarray(params.eta)
-    sig2 = np.asarray(params.sigma) ** 2
-    per_usage = sig2 / (lam * eta) * (b ** (-eta) - 1.0)
-    total = np.sum(per_usage, axis=-1)
+    total = _vol_cost(best_vol_effort(gamma, params), params)
     if np.ndim(gamma) == 0:
         return float(total)
     return total
@@ -288,8 +309,8 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
     t = _uniform_grid(horizon, grid_size)
     gamma0 = -params.r_a * params.kappa**2 * (horizon - t) ** 2
     beta0 = best_vol_effort(gamma0, params)
-    retained = best_response_variance(gamma0, params)
-    damping_cost = best_response_vol_cost(gamma0, params)
+    retained = _retained_variance(beta0, params)
+    damping_cost = _vol_cost(beta0, params)
     cost_rate = 0.5 * (
         damping_cost - gamma0 * retained - gamma0 * params.sigma_circ**2
     )

@@ -244,12 +244,15 @@ def minimize_on_grid(
         return points
 
     def scan(points: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
-        """Values at ``(rows.size, k)`` points, evaluated in column blocks."""
+        """Values at ``(rows.size, k)`` points, evaluated in column blocks
+        and written into one array, so no block is held twice."""
         step = max(1, _SCAN_BLOCK_POINTS // rows.size)
         if step >= points.shape[1]:
             return evaluate(points, rows)
-        starts = range(0, points.shape[1], step)
-        return np.concatenate([evaluate(points[:, s : s + step], rows) for s in starts], axis=1)
+        values = np.empty(points.shape)
+        for s in range(0, points.shape[1], step):
+            values[:, s : s + step] = evaluate(points[:, s : s + step], rows)
+        return values
 
     def pick(points: np.ndarray, values: np.ndarray):
         """Position, point and value of each row's least scan point,

@@ -29,17 +29,19 @@ are kept for outside callers.
 
 :func:`solve_contracts` solves a batch on one grid, each distinct rate
 problem once and bit for bit as alone, and each distinct params' reservation
-once.  A problem's base is every field that :func:`hbar` and the brackets
-read (not r_p or sigma_circ), and its charge the ``(c_a, c_p)`` of the
+once.  A problem is its ``sigma`` and its charge, the ``(c_a, c_p)`` of the
 common-noise exposure that the rate adds to :func:`hbar`
 (:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
 contract, which is ``(0, 0)`` without common noise, and ``(0, 0)`` for
-``new``, which keeps :func:`hbar`'s bits.  Each base is one
-``minimize_on_grid`` call with a row of brackets per distinct charge.  The
-rates are declared unimodal, so the scan is certified from a few of its
-columns, and each objective call computes only the bracket rows that still
-need a value, through :func:`hbar`'s formula with f0's constants computed
-once per solve (:func:`_minimize_rate`).
+``new``, which keeps :func:`hbar`'s bits.  Problems of one bracket shape
+(every other field that :func:`hbar` and the brackets read; not r_p,
+sigma_circ, x0 or kappa) share one ``minimize_on_grid`` call, with a row of
+brackets per problem: all 25 cells of ``mfdr compare`` are one call.  Its
+objective holds per-row ``sigma^2``, target ramp and charge, built once per
+solve (:func:`_minimize_rate`).  The rates are declared unimodal, so the
+scan is certified from a few of its columns, and each objective call
+computes only the bracket rows that still need a value, through
+:func:`hbar`'s formula with f0's constants computed once per solve.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .agent import (
     ReservationReport,
     _clamped_drift_scale,
     _f0_kernel,
+    _retained_variance,
     best_drift_effort,
     best_response_variance,
     best_response_vol_cost,
@@ -246,14 +249,16 @@ def hbar(t, z, params: ModelParams):
     """
     t_arr = np.asarray(t, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    return _hbar_from(lambda q: f0(q, params), t_arr, z_arr, params)
+    ramp = params.delta * (params.horizon - t_arr)
+    return _hbar_from(lambda q: f0(q, params), ramp, z_arr, params)
 
 
-def _hbar_from(f0_of, t: np.ndarray, z: np.ndarray, params: ModelParams):
-    """:func:`hbar`'s formula, with ``f0_of(q)`` the f0 of ``params``."""
+def _hbar_from(f0_of, ramp: np.ndarray, z: np.ndarray, params: ModelParams):
+    """:func:`hbar`'s formula at the target ramp ``ramp = delta (T - t)``,
+    with ``f0_of(q)`` the f0 of ``params``."""
     exposure = f0_of(params.theta + params.r_a * z**2)
     scale = _clamped_drift_scale(z, params)
-    return exposure + params.rho_bar * (scale + params.delta * (params.horizon - t)) ** 2
+    return exposure + params.rho_bar * (scale + ramp) ** 2
 
 
 def _classical_charge(params: ModelParams) -> tuple[float, float]:
@@ -261,11 +266,12 @@ def _classical_charge(params: ModelParams) -> tuple[float, float]:
     return params.r_a * params.sigma_circ**2, params.r_p * params.sigma_circ**2
 
 
-def _common_noise_charge(t, z, params: ModelParams, charge):
-    """What a classical contract adds to :func:`hbar` for ``charge = (c_a, c_p)``,
-    both parties' common-noise exposure: ``c_a z^2 + c_p (delta (T - t) - z)^2``."""
+def _common_noise_charge(ramp, z, charge):
+    """What a classical contract adds to :func:`hbar` for ``charge = (c_a, c_p)``
+    at the target ramp ``ramp = delta (T - t)``, both parties' common-noise
+    exposure: ``c_a z^2 + c_p (delta (T - t) - z)^2``."""
     c_a, c_p = charge
-    return c_a * z**2 + c_p * (params.delta * (params.horizon - t) - z) ** 2
+    return c_a * z**2 + c_p * (ramp - z) ** 2
 
 
 def _brackets(t_nodes: np.ndarray, params: ModelParams):
@@ -284,18 +290,31 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
     return lo, hi
 
 
-def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
-    """Minimize, at every time node at once, :func:`hbar` plus the
-    common-noise charge of each ``(c_a, c_p)`` pair of ``charges``: a
-    :func:`_classical_charge` for a classical rate, ``(0, 0)`` for the
-    ``new`` rate (hbar + 0.0, with hbar's bits).  Returns ``(argmins,
-    minima)`` with a leading objective axis.
+def _bracket_shape(p: ModelParams) -> tuple:
+    """The fields :func:`hbar` and :func:`_brackets` read, except ``sigma``:
+    the rate problems of params of one shape share one solve."""
+    return p.rho, p.lambda_, p.eta, p.b_min, p.a_max, p.r_a, p.theta, p.horizon, p.delta
 
-    The objective is built once per solve: it holds each bracket row's
-    time node and charge, and :func:`f0`'s constants, and computes
-    :func:`hbar`'s formula (:func:`_hbar_from`) plus
-    :func:`_common_noise_charge` on the rows it is asked for, with their
-    bits.  Without a charge it adds none.
+
+def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
+    """Minimize, at every time node at once, the rate of each ``(sigma,
+    (c_a, c_p))`` of ``problems``: :func:`hbar` of ``params`` with that
+    ``sigma``, plus the common-noise charge of ``(c_a, c_p)``, a
+    :func:`_classical_charge` for a classical rate and ``(0, 0)`` for the
+    ``new`` rate.  Returns ``(argmins, minima)`` with a leading problem
+    axis, each problem's bit for bit as alone.
+
+    One ``minimize_on_grid`` call solves them all: their brackets, which
+    ``sigma`` does not enter, are the same, and so is the call's default
+    tolerance.  The objective is built once per solve: it holds each
+    bracket row's target ramp ``delta (T - t)``, ``sigma^2`` and charge, and
+    :func:`f0`'s constants (:func:`_f0_kernel`, with per-row ``sigma^2``
+    only when the problems' ``sigma`` differ), and computes :func:`hbar`'s
+    formula (:func:`_hbar_from`) plus :func:`_common_noise_charge` on the
+    rows it is asked for, each value with the bits of its problem alone.
+    The rows of the problems before the first charged one get no charge
+    term, so :func:`solve_contracts` lists the uncharged problems first; an
+    uncharged problem after it adds +0.0 to a sum that is never -0.0.
 
     Every rate is declared :func:`unimodal`: its derivative in ``z``
     increases on the bracket (that of ``f0`` is the best-response variance,
@@ -303,21 +322,28 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, charges):
     ``ModelParams``, which validates on construction), and it is a sum of
     non-negative terms, so its values carry a few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
-    shape = (len(charges),) + lo.shape
-    t_rows = np.tile(t_nodes, len(charges))[:, None]
-    starts = np.arange(len(charges) + 1) * t_nodes.size  # each objective's first row
-    charged = [(i, charge) for i, charge in enumerate(charges) if any(charge)]
-    f0_of = _f0_kernel(params)
+    count, nodes = len(problems), t_nodes.size
+    shape = (count,) + lo.shape
+    all_ramps = np.tile(params.delta * (params.horizon - t_nodes), count)[:, None]
+    sigmas = [sigma for sigma, _ in problems]
+    sig2 = np.asarray(sigmas, dtype=float) ** 2
+    if len(set(sigmas)) == 1:
+        f0_of = _f0_kernel(params, sig2[0])
+    else:
+        f0_of = _f0_kernel(params, np.repeat(sig2, nodes, axis=0)[:, None, :])
+    charges = [charge for _, charge in problems]
+    first = nodes * next((i for i, charge in enumerate(charges) if any(charge)), count)
+    all_charges = np.repeat(charges, nodes, axis=0)[first:, :, None]  # from the first charged row
 
     @unimodal
     def rate(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        t = t_rows if rows.size == t_rows.shape[0] else t_rows[rows]
-        total = _hbar_from(f0_of, t, points, params)
-        if charged:  # rows run objective-major: one slice per objective
-            bounds = np.searchsorted(rows, starts)
-            for i, charge in charged:
-                s = slice(bounds[i], bounds[i + 1])
-                total[s] += _common_noise_charge(t[s], points[s], params, charge)
+        every = rows.size == all_ramps.shape[0]
+        ramp = all_ramps if every else all_ramps[rows]
+        total = _hbar_from(lambda q: f0_of(q, None if every else rows), ramp, points, params)
+        start = first if every else np.searchsorted(rows, first)
+        if start < rows.size:
+            c = all_charges if every else all_charges[rows[start:] - first]
+            total[start:] += _common_noise_charge(ramp[start:], points[start:], (c[:, 0], c[:, 1]))
         return total
 
     z_star, minima, _ = minimize_on_grid(
@@ -364,23 +390,26 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     Raises ``ParameterError`` naming delta, horizon and a_max, which bound
     the rates, where the solve overflows float64."""
     requests = list(requests)
-    problems, families = [], {}
+    problems, groups = [], {}
     for kind, principal, params in requests:
         _validate_kind(kind)
         _validate_principal(principal, params)
         p_eff = _effective_params(principal, params)
-        base = dataclasses.replace(p_eff, r_p=0.0, sigma_circ=0.0)
+        shape = _bracket_shape(p_eff)
         charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
-        families.setdefault(base, {})[charge] = None
-        problems.append((base, charge))
+        _, members = groups.setdefault(shape, (p_eff, {}))
+        members[p_eff.sigma, charge] = None
+        problems.append((shape, (p_eff.sigma, charge)))
 
     distinct = dict.fromkeys(params for _, _, params in requests)
     reservations = {params: reservation(params, grid) for params in distinct}
     rates = {}
     with _overflow_guard():
-        for base, members in families.items():
-            z, minima = _minimize_rate(_uniform_grid(base.horizon, grid), base, list(members))
-            rates.update(((base, c), (z[i], minima[i])) for i, c in enumerate(members))
+        for shape, (base, members) in groups.items():
+            t_nodes = _uniform_grid(base.horizon, grid)
+            members = sorted(members, key=lambda member: any(member[1]))  # uncharged first
+            z, minima = _minimize_rate(t_nodes, base, members)
+            rates.update(((shape, m), (z[i], minima[i])) for i, m in enumerate(members))
         return [
             _solution(kind, principal, params, grid, rates[problem], reservations[params])
             for (kind, principal, params), problem in zip(requests, problems)
@@ -518,7 +547,6 @@ def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> First
         u_fb = params.delta * params.horizon * params.x0 - integrate_samples(
             m_rate, 0.0, params.horizon
         )
-        fb_constant = -math.log(-res.r0) / params.r_a
         if _default_principal(params) == "cara":
             # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
             # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
@@ -537,7 +565,8 @@ def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> First
         lagrange_rho=lagrange_rho,
         ce_fb=ce_fb,
         efforts=efforts,
-        fb_contract_constant=fb_constant,
+        # -log(-r0) / r_a in closed form, which r0's underflow would lose.
+        fb_contract_constant=res.xi0,
     )
 
 
@@ -593,8 +622,9 @@ def _comparison(params: ModelParams, new: ContractSolution, cls: ContractSolutio
     else:
         delta_alpha = (new_drift - cls_drift) / cls_drift
 
-    new_var = integral(best_response_variance(new.payment.gamma, params))
-    cls_var = integral(best_response_variance(cls.payment.gamma, params))
+    # Each effort's beta is the best response to its gamma.
+    new_var = integral(_retained_variance(new.effort.beta, params))
+    cls_var = integral(_retained_variance(cls.effort.beta, params))
     var_denominator = cls_var + params.horizon * params.sigma_circ**2
     if var_denominator == 0.0:
         delta_beta = None

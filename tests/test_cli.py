@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mfdr.cli as cli
+from mfdr.agent import reservation
 from mfdr.cli import (
     DEFAULT_SWEEP_RP,
     DEFAULT_SWEEP_SHARE,
@@ -331,13 +332,14 @@ class TestScheduleCommand:
 
 class TestCompareCommand:
     def test_each_rate_problem_solved_once(self, tmp_path, monkeypatch):
-        # 25 cells on 5 variance shares: per share, one family of the rate of
-        # the 5 new contracts (r_p does not enter it) and the 5 classical ones.
-        # At share 0 there is no common noise, so the 5 classical charges are
-        # all zero and the classical rate is the new one: a family of one.
+        # 25 cells with one bracket shape, so one call: per variance share,
+        # the rate of the 5 new contracts (r_p does not enter it) and the 5
+        # classical ones.  At share 0 there is no common noise, so the 5
+        # classical charges are all zero and the classical rate is the new
+        # one: 1 + 4 * 6 = 25 rate problems.
         solves = count_rate_solves(monkeypatch)
         assert main(["compare", "--out", str(tmp_path), "--grid", "64"]) == 0
-        assert sorted(solves) == [1, 6, 6, 6, 6]
+        assert solves == [25]
 
     def test_full_sweep(self, tmp_path):
         out = tmp_path / "out"
@@ -580,6 +582,20 @@ class TestFirstBestCommand:
         assert main(["first-best", "--grid", "8", "--out", str(tmp_path / "out")]) == 0
         assert calls == [8]
         assert solves == [1]
+
+    def test_constant_survives_underflowing_reservation_utility(self, tmp_path):
+        # At r_a = 30, x0 = 300 the reservation utility -exp(-r_a xi0)
+        # underflows to -0.0.  The contract constant is xi0 itself; taken as
+        # -log(-r0) / r_a it raised "math domain error" (exit 2).
+        path = write_config(tmp_path, {"r_a": "30", "x0": "300"})
+        out = tmp_path / "out"
+        assert main(["first-best", "--config", str(path), "--rp", "0", "--grid", "64",
+                     "--out", str(out)]) == 0
+        _, rows = read_table(out / "first_best.csv")
+        params = validate(dataclasses.replace(calibrated_defaults(), r_a=30.0, x0=300.0))
+        res = reservation(params, 64)
+        assert res.r0 == 0.0 and res.xi0 > 0.0
+        assert float(rows[0][3]) == pytest.approx(res.xi0, rel=1e-11)
 
     def test_degenerate_baseline_constant_is_zero(self, tmp_path):
         path = write_config(tmp_path, {"kappa": "0", "x0": "0"})

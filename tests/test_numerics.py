@@ -296,7 +296,7 @@ class TestMinimizeOnGrid:
         params = calibrated_defaults()
         t = numerics._uniform_grid(params.horizon, 1024)
         charge = (0.0, 0.0) if objective is hbar else _classical_charge(params)
-        (z_star,), (minima,) = _minimize_rate(t, params, [charge])
+        (z_star,), (minima,) = _minimize_rate(t, params, [(params.sigma, charge)])
         lo, hi = _brackets(t, params)
         expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
         assert bits(z_star, minima) == bits(*expected[:2])
@@ -465,7 +465,8 @@ def solve_rate_family(params, grid):
 
     t = numerics._uniform_grid(params.horizon, grid)
     with mock.patch.object(principal, "minimize_on_grid", spy):
-        _minimize_rate(t, params, [(0.0, 0.0), _classical_charge(params)])
+        charges = [(0.0, 0.0), _classical_charge(params)]
+        _minimize_rate(t, params, [(params.sigma, charge) for charge in charges])
     (call,) = calls
     return call
 
@@ -475,11 +476,12 @@ def rate_oracle(params, grid):
     ``_common_noise_charge``, not the solver's: ``(2, n, k)`` points, the
     new rate's at ``[0]`` and the classical rate's at ``[1]``."""
     t = numerics._uniform_grid(params.horizon, grid)[:, None]
+    ramp = params.delta * (params.horizon - t)
     charges = [(0.0, 0.0), _classical_charge(params)]
 
     def f(points):
         return np.stack([
-            hbar(t, x, params) + _common_noise_charge(t, x, params, charge)
+            hbar(t, x, params) + _common_noise_charge(ramp, x, charge)
             for x, charge in zip(points, charges)
         ])
 

@@ -13,6 +13,7 @@ import pytest
 
 import mfdr.principal as principal_module
 from mfdr.agent import (
+    _f0_kernel,
     best_drift_effort,
     best_response_variance,
     best_vol_effort,
@@ -29,6 +30,7 @@ from mfdr.principal import (
     PaymentSchedule,
     _classical_charge,
     _common_noise_charge,
+    _default_principal,
     _first_best,
     check_schedule_invariants,
     compare,
@@ -223,13 +225,15 @@ class TestHbar:
         for _ in range(200):
             t = rng.uniform(0.0, CAL05.horizon)
             z = rng.uniform(-400.0, 100.0)
-            assert _common_noise_charge(t, z, CAL05, charge) >= 0.0
+            ramp = CAL05.delta * (CAL05.horizon - t)
+            assert _common_noise_charge(ramp, z, charge) >= 0.0
 
     def test_classical_equals_plain_without_common_noise(self):
         params = dataclasses.replace(CAL05, sigma_circ=0.0)
         t = np.linspace(0.0, params.horizon, 7)[:, None]
         z = np.linspace(-300.0, 30.0, 11)[None, :]
-        added = _common_noise_charge(t, z, params, _classical_charge(params))
+        ramp = params.delta * (params.horizon - t)
+        added = _common_noise_charge(ramp, z, _classical_charge(params))
         assert added.tobytes() == np.zeros((7, 11)).tobytes()
 
     @pytest.mark.parametrize("r_p, sigma_circ", [(0.0, 0.06), (3e-2, 0.0), (1.0, 0.5)])
@@ -530,7 +534,7 @@ class TestFirstBest:
         monkeypatch.setattr(principal_module, "reservation", counted)
         fb = first_best_report(CAL05, grid=64)
         assert calls == [64]
-        assert fb.fb_contract_constant == -math.log(-original(CAL05, 64).r0) / CAL05.r_a
+        assert fb.fb_contract_constant == original(CAL05, 64).xi0
 
     def test_power_formula_matches_exponential_form(self):
         for params in (CAL05, CAL10, dataclasses.replace(CAL05, r_p=2e-2)):
@@ -648,9 +652,9 @@ class TestBatches:
         cells = sweep_cells()
         tolerances = wrap_rate_solve(monkeypatch)
         batch = compare_cells(cells, grid)
-        # Per base (5 shares, and 2 each at delta = +20 and a_max = 50): one
-        # family of the new rate and the classical ones.
-        assert len(tolerances) == 9
+        # One call per bracket shape: the 25 default cells, the cells at
+        # delta = +20 and those at a_max = 50.
+        assert len(tolerances) == 3
         expected = [compare(cell, grid) for cell in cells]
         # repr tells -0.0 from 0.0 and prints every float exactly.
         assert [repr(r.to_flat()) for r in batch] == [repr(r.to_flat()) for r in expected]
@@ -708,6 +712,90 @@ class TestBatches:
     def test_bad_request_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             solve_contracts([("new", "cara", CAL05), ("other", "cara", CAL05)])
+
+
+def solution_bits(solution):
+    """The bytes of every array and the repr of every value of a solution."""
+    arrays = (
+        solution.payment.z, solution.payment.z_mu, solution.payment.gamma,
+        solution.effort.alpha, solution.effort.beta, solution.m_rate,
+    )
+    return [a.tobytes() for a in arrays] + [
+        repr(solution.value), repr(solution.reservation.to_flat())
+    ]
+
+
+#: Two usages with distinct eta: per-row sigma^2 in two columns, and a
+#: power with a (2,) exponent.
+TWO_USAGES = validate(dataclasses.replace(
+    CAL05, d=2, rho=(5e-5, 4.3e-5), lambda_=(0.028, 0.05), eta=(1.0, 2.0),
+    sigma=(0.04, 0.045),
+))
+
+
+class TestGroupedSolve:
+    """Rate problems that differ only in sigma and charge share one
+    minimizer call, and each keeps the bits of its own solve."""
+
+    #: Bases of one bracket shape each: the defaults, a base whose rate
+    #: reaches the retention floor, two usages, and the defaults at another
+    #: delta and another a_max.
+    BASES = {
+        "defaults": CAL05,
+        "floored": dataclasses.replace(CAL05, b_min=0.5),
+        "two_usages": TWO_USAGES,
+        "delta_plus_20": dataclasses.replace(CAL05, delta=20.0),
+        "a_max_50": dataclasses.replace(CAL05, a_max=50.0),
+    }
+
+    @staticmethod
+    def requests(bases):
+        # Shares 0 (no common noise: classical charges (0, 0)) and 1 (sigma
+        # = 0), either principal, both kinds.
+        return [
+            (kind, _default_principal(cell), cell)
+            for base in bases
+            for share in (0.0, 0.5, 1.0)
+            for r_p in (0.0, 6e-3)
+            for cell in [with_variance_share(dataclasses.replace(base, r_p=r_p), share)]
+            for kind in CONTRACT_KINDS
+        ]
+
+    @pytest.mark.parametrize("grid", [16, 64, 1024])
+    def test_mixed_batch_matches_alone(self, monkeypatch, grid):
+        requests = self.requests(self.BASES.values())
+        tolerances = wrap_rate_solve(monkeypatch)
+        batch = solve_contracts(requests, grid)
+        assert len(tolerances) == len(self.BASES)  # one call per bracket shape
+        for request, solution in zip(requests, batch):
+            assert solution_bits(solution) == solution_bits(solve_contract(*request, grid))
+        floored = [s for (_, _, p), s in zip(requests, batch) if p.b_min == 0.5]
+        assert any((s.effort.beta == 0.5).any() for s in floored)
+
+    def test_non_finite_interior_scale(self):
+        # sigma^2 / (lambda eta) overflows for the second sigma only: the
+        # kernel's np.where branch then serves every row, each with the
+        # values of its own sigma.
+        params = validate(dataclasses.replace(CAL05, lambda_=(1e-300,)))
+        sig2 = np.array([1e8, 4e8, 0.0, 1e-4])[:, None, None]
+        q = np.geomspace(1e-3, 1e302, 4 * 64).reshape(4, 64)
+        with np.errstate(over="ignore"):  # the scale, not any price's value
+            rows = _f0_kernel(params, sig2)
+            alone = [_f0_kernel(params, s2[0]) for s2 in sig2]
+            assert not np.isfinite(sig2 / 1e-300).all()
+            assert rows(q).tobytes() == np.stack([f(q[i]) for i, f in enumerate(alone)]).tobytes()
+            picked = np.array([3, 1])
+            assert rows(q[picked], picked).tobytes() == rows(q)[picked].tobytes()
+        # The solve raises where the scale overflows, alone or in a batch
+        # (kappa = 0 keeps the reservation finite, r_p = 0 the value).
+        finite, overflowing = (
+            dataclasses.replace(params, sigma=(s,), kappa=0.0) for s in (1e4, 2e4)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the reservation's damping cost
+            solve_contract("new", "risk_neutral", finite, 16)
+            for batch in ([overflowing], [finite, overflowing]):
+                with pytest.raises(ParameterError, match="^delta, horizon, a_max: "):
+                    solve_contracts([("new", "risk_neutral", p) for p in batch], 16)
 
 
 class TestCompare:

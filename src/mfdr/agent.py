@@ -117,13 +117,13 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
     """:func:`f0` of ``params`` as a function of a price array ``q`` that it
     does not check (finite, >= 0), with the per-usage constants computed once.
 
-    ``sig2`` replaces the squares of ``params.sigma``: a ``(d,)`` array, or
-    per-row constants of shape ``(rows, 1, d)`` for ``(rows, k)`` prices.
-    The function takes ``(q, rows=None)``: with per-row constants, ``rows``
-    (an index array) selects the rows of ``q``, all of them when None;
-    ``(d,)`` constants ignore it.  Each row's values are those of its own
-    ``sigma`` alone, bit for bit: the per-row factors enter only elementwise
-    products, and the power's input ``lambda q`` keeps its layout.
+    ``sig2``, when given, replaces the squares of ``params.sigma`` with
+    per-row constants of shape ``(rows, 1, d)`` for ``(rows, k)`` prices,
+    and the function takes ``(q, rows=None)``: ``rows`` (an index array)
+    selects the constants of the rows of ``q``, all of them when None.
+    Each row's values are those of its own ``sigma`` alone, bit for bit:
+    the per-row factors enter only elementwise products, and the power's
+    input ``lambda q`` keeps its layout.
 
     Each regime's formula runs on the whole ``q.shape + (d,)`` array, and a
     0/1 factor of its regime selects it, which is exact: the power's input
@@ -147,7 +147,6 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
     lam_eta = lam * eta
     power, slope, all_scales = eta / (1.0 + eta), 1.0 + eta, sig2 / lam_eta
     finite_scale = np.isfinite(all_scales).all()
-    per_row = sig2.ndim > 1
 
     # At large eta * |log b_min| the floor constants pass the float range:
     # an infinite threshold floors no entry, which is exact.
@@ -157,7 +156,7 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
 
     def values(q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         s2, interior_scale = sig2, all_scales
-        if per_row and rows is not None:
+        if rows is not None:
             s2, interior_scale = sig2[rows], all_scales[rows]
         q_k = q[..., None]
         scaled = lam * q_k

@@ -54,7 +54,8 @@ _CERTIFICATE_MARGIN = 2.0**-40
 #: Most points per objective call of the blocked coarse scan: each float64
 #: temporary stays within 64 KiB, so a call's temporaries together stay
 #: below the size at which the allocator returns freed memory to the system
-#: and has to fault it in again on the next call.
+#: and has to fault it in again on the next call.  ``principal`` also caps
+#: the bracket rows of one rate solve at it, which bounds the scan's state.
 _SCAN_BLOCK_POINTS = 8192
 
 
@@ -281,6 +282,7 @@ def minimize_on_grid(
     scan_values = scan(points)
     pos, best_x, best_f = pick(points, scan_values)
     best_col = first_cols[pos]
+    del points  # the growth rounds read only the scan's values
     if certify:
         # A region of whole strides from the sparse pick grows by one stride
         # per round on a side whose edge does not yet certify; the running

@@ -34,14 +34,17 @@ common-noise exposure that the rate adds to :func:`hbar`
 (:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
 contract, which is ``(0, 0)`` without common noise, and ``(0, 0)`` for
 ``new``, which keeps :func:`hbar`'s bits.  Problems of one bracket shape
-(every other field that :func:`hbar` and the brackets read; not r_p,
-sigma_circ, x0 or kappa) share one ``minimize_on_grid`` call, with a row of
-brackets per problem: all 25 cells of ``mfdr compare`` are one call.  Its
-objective holds per-row ``sigma^2``, target ramp and charge, built once per
-solve (:func:`_minimize_rate`).  The rates are declared unimodal, so the
-scan is certified from a few of its columns, and each objective call
-computes only the bracket rows that still need a value, through
-:func:`hbar`'s formula with f0's constants computed once per solve.
+(the params with the fields that the rate ignores zeroed: r_p, sigma_circ,
+x0, kappa, and sigma, which it takes per problem) share ``minimize_on_grid``
+calls, with a row of brackets per problem and at most
+``_SCAN_BLOCK_POINTS`` rows per call, which bounds the scan's memory: the
+25 cells of ``mfdr compare`` are one call up to grid 326, and 4 at the
+default grid 1024.  Each call's objective holds per-row ``sigma^2``, target
+ramp and charge, built once per solve (:func:`_minimize_rate`).  The rates
+are declared unimodal, so the scan is certified from a few of its columns,
+and each objective call computes only the bracket rows that still need a
+value, through :func:`hbar`'s formula with f0's constants computed once per
+solve.
 """
 
 from __future__ import annotations
@@ -65,7 +68,13 @@ from .agent import (
     reservation,
 )
 from .model import ModelParams, ParameterError
-from .numerics import _uniform_grid, integrate_samples, minimize_on_grid, unimodal
+from .numerics import (
+    _SCAN_BLOCK_POINTS,
+    _uniform_grid,
+    integrate_samples,
+    minimize_on_grid,
+    unimodal,
+)
 
 __all__ = [
     "CONTRACT_KINDS",
@@ -290,12 +299,6 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
     return lo, hi
 
 
-def _bracket_shape(p: ModelParams) -> tuple:
-    """The fields :func:`hbar` and :func:`_brackets` read, except ``sigma``:
-    the rate problems of params of one shape share one solve."""
-    return p.rho, p.lambda_, p.eta, p.b_min, p.a_max, p.r_a, p.theta, p.horizon, p.delta
-
-
 def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     """Minimize, at every time node at once, the rate of each ``(sigma,
     (c_a, c_p))`` of ``problems``: :func:`hbar` of ``params`` with that
@@ -308,10 +311,10 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     ``sigma`` does not enter, are the same, and so is the call's default
     tolerance.  The objective is built once per solve: it holds each
     bracket row's target ramp ``delta (T - t)``, ``sigma^2`` and charge, and
-    :func:`f0`'s constants (:func:`_f0_kernel`, with per-row ``sigma^2``
-    only when the problems' ``sigma`` differ), and computes :func:`hbar`'s
-    formula (:func:`_hbar_from`) plus :func:`_common_noise_charge` on the
-    rows it is asked for, each value with the bits of its problem alone.
+    :func:`f0`'s constants (:func:`_f0_kernel`, with per-row ``sigma^2``),
+    and computes :func:`hbar`'s formula (:func:`_hbar_from`) plus
+    :func:`_common_noise_charge` on the rows it is asked for, each value
+    with the bits of its problem alone.
     The rows of the problems before the first charged one get no charge
     term, so :func:`solve_contracts` lists the uncharged problems first; an
     uncharged problem after it adds +0.0 to a sum that is never -0.0.
@@ -325,12 +328,8 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     count, nodes = len(problems), t_nodes.size
     shape = (count,) + lo.shape
     all_ramps = np.tile(params.delta * (params.horizon - t_nodes), count)[:, None]
-    sigmas = [sigma for sigma, _ in problems]
-    sig2 = np.asarray(sigmas, dtype=float) ** 2
-    if len(set(sigmas)) == 1:
-        f0_of = _f0_kernel(params, sig2[0])
-    else:
-        f0_of = _f0_kernel(params, np.repeat(sig2, nodes, axis=0)[:, None, :])
+    sig2 = np.asarray([sigma for sigma, _ in problems], dtype=float) ** 2
+    f0_of = _f0_kernel(params, np.repeat(sig2, nodes, axis=0)[:, None, :])
     charges = [charge for _, charge in problems]
     first = nodes * next((i for i, charge in enumerate(charges) if any(charge)), count)
     all_charges = np.repeat(charges, nodes, axis=0)[first:, :, None]  # from the first charged row
@@ -395,21 +394,28 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
         _validate_kind(kind)
         _validate_principal(principal, params)
         p_eff = _effective_params(principal, params)
-        shape = _bracket_shape(p_eff)
+        # The bracket shape: every field but those the rate provably ignores.
+        shape = dataclasses.replace(
+            p_eff, r_p=0.0, sigma_circ=0.0, x0=0.0, kappa=0.0, sigma=(0.0,) * p_eff.d
+        )
         charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
-        _, members = groups.setdefault(shape, (p_eff, {}))
-        members[p_eff.sigma, charge] = None
+        groups.setdefault(shape, {})[p_eff.sigma, charge] = None
         problems.append((shape, (p_eff.sigma, charge)))
 
     distinct = dict.fromkeys(params for _, _, params in requests)
     reservations = {params: reservation(params, grid) for params in distinct}
     rates = {}
     with _overflow_guard():
-        for shape, (base, members) in groups.items():
-            t_nodes = _uniform_grid(base.horizon, grid)
+        for shape, members in groups.items():
+            t_nodes = _uniform_grid(shape.horizon, grid)
             members = sorted(members, key=lambda member: any(member[1]))  # uncharged first
-            z, minima = _minimize_rate(t_nodes, base, members)
-            rates.update(((shape, m), (z[i], minima[i])) for i, m in enumerate(members))
+            # At most _SCAN_BLOCK_POINTS bracket rows per call, which bounds
+            # the memory of its scan.
+            per_call = max(1, _SCAN_BLOCK_POINTS // t_nodes.size)
+            for start in range(0, len(members), per_call):
+                chunk = members[start : start + per_call]
+                z, minima = _minimize_rate(t_nodes, shape, chunk)
+                rates.update(((shape, m), (z[i], minima[i])) for i, m in enumerate(chunk))
         return [
             _solution(kind, principal, params, grid, rates[problem], reservations[params])
             for (kind, principal, params), problem in zip(requests, problems)

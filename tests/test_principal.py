@@ -652,9 +652,11 @@ class TestBatches:
         cells = sweep_cells()
         tolerances = wrap_rate_solve(monkeypatch)
         batch = compare_cells(cells, grid)
-        # One call per bracket shape: the 25 default cells, the cells at
-        # delta = +20 and those at a_max = 50.
-        assert len(tolerances) == 3
+        # Per bracket shape (the 25 default cells, the cells at delta = +20
+        # and those at a_max = 50), calls of at most _SCAN_BLOCK_POINTS = 8192
+        # bracket rows: the 25 default cells take 4 calls of at most 7
+        # problems at grid 1024, and one below.
+        assert len(tolerances) == {1024: 6, 256: 3, 64: 3}[grid]
         expected = [compare(cell, grid) for cell in cells]
         # repr tells -0.0 from 0.0 and prints every float exactly.
         assert [repr(r.to_flat()) for r in batch] == [repr(r.to_flat()) for r in expected]

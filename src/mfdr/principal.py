@@ -32,19 +32,17 @@ problem once and bit for bit as alone, and each distinct params' reservation
 once.  A problem is its ``sigma`` and its charge, the ``(c_a, c_p)`` of the
 common-noise exposure that the rate adds to :func:`hbar`
 (:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
-contract, which is ``(0, 0)`` without common noise, and ``(0, 0)`` for
-``new``, which keeps :func:`hbar`'s bits.  Problems of one bracket shape
-(the params with the fields that the rate ignores zeroed: r_p, sigma_circ,
-x0, kappa, and sigma, which it takes per problem) share ``minimize_on_grid``
-calls, with a row of brackets per problem and at most
-``_SCAN_BLOCK_POINTS`` rows per call, which bounds the scan's memory: the
-25 cells of ``mfdr compare`` are one call up to grid 326, and 4 at the
-default grid 1024.  Each call's objective holds per-row ``sigma^2``, target
-ramp and charge, built once per solve (:func:`_minimize_rate`).  The rates
-are declared unimodal, so the scan is certified from a few of its columns,
-and each objective call computes only the bracket rows that still need a
-value, through :func:`hbar`'s formula with f0's constants computed once per
-solve.
+contract and ``(0, 0)``, which keeps :func:`hbar`'s bits, for ``new``.
+Problems of one bracket shape (the params with the fields that the rate
+ignores zeroed: r_p, sigma_circ, x0, kappa, and sigma, which it takes per
+problem) share ``minimize_on_grid`` calls of at most ``_SCAN_BLOCK_POINTS``
+bracket rows, which bounds the scan's memory: the 25 cells of ``mfdr
+compare`` are one call up to grid 326, and 4 at the default grid 1024
+(:func:`_minimize_rate`).
+
+:func:`check_schedule_invariants` certifies each schedule's ``z`` from the
+slope of its rate, through :func:`agent.best_response_variance` alone, so
+every schedule formula lives in :func:`_solution` only.
 """
 
 from __future__ import annotations
@@ -70,6 +68,7 @@ from .agent import (
 from .model import ModelParams, ParameterError
 from .numerics import (
     _SCAN_BLOCK_POINTS,
+    _default_tol,
     _uniform_grid,
     integrate_samples,
     minimize_on_grid,
@@ -286,15 +285,17 @@ def _common_noise_charge(ramp, z, charge):
 def _brackets(t_nodes: np.ndarray, params: ModelParams):
     """Search bracket for the performance rate at each time node.
 
-    The minimizer always lies between the target-ramp rate
-    ``delta (T - t)`` (clipped to the responsiveness cap) and zero, for
-    either contract kind and either sign of ``delta``; a small margin keeps
-    the true optimum strictly interior.
+    A minimizer lies between the target ramp ``R = delta (T - t)`` and zero
+    for either kind and any charge: the rate's slope
+    (:func:`check_schedule_invariants`) is <= 0 left of ``min(R, 0)`` and >= 0
+    right of ``max(R, 0)``, past ``-a_max`` too, where the classical charge
+    ``c_p (R - z)^2`` still pulls ``z`` towards ``R``.  A small margin keeps
+    the optimum strictly interior.
     """
     remaining = params.horizon - t_nodes
     ramp = params.delta * remaining
     margin = 1e-6 * (1.0 + abs(params.delta) * params.horizon)
-    lo = np.maximum(np.minimum(ramp, 0.0), -params.a_max) - margin
+    lo = np.minimum(ramp, 0.0) - margin
     hi = np.maximum(ramp, 0.0) + margin
     return lo, hi
 
@@ -319,11 +320,10 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     term, so :func:`solve_contracts` lists the uncharged problems first; an
     uncharged problem after it adds +0.0 to a sum that is never -0.0.
 
-    Every rate is declared :func:`unimodal`: its derivative in ``z``
-    increases on the bracket (that of ``f0`` is the best-response variance,
-    continuous across its regimes, and eta >= 1 holds for every
-    ``ModelParams``, which validates on construction), and it is a sum of
-    non-negative terms, so its values carry a few ulps of relative error."""
+    Every rate is declared :func:`unimodal`: its slope
+    (:func:`check_schedule_invariants`) increases on the bracket, as eta >= 1
+    holds for every ``ModelParams``, and it is a sum of non-negative terms,
+    so its values carry a few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
     count, nodes = len(problems), t_nodes.size
     shape = (count,) + lo.shape
@@ -349,12 +349,6 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
         rate, np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
     )
     return z_star, minima
-
-
-def _gamma_of_z(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    return -np.maximum(
-        params.theta + params.r_a * z**2, 1.0 / params.lambda_bar
-    )
 
 
 def _m_rate(kind, params, p_eff, remaining, minima) -> np.ndarray:
@@ -450,7 +444,7 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
 
     z, minima = rate
     z = z.copy()  # not a view shared with another solution
-    gamma = _gamma_of_z(z, params)
+    gamma = -np.maximum(params.theta + params.r_a * z**2, 1.0 / params.lambda_bar)
     if kind == "classical" or params.sigma_circ == 0.0:
         # No aggregate rate for classical.  With degenerate common noise it
         # multiplies a null process, so every choice pays the same contract;
@@ -646,61 +640,66 @@ def _comparison(params: ModelParams, new: ContractSolution, cls: ContractSolutio
     )
 
 
+#: Ulps of the rate ``h(z)`` by which a certified ``z`` may miss the least rate.
+#: The rate is a sum of non-negative terms, so ``h(z)`` bounds the rounding of
+#: its values: a value minimizer cannot tell apart rates within a few ulps of it.
+_CERTIFICATE_ULPS = 64
+
+
 def check_schedule_invariants(
     payment: PaymentSchedule, effort: EffortSchedule, params: ModelParams
 ) -> list[str]:
-    """Internal consistency checks tying a schedule to its model.
+    """Certify that ``payment.z`` is optimal and that the efforts stay in
+    their boxes; return the violations found (empty when none).
 
-    Returns a list of human-readable violations (empty when consistent):
-    the variance rate must track the performance rate, efforts must be the
-    best responses and stay inside their boxes, and the aggregate rate must
-    satisfy its kind's risk-sharing relation.
+    The certificate restates no formula of the solve; it reads the slope of
+    the rate ``h`` that ``z`` minimizes, with ``R = delta (T - t)``, ``S(q) =
+    best_response_variance(-q)`` (``f0'`` by the envelope theorem) and the
+    kind's charge ``(c_a, c_p)`` (:func:`solve_contracts`)::
+
+        h'(z) = 2 z (r_a S(theta + r_a z^2) + c_a)
+                + 2 rho_bar (z - R) 1{-a_max < z < 0} - 2 c_p (R - z)
+
+    ``h'`` increases (at the kink at 0 it falls only where it stays
+    positive), so where ``h'(z - w) <= 0 <= h'(z + w)`` a minimizer lies
+    within ``w`` of ``z`` and ``h(z) - min h <= w |h'(z)|``.  A node passes
+    at ``w`` the solve's stated tolerance or, where wider, the ``w`` that
+    bounds that gap by ``_CERTIFICATE_ULPS`` ulps of ``h(z)``.  ``new`` must
+    pay ``z = 0`` when ``delta >= 0``, ``classical`` no aggregate rate.
     """
     problems: list[str] = []
-    t = payment.grid
-    remaining = params.horizon - t
-    scale_tol = 1e-10 * (1.0 + abs(params.delta) * params.horizon)
+    t, z = payment.grid, payment.z
+    ramp = params.delta * (params.horizon - t)
+    p_eff = _effective_params(payment.principal, params)
+    charge = _classical_charge(p_eff) if payment.kind == "classical" else (0.0, 0.0)
+    c_a, c_p = charge
 
-    expected_gamma = _gamma_of_z(payment.z, params)
-    gamma_err = np.max(np.abs(payment.gamma - expected_gamma))
-    if gamma_err > 1e-12 * (1.0 + np.max(np.abs(expected_gamma))):
-        problems.append(
-            "variance rate does not track -max(theta + r_a z^2, "
-            f"1/lambda_bar); max error {gamma_err:.3e}"
-        )
+    def slope(x: np.ndarray) -> np.ndarray:
+        q = params.theta + params.r_a * x**2
+        exposure = params.r_a * best_response_variance(-q, params) + c_a
+        capped = (-params.a_max < x) & (x < 0.0)
+        return 2.0 * (x * exposure + params.rho_bar * (x - ramp) * capped - c_p * (ramp - x))
+
+    lo, hi = _brackets(t, params)
+    rate = hbar(t, z, params) + _common_noise_charge(ramp, z, charge)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reach = _CERTIFICATE_ULPS * np.finfo(float).eps * rate / np.abs(slope(z))
+    # fmax: reach is NaN where h(z) = h'(z) = 0, a minimum of the non-negative rate.
+    w = np.fmin(np.fmax(reach, _default_tol(lo, hi)), np.max(hi - lo))
+    left, right = slope(z + np.stack([-w, w]))
+    failed = np.flatnonzero(~((left <= 0.0) & (right >= 0.0)))
+    if failed.size:
+        at = f"{failed.size} of {z.size} nodes (first at t = {t[failed[0]]:.6g})"
+        problems.append(f"performance rate is not optimal at {at}")
 
     if payment.kind == "new":
-        if params.sigma_circ == 0.0:
-            target = np.zeros_like(payment.z)
-        elif payment.principal == "cara":
-            ratio = params.r_p / (params.r_a + params.r_p)
-            target = -payment.z + ratio * params.delta * remaining
-        else:
-            target = -payment.z
-        mu_err = np.max(np.abs(payment.z_mu - target))
-        if mu_err > scale_tol:
-            problems.append(
-                f"aggregate rate breaks its risk-sharing relation by {mu_err:.3e}"
-            )
-        if params.delta >= 0.0 and np.max(np.abs(payment.z)) != 0.0:
-            problems.append(
-                "performance rate must vanish when deviations are rewarded"
-            )
-    else:
-        if np.max(np.abs(payment.z_mu)) != 0.0:
-            problems.append(f"{payment.kind} contract must have z_mu = 0")
+        if params.delta >= 0.0 and np.max(np.abs(z)) != 0.0:
+            problems.append("performance rate must vanish when deviations are rewarded")
+    elif np.max(np.abs(payment.z_mu)) != 0.0:
+        problems.append(f"{payment.kind} contract must have z_mu = 0")
 
-    alpha_expected = best_drift_effort(payment.z, params)
-    if not np.array_equal(effort.alpha, alpha_expected):
-        problems.append("alpha is not the best response to z")
-    beta_expected = best_vol_effort(payment.gamma, params)
-    if not np.array_equal(effort.beta, beta_expected):
-        problems.append("beta is not the best response to gamma")
-
-    rho = np.asarray(params.rho)
-    if (effort.alpha < -0.0).any() or (
-        effort.alpha > rho * params.a_max + 1e-15
-    ).any():
+    alpha_cap = np.asarray(params.rho) * params.a_max + 1e-15
+    if (effort.alpha < -0.0).any() or (effort.alpha > alpha_cap).any():
         problems.append("alpha leaves its feasible box")
     if (effort.beta < params.b_min).any() or (effort.beta > 1.0).any():
         problems.append("beta leaves its feasible box")

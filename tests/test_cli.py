@@ -314,6 +314,16 @@ class TestScheduleCommand:
         ]
         assert "skipping cara" in capsys.readouterr().err
 
+    def test_classical_rate_passes_the_effort_cap(self, tmp_path):
+        # The classical charge pulls z far below -a_max = -50: z(0) is about
+        # -117.8.  A bracket clipped at -a_max held it at -50.0003, which the
+        # optimality certificate rejects.
+        path = write_config(tmp_path, {"a_max": "50"})
+        out = tmp_path / "out"
+        assert main(["schedule", "--config", str(path), "--out", str(out),
+                     "--grid", "64"]) == 0
+        assert column(out / "schedule_classical_cara.csv", "z").min() < -100.0
+
     def test_positive_delta_orders_volatility_payments(self, tmp_path):
         path = write_config(tmp_path, {"delta": "5", "lambda": "2.8"})
         out = tmp_path / "out"

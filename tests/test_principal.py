@@ -21,7 +21,7 @@ from mfdr.agent import (
     reservation,
 )
 from mfdr.model import ParameterError, calibrated_defaults, validate, with_variance_share
-from mfdr.numerics import integrate_samples
+from mfdr.numerics import _default_tol, integrate_samples
 from mfdr.principal import (
     CONTRACT_KINDS,
     PRINCIPAL_KINDS,
@@ -47,6 +47,13 @@ CAL05 = calibrated_defaults(0.5)
 CAL10 = calibrated_defaults(1.0)
 RN05 = dataclasses.replace(CAL05, r_p=0.0)
 RN10 = dataclasses.replace(CAL10, r_p=0.0)
+
+#: Two usages with distinct eta: per-row sigma^2 in two columns, and a
+#: power with a (2,) exponent.
+TWO_USAGES = validate(dataclasses.replace(
+    CAL05, d=2, rho=(5e-5, 4.3e-5), lambda_=(0.028, 0.05), eta=(1.0, 2.0),
+    sigma=(0.04, 0.045),
+))
 
 # Converged compare effort gains at grid 1024.  They come from the rate solve
 # forced to 1e-3x and to 1e-5x its default tolerance, which agree on them to
@@ -297,10 +304,23 @@ class TestOptimalSchedule:
         assert (pay.gamma == -1.0 / params.lambda_bar).all()
 
     def test_efforts_are_best_responses(self):
+        # Every field but z derives from z; the certificate checks only z, so
+        # these derivations are pinned here.
         for kind in CONTRACT_KINDS:
-            pay, eff = optimal_schedule(kind, "cara", CAL05, grid=64)
-            assert np.array_equal(eff.alpha, best_drift_effort(pay.z, CAL05))
-            assert np.array_equal(eff.beta, best_vol_effort(pay.gamma, CAL05))
+            for principal, params in (("cara", CAL05), ("risk_neutral", RN05)):
+                pay, eff = optimal_schedule(kind, principal, params, grid=64)
+                assert np.array_equal(eff.alpha, best_drift_effort(pay.z, params))
+                assert np.array_equal(eff.beta, best_vol_effort(pay.gamma, params))
+                gamma = -np.maximum(params.theta + params.r_a * pay.z**2, 1.0 / params.lambda_bar)
+                assert np.array_equal(pay.gamma, gamma)
+                if kind == "classical":
+                    assert (pay.z_mu == 0.0).all()
+                elif principal == "cara":
+                    ratio = params.r_p / (params.r_a + params.r_p)
+                    target = ratio * params.delta * (params.horizon - pay.grid)
+                    np.testing.assert_allclose(pay.z + pay.z_mu, target, rtol=0.0, atol=1e-12)
+                else:
+                    assert np.array_equal(pay.z_mu, -pay.z)
 
     def test_classical_has_no_aggregate_rate(self):
         pay, _ = optimal_schedule("classical", "cara", CAL05, grid=64)
@@ -335,20 +355,79 @@ class TestOptimalSchedule:
                 assert check_schedule_invariants(pay, eff, params) == []
 
     def test_invariant_checker_flags_tampering(self):
-        pay, eff = optimal_schedule("new", "cara", CAL05, grid=64)
-        bad_pay = PaymentSchedule(
-            kind=pay.kind,
-            principal=pay.principal,
-            horizon=pay.horizon,
-            z=pay.z,
-            z_mu=pay.z_mu,
-            gamma=pay.gamma * 1.5,
-        )
-        problems = check_schedule_invariants(bad_pay, eff, CAL05)
-        assert any("variance rate" in p for p in problems)
-        bad_eff = EffortSchedule(alpha=eff.alpha * 0.9, beta=eff.beta)
-        problems = check_schedule_invariants(pay, bad_eff, CAL05)
-        assert any("alpha" in p for p in problems)
+        # The certificate checks z's optimality, not the formulas that derive
+        # the other fields from z (test_efforts_are_best_responses pins those).
+        def flags(pay, eff, params, message, **change):
+            fields = dict(kind=pay.kind, principal=pay.principal, horizon=pay.horizon,
+                          z=pay.z, z_mu=pay.z_mu, gamma=pay.gamma)
+            fields.update((k, v) for k, v in change.items() if k in fields)
+            effort = EffortSchedule(alpha=change.get("alpha", eff.alpha),
+                                    beta=change.get("beta", eff.beta))
+            problems = check_schedule_invariants(PaymentSchedule(**fields), effort, params)
+            assert any(message in p for p in problems), problems
+
+        for kind in CONTRACT_KINDS:
+            pay, eff = optimal_schedule(kind, "cara", CAL05, grid=64)
+            tol = _default_tol(*principal_module._brackets(pay.grid, CAL05))
+            flags(pay, eff, CAL05, "not optimal", z=pay.z + 10.0 * tol)
+            cap = np.asarray(CAL05.rho) * CAL05.a_max
+            flags(pay, eff, CAL05, "alpha leaves", alpha=np.maximum(eff.alpha, 1.001 * cap))
+            flags(pay, eff, CAL05, "beta leaves", beta=np.minimum(eff.beta, 0.999 * CAL05.b_min))
+        pay, eff = optimal_schedule("classical", "cara", CAL05, grid=64)
+        flags(pay, eff, CAL05, "must have z_mu = 0", z_mu=np.full_like(pay.z, 1e-9))
+        rewarded = dataclasses.replace(CAL05, delta=5.0)
+        pay, eff = optimal_schedule("new", "cara", rewarded, grid=64)
+        flags(pay, eff, rewarded, "must vanish", z=np.full_like(pay.z, -1e-9))
+
+    #: Configs whose every schedule the certificate passes: the defaults at
+    #: other shares, a rate on the retention floor, delta > 0, two usages, and
+    #: two classical optima past -a_max (a_max = 50 and the tiny-r_a config).
+    CERTIFIED = {
+        "defaults": CAL05,
+        **{f"share_{s}": calibrated_defaults(s) for s in (0.0, 0.25, 0.75, 1.0)},
+        "floored": dataclasses.replace(CAL05, b_min=0.5),
+        "delta_plus_20": dataclasses.replace(CAL05, delta=20.0),
+        "a_max_50": dataclasses.replace(CAL05, a_max=50.0),
+        "two_usages": TWO_USAGES,
+        # A config whose compare gain cancels down to rounding.
+        "cancelling_gain": dataclasses.replace(
+            CAL05, rho=(497310.44728021236,), lambda_=(0.02086125683285675,),
+            r_a=1.685451613655212e-4, theta=2.0632131595343199e-16,
+            delta=0.365668321212938, kappa=0.21441735973831225,
+        ),
+        "tiny_r_a": dataclasses.replace(
+            CAL05, eta=(13.64606177902855,), a_max=0.0002971847182932693,
+            r_a=1.677147759480995e-11, delta=-0.21393257785695774,
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", [16, 256, 1024])
+    @pytest.mark.parametrize("name", list(CERTIFIED))
+    def test_certificate_passes_solved_schedules(self, name, grid):
+        params = self.CERTIFIED[name]
+        requests = [(k, p, params) for k in CONTRACT_KINDS for p in PRINCIPAL_KINDS]
+        for (kind, principal, _), solution in zip(requests, solve_contracts(requests, grid)):
+            pay, eff = solution.payment, solution.effort
+            assert check_schedule_invariants(pay, eff, params) == [], (kind, principal)
+            if name in ("a_max_50", "tiny_r_a") and (kind, principal) == ("classical", "cara"):
+                # The charge pulls z far past the effort cap, out of reach
+                # of a bracket clipped at -a_max.
+                assert pay.z[0] < -2.0 * params.a_max
+
+    def test_certificate_flags_a_bracket_clipped_at_the_effort_cap(self, monkeypatch):
+        params = self.CERTIFIED["a_max_50"]
+        brackets = principal_module._brackets
+
+        def clipped(t, p):
+            lo, hi = brackets(t, p)
+            margin = 1e-6 * (1.0 + abs(p.delta) * p.horizon)
+            return np.maximum(lo, -p.a_max - margin), hi
+
+        monkeypatch.setattr(principal_module, "_brackets", clipped)
+        solution = solve_contract("classical", "cara", params, 256)
+        monkeypatch.undo()
+        problems = check_schedule_invariants(solution.payment, solution.effort, params)
+        assert any("not optimal" in p for p in problems)
 
     def test_payment_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -725,14 +804,6 @@ def solution_bits(solution):
     return [a.tobytes() for a in arrays] + [
         repr(solution.value), repr(solution.reservation.to_flat())
     ]
-
-
-#: Two usages with distinct eta: per-row sigma^2 in two columns, and a
-#: power with a (2,) exponent.
-TWO_USAGES = validate(dataclasses.replace(
-    CAL05, d=2, rho=(5e-5, 4.3e-5), lambda_=(0.028, 0.05), eta=(1.0, 2.0),
-    sigma=(0.04, 0.045),
-))
 
 
 class TestGroupedSolve:

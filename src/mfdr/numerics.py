@@ -10,15 +10,12 @@ outputs regardless of threading or call order.
 
 :func:`minimize_on_grid` runs a coarse scan followed by golden-section
 refinement on a whole family of brackets at once (one per time node, which
-is what the schedule builders use; a single bracket is a one-row call). Its
-scan runs in cache-sized column blocks, calling the objective several times.
-A 2-D array of brackets holds a row per objective, each solved bit for bit
-as alone.  An undeclared objective always gets points of the brackets' shape
-plus one axis of candidates.  An objective declared :func:`unimodal` takes
-the rows protocol instead: it gets ``(points, rows)``, the candidates of
-only the flat bracket rows that still need a value, and its scan is
-certified: it evaluates only the columns its coarse argmin depends on, with
-the same results.
+is what the schedule builders use; a single bracket is a one-row call).  It
+takes objectives that are unimodal on every bracket, called as
+``f(points, rows)`` on the candidates of only the flat bracket rows that
+still need a value, and certifies its scan: it evaluates only the columns
+its coarse argmin depends on, in cache-sized column blocks.  A 2-D array of
+brackets holds a row per objective, each solved bit for bit as alone.
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -33,7 +30,6 @@ import numpy as np
 __all__ = [
     "minimize_on_grid",
     "integrate_samples",
-    "unimodal",
 ]
 
 #: Inverse golden ratio 1/phi, the golden-section shrink factor per iteration.
@@ -42,13 +38,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Hard cap on golden-section iterations (reached only for absurdly small tol).
 _MAX_GOLDEN_ITERATIONS = 200
 
-#: Column stride of a certified scan's first pass (``coarse_n - 1`` must be a
+#: Column stride of the scan's first pass (``coarse_n - 1`` must be a
 #: multiple of it: 256 = 17 * 15 + 1 columns give 18 evenly spaced ones).
 _SCAN_STRIDE = 15
 
-#: Least relative gap, over ``|edge| + |least|``, by which a certified scan's
-#: region edges must exceed its least value: far above the few-ulp error of
-#: an objective declared :func:`unimodal`.
+#: Least relative gap, over ``|edge| + |least|``, by which the scan's region
+#: edges must exceed its least value: far above the few-ulp error of the
+#: objective's values.
 _CERTIFICATE_MARGIN = 2.0**-40
 
 #: Most points per objective call of the blocked coarse scan: each float64
@@ -86,24 +82,8 @@ def _certified(edge: np.ndarray, least: np.ndarray) -> np.ndarray:
         return edge - least > _CERTIFICATE_MARGIN * (np.abs(edge) + np.abs(least))
 
 
-def unimodal(f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
-    """Declare ``f`` unimodal for :func:`minimize_on_grid` and return it.
-
-    The declaration promises that, on every bracket, the objective is
-    unimodal in exact arithmetic (no interior local minimum but the least
-    value's) and that each computed value is within a few ulps of the exact
-    one, as for a sum of non-negative terms.  Its scan may then certify the
-    coarse argmin from a few columns (see :func:`minimize_on_grid`).
-
-    It also states that ``f`` takes the rows protocol: ``f(points, rows)``
-    with ``(r, k)`` points for the ``(r,)`` flat bracket rows ``rows``.
-    """
-    f.unimodal = True
-    return f
-
-
 def minimize_on_grid(
-    f: Callable[..., np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float] | np.ndarray,
     hi: Sequence[float] | np.ndarray,
     tol: float | None = None,
@@ -116,21 +96,17 @@ def minimize_on_grid(
     keeps its own golden-section iteration count, so its results are those
     of a call of its own at the same ``tol``, bit for bit.
 
-    The objective ``f`` is called several times, on column blocks of at
-    most ``_SCAN_BLOCK_POINTS`` points (one column when there are more
-    rows): the scan, the point 0, the refinement's two inner points, then
-    one column per golden-section iteration.  How it is called depends on
-    its declaration:
-
-    * undeclared: ``f(points)`` with points of shape ``lo.shape + (k,)``
-      whose ``[..., j, :]`` are candidates for bracket ``[..., j]``,
-      returning values of that shape.  Every call holds every row; a row
-      that needs no value then is given its best point so far;
-    * declared with :func:`unimodal`: ``f(points, rows)`` with points of
-      shape ``(r, k)`` and ``rows`` the ``(r,)`` increasing flat indices, in the
-      objective-major order of ``lo.reshape(-1)``, of the brackets they
-      are candidates for, returning values of shape ``(r, k)``.  Only rows
-      that still need a value are asked for one.
+    The objective ``f`` must be unimodal on every bracket in exact
+    arithmetic (no interior local minimum but the least value's), with each
+    computed value within a few ulps of the exact one, as for a sum of
+    non-negative terms.  It is called as ``f(points, rows)``, several times,
+    on column blocks of at most ``_SCAN_BLOCK_POINTS`` points (one column
+    when there are more rows): the scan, the point 0, the refinement's two
+    inner points, then one column per golden-section iteration.  ``points``
+    has shape ``(r, k)`` and ``rows`` holds the ``(r,)`` increasing flat
+    indices, in the objective-major order of ``lo.reshape(-1)``, of the
+    brackets they are candidates for; it returns values of shape
+    ``(r, k)``.  Only rows that still need a value are asked for one.
 
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
@@ -138,26 +114,24 @@ def minimize_on_grid(
     coarse sub-bracket down to width ``tol``. The reported minimizer is the
     best point ever evaluated, with ties broken toward smaller ``|argmin|``.
 
-    Certified scan.  For an objective declared with :func:`unimodal` (and
-    ``coarse_n - 1`` a multiple of ``_SCAN_STRIDE``), the scan first
-    evaluates every ``_SCAN_STRIDE``-th column.  A region starts at the
-    first least of those and grows by one stride per round on a side whose
-    edge is neither a bracket end nor above the least value found by more
-    than ``_CERTIFICATE_MARGIN`` relative; exact plateaus and non-finite
-    values keep it growing, at most to the full scan.  Once both edges
-    certify, unimodality puts every column outside the region strictly above
-    that least value, so the pick on the region is the pick on the full
-    scan, and the results are the full scan's, bit for bit.  A round
-    evaluates only the rows whose region grows: an interior argmin off a
-    plateau costs 18 + 28 values per row instead of 256 (at the default
-    ``coarse_n``), and a row on a plateau costs no other row anything.
-    Golden-section iterations likewise evaluate only the rows of objectives
-    that still iterate.
+    Certified scan.  The scan first evaluates every ``_SCAN_STRIDE``-th
+    column.  A region starts at the first least of those and grows by one
+    stride per round on a side whose edge is neither a bracket end nor above
+    the least value found by more than ``_CERTIFICATE_MARGIN`` relative;
+    exact plateaus and non-finite values keep it growing, at most to the
+    full scan.  Once both edges certify, unimodality puts every column
+    outside the region strictly above that least value, so the pick on the
+    region is the pick on the full scan, and the results are the full
+    scan's, bit for bit.  A round evaluates only the rows whose region
+    grows: an interior argmin off a plateau costs 18 + 28 values per row
+    instead of 256 (at the default ``coarse_n``), and a row on a plateau
+    costs no other row anything.  Golden-section iterations likewise
+    evaluate only the rows of objectives that still iterate.
 
     Parameters
     ----------
     f:
-        Vectorized objective, called as described above.
+        Vectorized unimodal objective, called as described above.
     lo, hi:
         Bracket endpoints, ``(n_rows,)`` or ``(m, n_rows)``, with
         ``lo < hi`` elementwise.
@@ -165,14 +139,15 @@ def minimize_on_grid(
         Absolute bracket-width target; defaults to 1e-9 scaled by the largest
         bracket end of all rows.
     coarse_n:
-        Number of coarse-scan points per row (>= 3).
+        Number of coarse-scan points per row: 1 plus a positive multiple
+        of ``_SCAN_STRIDE``.
 
     Returns
     -------
     (argmin, min_value, evaluations):
         Arrays of the brackets' shape and the number of objective values
-        computed (only those evaluated, so a certified scan counts fewer
-        than ``coarse_n`` per row).
+        computed (only those evaluated, so the scan counts fewer than
+        ``coarse_n`` per row).
 
     Raises
     ------
@@ -189,8 +164,8 @@ def minimize_on_grid(
         raise ValueError("brackets must be finite")
     if not (lo_arr < hi_arr).all():
         raise ValueError("every bracket needs lo < hi")
-    if coarse_n < 3:
-        raise ValueError("coarse_n must be at least 3")
+    if coarse_n < 1 + _SCAN_STRIDE or (coarse_n - 1) % _SCAN_STRIDE:
+        raise ValueError(f"coarse_n must be 1 plus a positive multiple of {_SCAN_STRIDE}")
     if tol is None:
         tol = _default_tol(lo_arr, hi_arr)
     if not tol > 0.0:
@@ -200,31 +175,17 @@ def minimize_on_grid(
     shape, n_rows = lo_arr.shape, lo_arr.shape[-1]
     lo_arr, hi_arr = lo_arr.reshape(-1), hi_arr.reshape(-1)
     every = np.arange(lo_arr.size)
-    declared = getattr(f, "unimodal", False) is True
     evaluations = 0
 
     def evaluate(points: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
         """Values at ``(rows.size, k)`` points of the flat bracket rows ``rows``."""
         nonlocal evaluations
-        partial = rows.size != every.size
-        given = points
-        if declared:
-            values = np.asarray(f(points, rows), dtype=float)
-        else:  # every row, the others at their best points
-            if partial:
-                given = np.repeat(best_x[:, None], points.shape[1], axis=1)
-                given[rows] = points
-            given = given.reshape(shape + (-1,))
-            values = np.asarray(f(given), dtype=float)
-        if values.shape != given.shape:
+        values = np.asarray(f(points, rows), dtype=float)
+        if values.shape != points.shape:
             raise ValueError(
-                f"objective returned shape {values.shape} for input shape {given.shape}"
+                f"objective returned shape {values.shape} for input shape {points.shape}"
             )
         evaluations += values.size
-        if not declared:
-            values = values.reshape(every.size, -1)
-            if partial:
-                values = values[rows]
         if math.isnan(values.min()):  # the least value is NaN if any is
             row, col = np.argwhere(np.isnan(values))[0]
             at = "objective {}, bracket row {}".format(*divmod(rows[row], n_rows))
@@ -275,51 +236,49 @@ def minimize_on_grid(
         return pos, points[index, pos], least
 
     stride = _SCAN_STRIDE
-    certify = declared and last % stride == 0
-    first_cols = np.arange(0, coarse_n, stride if certify else 1)  # from 0 to last
+    first_cols = np.arange(0, coarse_n, stride)  # from 0 to last
     points = scan_points(fractions[first_cols])
     points[:, 0], points[:, -1] = lo_arr, hi_arr
     scan_values = scan(points)
     pos, best_x, best_f = pick(points, scan_values)
     best_col = first_cols[pos]
     del points  # the growth rounds read only the scan's values
-    if certify:
-        # A region of whole strides from the sparse pick grows by one stride
-        # per round on a side whose edge does not yet certify; the running
-        # pick over every value evaluated is the pick on the region, since
-        # every other column lies above its least value.  A row whose region
-        # stops growing never grows again: its edges and least value stay.
-        gap_fractions = fractions[:last].reshape(-1, stride)[:, 1:]  # (gaps, stride - 1)
-        low = best_col // stride  # region edges, sparse index
-        high = low.copy()
-        active = every
-        while True:
-            low_edge, high_edge, least = low[active], high[active], best_f[active]
-            left = (low_edge > 0) & ~_certified(scan_values[active, low_edge], least)
-            right = (high_edge < first_cols.size - 1) & ~_certified(
-                scan_values[active, high_edge], least
+    # A region of whole strides from the sparse pick grows by one stride
+    # per round on a side whose edge does not yet certify; the running
+    # pick over every value evaluated is the pick on the region, since
+    # every other column lies above its least value.  A row whose region
+    # stops growing never grows again: its edges and least value stay.
+    gap_fractions = fractions[:last].reshape(-1, stride)[:, 1:]  # (gaps, stride - 1)
+    low = best_col // stride  # region edges, sparse index
+    high = low.copy()
+    active = every
+    while True:
+        low_edge, high_edge, least = low[active], high[active], best_f[active]
+        left = (low_edge > 0) & ~_certified(scan_values[active, low_edge], least)
+        right = (high_edge < first_cols.size - 1) & ~_certified(
+            scan_values[active, high_edge], least
+        )
+        grow = left | right
+        if not grow.all():
+            active, low_edge, high_edge, left, right = (
+                v[grow] for v in (active, low_edge, high_edge, left, right)
             )
-            grow = left | right
-            if not grow.all():
-                active, low_edge, high_edge, left, right = (
-                    v[grow] for v in (active, low_edge, high_edge, left, right)
-                )
-                if not active.size:
-                    break
-            # The stride each growing row adds, on its left side first.
-            gap = np.where(left, low_edge - 1, high_edge)
-            low[active] = low_edge - left
-            high[active] = high_edge + (right & ~left)
-            points = scan_points(gap_fractions[gap], active)
-            pos, x_new, f_new = pick(points, scan(points, active))
-            col = stride * gap + 1 + pos
-            f_old, x_old, col_old = best_f[active], best_x[active], best_col[active]
-            take = _better(f_new, x_new, f_old, x_old) | (
-                (f_new == f_old) & (x_new == x_old) & (col < col_old)
-            )
-            best_col[active] = np.where(take, col, col_old)
-            best_f[active] = np.where(take, f_new, f_old)
-            best_x[active] = np.where(take, x_new, x_old)
+            if not active.size:
+                break
+        # The stride each growing row adds, on its left side first.
+        gap = np.where(left, low_edge - 1, high_edge)
+        low[active] = low_edge - left
+        high[active] = high_edge + (right & ~left)
+        points = scan_points(gap_fractions[gap], active)
+        pos, x_new, f_new = pick(points, scan(points, active))
+        col = stride * gap + 1 + pos
+        f_old, x_old, col_old = best_f[active], best_x[active], best_col[active]
+        take = _better(f_new, x_new, f_old, x_old) | (
+            (f_new == f_old) & (x_new == x_old) & (col < col_old)
+        )
+        best_col[active] = np.where(take, col, col_old)
+        best_f[active] = np.where(take, f_new, f_old)
+        best_x[active] = np.where(take, x_new, x_old)
     # The best coarse point and its neighbours, which bracket the refinement.
     neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, last)
     points = scan_points(fractions[neighbours])

@@ -72,7 +72,6 @@ from .numerics import (
     _uniform_grid,
     integrate_samples,
     minimize_on_grid,
-    unimodal,
 )
 
 __all__ = [
@@ -320,10 +319,10 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     term, so :func:`solve_contracts` lists the uncharged problems first; an
     uncharged problem after it adds +0.0 to a sum that is never -0.0.
 
-    Every rate is declared :func:`unimodal`: its slope
-    (:func:`check_schedule_invariants`) increases on the bracket, as eta >= 1
-    holds for every ``ModelParams``, and it is a sum of non-negative terms,
-    so its values carry a few ulps of relative error."""
+    Every rate meets ``minimize_on_grid``'s precondition: it is unimodal on
+    the bracket, as its slope (:func:`check_schedule_invariants`) increases
+    there, eta >= 1 holding for every ``ModelParams``, and it is a sum of
+    non-negative terms, so its values carry a few ulps of relative error."""
     lo, hi = _brackets(t_nodes, params)
     count, nodes = len(problems), t_nodes.size
     shape = (count,) + lo.shape
@@ -334,7 +333,6 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     first = nodes * next((i for i, charge in enumerate(charges) if any(charge)), count)
     all_charges = np.repeat(charges, nodes, axis=0)[first:, :, None]  # from the first charged row
 
-    @unimodal
     def rate(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
         every = rows.size == all_ramps.shape[0]
         ramp = all_ramps if every else all_ramps[rows]
@@ -381,7 +379,8 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     rate problem once (module docstring), bit for bit as :func:`solve_contract`.
 
     Raises ``ParameterError`` naming delta, horizon and a_max, which bound
-    the rates, where the solve overflows float64."""
+    the rates, where the solve overflows float64, and naming r_p and x0
+    where a cara value does."""
     requests = list(requests)
     problems, groups = [], {}
     for kind, principal, params in requests:
@@ -473,7 +472,13 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
     xi0 = res.xi0
     ce = u - xi0
     if principal == "cara":
-        v0 = -math.exp(params.r_p * (xi0 - u))
+        try:
+            v0 = -math.exp(params.r_p * (xi0 - u))
+        except OverflowError:  # the rates are finite: r_p (xi0 - u) is what overflows
+            raise ParameterError(
+                ["r_p, x0: the cara value -exp(r_p (xi0 - u)) overflows float64; "
+                 "xi0 - u grows with (kappa - delta) * horizon * x0"]
+            ) from None
     else:
         v0 = ce
     value = ValueReport(

@@ -1,16 +1,22 @@
 """Tests for the command-line interface: config assembly, files, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfdr.cli as cli
 from mfdr.agent import reservation
@@ -858,6 +864,17 @@ class TestMainExitCodes:
         assert result.stderr.startswith("{")  # no warning before the report
         assert failures_from(result.stderr)[0]["detail"].startswith("delta, horizon, a_max: ")
 
+    @pytest.mark.parametrize("command, grid, x0", [("compare", "16", "65"), ("schedule", "64", "330")])
+    def test_overflowing_cara_value_names_x0(self, tmp_path, capsys, command, grid, x0):
+        # Every rate is finite; v0 = -exp(r_p (xi0 - u)) overflows, and
+        # xi0 - u grows with x0.  The failure blamed delta, horizon and a_max.
+        path = write_config(tmp_path, {"x0": x0})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out), "--grid", grid]) == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == "runtime_error"
+        assert failure["detail"].startswith("r_p, x0: ")
+
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n", encoding="utf-8")
@@ -865,6 +882,81 @@ class TestMainExitCodes:
                      "--grid", "8"]) == 2
         failures = failures_from(capsys.readouterr().err)
         assert failures[0]["check"] == "runtime_error"
+
+
+@st.composite
+def fuzz_config(draw):
+    """A flat config of every model key, each value log-uniform over a wide
+    valid range (x0, delta and kappa of either sign, r_p sometimes 0)."""
+
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    def signed(lo, hi):
+        return draw(st.sampled_from([-1.0, 1.0])) * log_uniform(lo, hi)
+
+    d = draw(st.integers(1, 3))
+
+    def per_usage(lo, hi):
+        return ", ".join(repr(log_uniform(lo, hi)) for _ in range(d))
+
+    r_p = draw(st.sampled_from([0.0, log_uniform(1e-4, 0.1)]))
+    return {
+        "d": str(d), "rho": per_usage(1e-6, 1e-2), "lambda": per_usage(1e-3, 1.0),
+        "eta": per_usage(1.0, 4.0), "sigma": per_usage(1e-4, 0.2),
+        **{key: repr(value) for key, value in {
+            "sigma_circ": log_uniform(1e-4, 0.2), "a_max": log_uniform(0.1, 1e3),
+            "b_min": log_uniform(1e-2, 0.9), "r_a": log_uniform(1e-4, 0.1), "r_p": r_p,
+            "theta": log_uniform(1e-4, 1.0), "horizon": log_uniform(0.5, 30.0),
+            "x0": signed(1e-2, 10.0), "delta": signed(0.1, 300.0),
+            "kappa": signed(1e-2, 30.0),
+        }.items()},
+    }
+
+
+#: The checks that may fail at valid inputs until the Monte Carlo gates use
+#: an exact discrete-time target and the gains a cancellation-free sum.
+_OPEN_CHECKS = {
+    "participation_z_score",
+    "principal_value_z_score",
+    "gain_nonnegative",
+    "relative_gain_nonnegative",
+    "first_best_dominates",
+}
+
+
+class TestFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(entries=fuzz_config())
+    def test_every_command_exits_cleanly(self, entries):
+        # Exit 0, 2 (an unusable configuration, e.g. an overflowing value),
+        # or 1 from an open check only: never from schedule_invariants, so
+        # every schedule passes its optimality certificate.  No warning, and
+        # no NaN or inf in any CSV.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            config = out / "run.ini"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), "utf-8")
+            dt = repr(float(entries["horizon"]) / 16.0)
+            sim = ["--particles", "16", "--common", "4", "--dt", dt]
+            for command in ("schedule", "compare", "simulate", "first-best", "reservation"):
+                args = [command, "--config", str(config), "--grid", "16", "--out", str(out / command)]
+                stderr = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    warnings.simplefilter("always")
+                    status = main(args + (sim if command == "simulate" else []))
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+                assert status in (0, 1, 2), command
+                if status == 1:
+                    checks = {item["check"] for item in failures_from(stderr.getvalue())}
+                    assert checks <= _OPEN_CHECKS, (command, checks)
+            for path in out.rglob("*.csv"):
+                for row in read_table(path)[1]:
+                    for text in row:
+                        with contextlib.suppress(ValueError):
+                            assert math.isfinite(float(text)), (path.name, row)
 
 
 class TestEntryPoint:

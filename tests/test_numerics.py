@@ -13,7 +13,7 @@ from test_principal import hbar_classical
 
 from mfdr import numerics, principal
 from mfdr.model import calibrated_defaults, validate
-from mfdr.numerics import integrate_samples, minimize_on_grid, unimodal
+from mfdr.numerics import integrate_samples, minimize_on_grid
 from mfdr.principal import (
     _brackets,
     _classical_charge,
@@ -31,17 +31,18 @@ def minimize_one(f, lo, hi, **kwargs):
 
 def one_shot_minimize(f, lo, hi, tol=None, coarse_n=256):
     """Reference for ``minimize_on_grid`` on valid input: the same steps,
-    but the whole coarse scan is one objective call and the lexicographic
-    pick runs over every row."""
+    but the whole coarse scan is one objective call on every column and the
+    lexicographic pick runs over every row."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if tol is None:
         tol = numerics._default_tol(lo, hi)
+    rows = np.arange(len(lo))
     evaluations = 0
 
     def evaluate(points):
         nonlocal evaluations
         evaluations += points.size
-        return f(points)
+        return f(points, rows)
 
     fractions = np.linspace(0.0, 1.0, coarse_n)
     scan = lo[:, None] + (hi - lo)[:, None] * fractions[None, :]
@@ -54,7 +55,6 @@ def one_shot_minimize(f, lo, hi, tol=None, coarse_n=256):
     tied &= magnitude == smallest[:, None]
     largest = np.max(np.where(tied, scan, -np.inf), axis=1)
     best_col = np.argmax(tied & (scan == largest[:, None]), axis=1)
-    rows = np.arange(len(lo))
     best_x, best_f = scan[rows, best_col], scan_values[rows, best_col]
 
     def keep_better(x_new, f_new):
@@ -111,13 +111,13 @@ class TestMinimizeScalar:
     """Scalar problems: one bracket, solved as one-row minimize_on_grid calls."""
 
     def test_exact_quadratic(self):
-        argmin, min_value, _ = minimize_one(lambda z: (z + 1.0) ** 2, -2.0, 0.0)
+        argmin, min_value, _ = minimize_one(lambda z, rows: (z + 1.0) ** 2, -2.0, 0.0)
         assert abs(argmin - (-1.0)) <= 1e-8
         assert min_value <= 1e-15
         assert -2.0 <= argmin <= 0.0
 
     def test_kink_at_zero_is_found_exactly(self):
-        argmin, min_value, _ = minimize_one(np.abs, -1.0, 1.0)
+        argmin, min_value, _ = minimize_one(lambda z, rows: np.abs(z), -1.0, 1.0)
         assert argmin == 0.0
         assert min_value == 0.0
 
@@ -125,33 +125,43 @@ class TestMinimizeScalar:
         # Constant objective: every point ties; magnitude tie-breaking must
         # settle on 0 whenever the bracket spans it.
         argmin, min_value, _ = minimize_one(
-            lambda z: np.full_like(z, 7.5), -3.0, 5.0
+            lambda z, rows: np.full_like(z, 7.5), -3.0, 5.0
         )
         assert argmin == 0.0
         assert min_value == 7.5
 
     def test_flat_valley_without_zero_prefers_smallest_magnitude(self):
-        argmin, _, _ = minimize_one(np.ones_like, 1.0, 3.0)
+        argmin, _, _ = minimize_one(lambda z, rows: np.ones_like(z), 1.0, 3.0)
         assert argmin == 1.0
 
-    @pytest.mark.parametrize("bound, coarse_n", [(2.0, 5), (3.0, 7)])
-    def test_exact_symmetric_ties_go_to_the_larger_point(self, bound, coarse_n):
-        # The scan hits both roots -1 and +1 of (x^2 - 1)^2 exactly: equal
-        # values and magnitudes, so the larger point wins, and no refined
-        # point beats an exact zero.
-        argmin, min_value, _ = minimize_one(
-            lambda x: (x**2 - 1.0) ** 2, -bound, bound, coarse_n=coarse_n
-        )
-        assert argmin == 1.0
-        assert min_value == 0.0
+    @pytest.mark.parametrize("bound, coarse_n", [(15.0, 16), (255.0, 256)])
+    def test_exact_symmetric_scan_ties_go_to_the_larger_point(self, bound, coarse_n):
+        # The scan's points are the odd integers in [-bound, bound], so -1
+        # and +1 are neighbours on the plateau |x| <= 1: equal values and
+        # magnitudes, so the scan picks +1 and the refinement brackets
+        # [-1, 3], whose inner points are positive.  The point 0 ties on the
+        # plateau with a smaller magnitude and is the minimizer.
+        inner = []
+
+        def f(x, rows):
+            if x.shape[1] == 2:
+                inner.append(x.copy())
+            return np.maximum(np.abs(x), 1.0)
+
+        argmin, min_value, _ = minimize_one(f, -bound, bound, coarse_n=coarse_n)
+        assert argmin == 0.0 and min_value == 1.0
+        points = inner[-1]  # at 16 columns the scan's first pass has two too
+        assert (points > 0.0).all() and (points < 3.0).all()
 
     def test_min_value_not_above_coarse_grid(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
-            coeffs = rng.normal(size=4)
+            # A convex parabola plus a kink: unimodal, with a random minimizer.
+            curvature, kink = np.abs(rng.normal(size=2))
+            center, corner, offset = rng.normal(size=3)
 
-            def f(z, c=coeffs):
-                return c[0] * z**3 + c[1] * z**2 + c[2] * z + c[3]
+            def f(z, rows=None, c=(curvature, kink, center, corner, offset)):
+                return c[0] * (z - c[2]) ** 2 + c[1] * np.abs(z - c[3]) + c[4]
 
             lo, hi = sorted(rng.normal(scale=3.0, size=2))
             if hi - lo < 1e-6:
@@ -166,35 +176,37 @@ class TestMinimizeScalar:
         # float64, so the bracket really can be tightened to the requested tol.
         target = -0.7314159
         argmin, _, _ = minimize_one(
-            lambda z: (z - target) ** 2, -2.0, 2.0, tol=1e-10
+            lambda z, rows: (z - target) ** 2, -2.0, 2.0, tol=1e-10
         )
         assert abs(argmin - target) <= 1e-9
 
     def test_nan_aborts_with_location(self):
-        def bad(z):
+        def bad(z, rows):
             return np.where(z > 0.5, math.nan, z**2)
 
         with pytest.raises(ArithmeticError, match="NaN at x="):
             minimize_one(bad, -1.0, 1.0)
 
     def test_deterministic_bitwise(self):
-        def f(z):
-            return np.sin(3.0 * z) + 0.1 * z**2
+        def f(z, rows):
+            return np.exp(3.0 * z) + np.exp(-z) + 0.1 * z**2
 
         first = minimize_one(f, -4.0, 4.0)
         second = minimize_one(f, -4.0, 4.0)
         assert first == second
 
     def test_invalid_inputs(self):
-        def f(z):
+        def f(z, rows):
             return z
 
         with pytest.raises(ValueError):
             minimize_one(f, 1.0, 1.0)
         with pytest.raises(ValueError):
             minimize_one(f, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            minimize_one(f, 0.0, 1.0, coarse_n=2)
+        # The scan's first pass takes every 15th column, from both ends.
+        for coarse_n in (1, 2, 3, 15, 30, 255, 257):
+            with pytest.raises(ValueError, match="coarse_n must be 1 plus"):
+                minimize_one(f, 0.0, 1.0, coarse_n=coarse_n)
         with pytest.raises(ValueError):
             minimize_one(f, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError, match="non-empty"):
@@ -211,7 +223,7 @@ class TestMinimizeScalar:
     def test_random_parabolas(self, center, curvature, offset):
         lo, hi = center - 2.0, center + 3.0
         argmin, min_value, _ = minimize_one(
-            lambda z: curvature * (z - center) ** 2 + offset, lo, hi
+            lambda z, rows: curvature * (z - center) ** 2 + offset, lo, hi
         )
         assert abs(argmin - center) <= 1e-6
         assert min_value <= offset + curvature * 1e-12
@@ -225,42 +237,47 @@ class TestMinimizeOnGrid:
         lo = centers - 1.0
         hi = centers + 1.3
 
-        def batch(points):
-            return (points - centers[:, None]) ** 2
+        def batch(points, rows):
+            return (points - centers[rows, None]) ** 2
 
         argmin, min_value, _ = minimize_on_grid(batch, lo, hi, tol=1e-9)
         for j, c in enumerate(centers):
             one_argmin, one_min, _ = minimize_one(
-                lambda z, c=c: (z - c) ** 2, lo[j], hi[j], tol=1e-9
+                lambda z, rows, c=c: (z - c) ** 2, lo[j], hi[j], tol=1e-9
             )
             assert argmin[j] == one_argmin
             assert min_value[j] == one_min
 
     def test_coarse_pick_is_lexicographic(self):
         # A tol above every bracket width leaves only the scan (and 0) to
-        # pick from; rounded values make exact ties common.  The pick is the
-        # least point in (value, |x|, -x) order, the first one among equals.
+        # pick from; plateaus of whole quarters make exact ties common, and
+        # the row centred on 0 ties symmetric points.  The pick is the least
+        # point in (value, |x|, -x) order, the first one among equals.
         lo = np.array([-3.0, -2.0, 0.5, -1.0, -1.0])
         hi = np.array([3.0, 1.0, 2.5, -0.25, 1.0])
+        centers = np.array([0.0, -0.6, 1.3, -0.6, 0.35])
 
-        def f(points):
-            return np.round(np.cos(3.0 * points), 1)
+        def value(points, center):
+            return np.floor(4.0 * np.abs(points - center)) / 4.0
 
-        argmin, min_value, _ = minimize_on_grid(f, lo, hi, tol=10.0, coarse_n=33)
-        fractions = np.linspace(0.0, 1.0, 33)
+        def f(points, rows):
+            return value(points, centers[rows, None])
+
+        argmin, min_value, _ = minimize_on_grid(f, lo, hi, tol=10.0, coarse_n=31)
+        fractions = np.linspace(0.0, 1.0, 31)
         for j in range(len(lo)):
             scan = lo[j] + (hi[j] - lo[j]) * fractions
             scan[0], scan[-1] = lo[j], hi[j]
             points = list(scan) + ([0.0] if lo[j] < 0.0 < hi[j] else [])
-            best = min(points, key=lambda x: (float(f(np.array(x))), abs(x), -x))
+            best = min(points, key=lambda x: (float(value(x, centers[j])), abs(x), -x))
             assert argmin[j] == best
-            assert min_value[j] == float(f(np.array(best)))
+            assert min_value[j] == float(value(best, centers[j]))
 
     @pytest.mark.parametrize("n_rows", [3, 64, 1025])
     @pytest.mark.parametrize("shape", ["plateau", "kink", "flat_zero", "symmetric"])
     @pytest.mark.parametrize("tol", [None, 1e3])
     def test_blocked_scan_matches_one_shot(self, n_rows, shape, tol):
-        # Only +, -, *, abs and rounding, so the values are the same on
+        # Only +, -, *, abs, max and rounding, so the values are the same on
         # every platform; the plateaus and symmetric shapes tie exactly.
         rng = np.random.default_rng(n_rows)
         center = np.round(rng.uniform(-3.0, 3.0, n_rows), 2)
@@ -268,28 +285,28 @@ class TestMinimizeOnGrid:
         hi = lo + np.round(rng.uniform(0.5, 6.0, n_rows), 3)
         lo[::3], hi[::3] = -2.0, 2.0  # symmetric brackets that span 0
 
-        def plateau(x):
-            offset = x - center[:, None]
+        def plateau(x, rows):
+            offset = x - center[rows, None]
             return np.floor(4.0 * offset * offset)
 
         objectives = {
             "plateau": plateau,
-            "kink": lambda x: np.abs(x - center[:, None]) * 3.0 + 0.25 * x * x,
-            "flat_zero": lambda x: np.round(2.0 * np.abs(x)),
-            "symmetric": lambda x: (x * x - 1.0) * (x * x - 1.0),
+            "kink": lambda x, rows: np.abs(x - center[rows, None]) * 3.0 + 0.25 * x * x,
+            "flat_zero": lambda x, rows: np.round(2.0 * np.abs(x)),
+            "symmetric": lambda x, rows: np.maximum(x * x - 1.0, 0.0),
         }
         sizes = []
 
-        def spy(points):
+        def spy(points, rows):
             sizes.append(points.size)
-            return objectives[shape](points)
+            return objectives[shape](points, rows)
 
         argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, tol=tol)
         assert max(sizes) <= numerics._SCAN_BLOCK_POINTS
         assert sum(sizes) == evaluations
         expected = one_shot_minimize(objectives[shape], lo, hi, tol=tol)
         assert bits(argmin, minima) == bits(*expected[:2])
-        assert evaluations == expected[2]
+        assert evaluations <= expected[2]
 
     @pytest.mark.parametrize("objective", [hbar, hbar_classical])
     def test_rate_solve_matches_one_shot(self, objective):
@@ -298,15 +315,17 @@ class TestMinimizeOnGrid:
         charge = (0.0, 0.0) if objective is hbar else _classical_charge(params)
         (z_star,), (minima,) = _minimize_rate(t, params, [(params.sigma, charge)])
         lo, hi = _brackets(t, params)
-        expected = one_shot_minimize(lambda x: objective(t[:, None], x, params), lo, hi)
+        expected = one_shot_minimize(
+            lambda x, rows: objective(t[rows, None], x, params), lo, hi
+        )
         assert bits(z_star, minima) == bits(*expected[:2])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            minimize_on_grid(lambda p: p[:, :1], [0.0], [1.0])
+            minimize_on_grid(lambda p, rows: p[:, :1], [0.0], [1.0])
 
     def test_nan_reports_row(self):
-        def batch(points):
+        def batch(points, rows):
             out = points**2
             out[points > 0.9] = np.nan
             return out
@@ -315,29 +334,34 @@ class TestMinimizeOnGrid:
             minimize_on_grid(batch, [-1.0, -1.0], [0.5, 1.0])
 
 
-def family_of(objectives):
-    """The objective of 2-D brackets made of single-objective callables:
-    ``(m, n, k)`` points, objective ``i``'s at ``[i]``."""
+def family_of(objectives, n_rows):
+    """The objective of 2-D brackets of ``n_rows`` columns made of
+    single-objective ones: flat row ``r`` is objective ``r // n_rows``'s
+    bracket row ``r % n_rows``."""
 
-    def f(points):
-        return np.stack([g(p) for g, p in zip(objectives, points)])
+    def f(points, rows):
+        member, row = np.divmod(rows, n_rows)
+        values = np.empty_like(points)
+        for i, g in enumerate(objectives):
+            take = member == i
+            if take.any():
+                values[take] = g(points[take], row[take])
+        return values
 
     return f
 
 
 def golden_iterations(f, lo, hi):
     """Golden-section iterations of a single-objective call at the default
-    tol: its one-column calls after the scan, less the point 0 (so some
-    bracket must span 0)."""
+    tol: its one-column calls after the call on the two inner points."""
     widths = []
 
-    def spy(points):
+    def spy(points, rows):
         widths.append(points.shape[-1])
-        return f(points)
+        return f(points, rows)
 
     minimize_on_grid(spy, lo, hi)
-    scan_calls = -(-256 // max(1, numerics._SCAN_BLOCK_POINTS // len(lo)))
-    return widths[scan_calls:].count(1) - 1
+    return widths[::-1].index(2)
 
 
 class TestObjectiveFamilies:
@@ -349,23 +373,25 @@ class TestObjectiveFamilies:
         every objective's brackets."""
         lo, hi = (np.broadcast_to(b, (len(objectives), np.shape(b)[-1])) for b in (lo, hi))
         sizes = []
-        family = family_of(objectives)
+        family = family_of(objectives, lo.shape[1])
 
-        def spy(points):
-            assert points.shape[:-1] == lo.shape
+        def spy(points, rows):
+            assert points.shape == (rows.size, points.shape[1])
+            assert (np.diff(rows) > 0).all() and 0 <= rows[0] and rows[-1] < lo.size
             sizes.append(points.size)
-            return family(points)
+            return family(points, rows)
 
         argmin, minima, evaluations = minimize_on_grid(spy, lo, hi, tol=tol)
         assert argmin.shape == minima.shape == lo.shape
         tol = numerics._default_tol(lo, hi) if tol is None else tol
+        alone_evaluations = 0
         for i, g in enumerate(objectives):
-            alone = minimize_on_grid(g, lo[i], hi[i], tol=tol)
+            alone = one_shot_minimize(g, lo[i], hi[i], tol=tol)
             assert bits(argmin[i], minima[i]) == bits(*alone[:2])
+            alone_evaluations += alone[2]
         # Every call, scan block or not, holds at most the budget of values.
         assert max(sizes) <= numerics._SCAN_BLOCK_POINTS
-        assert sum(sizes) == evaluations
-        assert evaluations >= lo.size * 256
+        assert sum(sizes) == evaluations <= alone_evaluations
 
     @pytest.mark.parametrize("n_rows", [3, 64, 1025])
     @pytest.mark.parametrize("tol", [None, 1e-3, 1e3])
@@ -385,12 +411,12 @@ class TestObjectiveFamilies:
             lo, hi = np.broadcast_to(lo, (6, n_rows)), np.broadcast_to(hi, (6, n_rows))
             near_lo = (lo[5] + 0.3 * (hi[5] - lo[5]) / 255.0)[:, None]
             objectives = [
-                lambda x: np.floor(4.0 * (x - center) * (x - center)),
-                lambda x: np.abs(x - center) * 3.0 + 0.25 * x * x,
-                lambda x: np.round(2.0 * np.abs(x)),
-                lambda x: (x * x - 1.0) * (x * x - 1.0),
-                lambda x: 2.0 * x,
-                lambda x, near_lo=near_lo: (x - near_lo) ** 2,
+                lambda x, r: np.floor(4.0 * (x - center[r]) * (x - center[r])),
+                lambda x, r: np.abs(x - center[r]) * 3.0 + 0.25 * x * x,
+                lambda x, r: np.round(2.0 * np.abs(x)),
+                lambda x, r: np.maximum(x * x - 1.0, 0.0),
+                lambda x, r: 2.0 * x,
+                lambda x, r, near_lo=near_lo: (x - near_lo[r]) ** 2,
             ]
             if tol is None:
                 counts = {golden_iterations(g, *b) for g, *b in zip(objectives, lo, hi)}
@@ -399,7 +425,7 @@ class TestObjectiveFamilies:
 
     def test_one_objective_family(self):
         lo, hi = np.array([[-1.0, -2.0]]), np.array([[1.0, 0.5]])
-        self.assert_family_matches_alone([lambda x: (x - 0.3) ** 2], lo, hi)
+        self.assert_family_matches_alone([lambda x, r: (x - 0.3) ** 2], lo, hi)
 
     def test_rate_kinds_with_different_iteration_counts(self):
         # At variance share 1 the new and classical rates need 32 and 33
@@ -408,16 +434,16 @@ class TestObjectiveFamilies:
         t = numerics._uniform_grid(params.horizon, 1024)[:, None]
         lo, hi = _brackets(t[:, 0], params)
         objectives = [
-            lambda x: hbar(t, x, params),
-            lambda x: hbar_classical(t, x, params),
+            lambda x, r: hbar(t[r], x, params),
+            lambda x, r: hbar_classical(t[r], x, params),
         ]
         assert [golden_iterations(g, lo, hi) for g in objectives] == [32, 33]
         self.assert_family_matches_alone(objectives, lo, hi)
 
     def test_nan_names_objective_and_row(self):
-        def bad(points):
+        def bad(points, rows):
             out = points**2
-            out[1][points[1] > 0.9] = np.nan
+            out[(rows >= 2)[:, None] & (points > 0.9)] = np.nan  # objective 1 only
             return out
 
         lo, hi = np.full((2, 2), -1.0), np.array([[0.5, 1.0]] * 2)
@@ -426,9 +452,9 @@ class TestObjectiveFamilies:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            minimize_on_grid(lambda p: np.empty((0,) + p.shape), [0.0], [1.0])
+            minimize_on_grid(lambda p, rows: np.empty((0,) + p.shape), [0.0], [1.0])
         with pytest.raises(ValueError, match="non-empty"):
-            minimize_on_grid(lambda p: p, np.empty((0, 1)), np.empty((0, 1)))
+            minimize_on_grid(lambda p, rows: p, np.empty((0, 1)), np.empty((0, 1)))
 
 
 CAL = calibrated_defaults()
@@ -471,27 +497,23 @@ def solve_rate_family(params, grid):
     return call
 
 
-def rate_oracle(params, grid):
-    """The family's objective from public :func:`hbar` and
-    ``_common_noise_charge``, not the solver's: ``(2, n, k)`` points, the
-    new rate's at ``[0]`` and the classical rate's at ``[1]``."""
+def rate_one_shot(params, grid, lo, hi):
+    """``one_shot_minimize`` of the new rate (``[0]``) and the classical
+    rate (``[1]``) on their ``(2, n)`` brackets, each from public
+    :func:`hbar` and ``_common_noise_charge``, not the solver's objective;
+    the evaluations are the two calls' sum."""
     t = numerics._uniform_grid(params.horizon, grid)[:, None]
     ramp = params.delta * (params.horizon - t)
-    charges = [(0.0, 0.0), _classical_charge(params)]
-
-    def f(points):
-        return np.stack([
-            hbar(t, x, params) + _common_noise_charge(ramp, x, charge)
-            for x, charge in zip(points, charges)
-        ])
-
-    return f
-
-
-def full_scan(params, grid, lo, hi):
-    """``minimize_on_grid`` of the family's oracle, which is undeclared, so
-    every column is scanned."""
-    return minimize_on_grid(rate_oracle(params, grid), lo, hi)
+    results = [
+        one_shot_minimize(
+            lambda x, rows, c=charge: hbar(t[rows], x, params)
+            + _common_noise_charge(ramp[rows], x, c),
+            lo[i], hi[i],
+        )
+        for i, charge in enumerate([(0.0, 0.0), _classical_charge(params)])
+    ]
+    argmins, minima, evaluations = zip(*results)
+    return np.stack(argmins), np.stack(minima), sum(evaluations)
 
 
 @st.composite
@@ -517,27 +539,22 @@ def rate_params(draw):
 
 
 class TestCertifiedScan:
-    """A declared-unimodal objective gives the full scan's bits from fewer values."""
+    """The certified scan gives the full scan's bits from fewer values."""
 
     @pytest.mark.parametrize("grid", [1024, 256, 64])
     @pytest.mark.parametrize("case", sorted(RATE_CASES))
     def test_rate_family_matches_one_shot(self, case, grid):
         params = RATE_CASES[case]
-        f, lo, hi, (argmin, minima, _) = solve_rate_family(params, grid)
-        assert f.unimodal is True
-        oracle = rate_oracle(params, grid)
-        for i in range(2):  # the new member, then the classical one
-            expected = one_shot_minimize(
-                lambda x: oracle(np.broadcast_to(x, lo.shape + x.shape[-1:]))[i], lo[i], hi[i]
-            )
-            assert bits(argmin[i], minima[i]) == bits(*expected[:2])
+        _, lo, hi, (argmin, minima, _) = solve_rate_family(params, grid)
+        expected = rate_one_shot(params, grid, lo, hi)
+        assert bits(argmin, minima) == bits(*expected[:2])
 
     @settings(max_examples=40, deadline=None)
     @given(params=rate_params())
     def test_random_rate_families_match_full_scan(self, params):
         # pytest turns a RuntimeWarning (an overflow, say) into an error.
         _, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 64)
-        expected = full_scan(params, 64, lo, hi)
+        expected = rate_one_shot(params, 64, lo, hi)
         assert bits(argmin, minima) == bits(*expected[:2])
         assert evaluations <= expected[2]
 
@@ -550,14 +567,13 @@ class TestCertifiedScan:
         f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(CAL, 1024)
         calls = []
 
-        @unimodal
         def spy(points, rows):
             calls.append((points.copy(), rows.copy()))
             return f(points, rows)
 
         again = minimize_on_grid(spy, lo, hi)
         assert bits(*again[:2]) == bits(argmin, minima) and again[2] == evaluations
-        assert bits(argmin, minima) == bits(*full_scan(CAL, 1024, lo, hi)[:2])
+        assert bits(argmin, minima) == bits(*rate_one_shot(CAL, 1024, lo, hi)[:2])
         every = np.arange(lo.size)
         widths = [points.shape[1] for points, _ in calls]
         inner = len(widths) - 1 - widths[::-1].index(2)  # golden calls take one point
@@ -581,14 +597,13 @@ class TestCertifiedScan:
         f, lo, hi, (argmin, minima, evaluations) = solve_rate_family(params, 1024)
         asked = np.zeros(lo.size, dtype=int)
 
-        @unimodal
         def spy(points, rows):
             np.add.at(asked, rows, points.shape[1])
             return f(points, rows)
 
         again = minimize_on_grid(spy, lo, hi)
         assert bits(*again[:2]) == bits(argmin, minima) and again[2] == evaluations
-        assert bits(argmin, minima) == bits(*full_scan(params, 1024, lo, hi)[:2])
+        assert bits(argmin, minima) == bits(*rate_one_shot(params, 1024, lo, hi)[:2])
         # Scan, two strides, the point 0, two inner points, <= 33 iterations.
         certified_early = 18 + 28 + 1 + 2 + 33
         plateau = lo.shape[1] - 1  # the new rate's row at t = T
@@ -596,32 +611,22 @@ class TestCertifiedScan:
         assert np.max(np.delete(asked, plateau)) <= certified_early
         assert evaluations == asked.sum() <= 140_000
 
-    @pytest.mark.parametrize("declared", [False, True])
-    def test_undeclared_objective_scans_every_column(self, declared):
+    def test_scan_evaluates_few_columns(self):
         # No bracket spans 0, whose extra point could be a scan point.
         lo, hi = np.array([0.1, 0.25, -3.0]), np.array([1.0, 3.0, -0.5])
         seen = [[] for _ in lo]
 
-        def objective(points):
-            for j, row in enumerate(points):
-                seen[j].append(row)
-            return (points - 0.3) ** 2
-
-        @unimodal
-        def declared_objective(points, rows):
+        def objective(points, rows):
             for j, row in zip(rows, points):
                 seen[j].append(row)
             return (points - 0.3) ** 2
 
-        minimize_on_grid(declared_objective if declared else objective, lo, hi)
+        minimize_on_grid(objective, lo, hi)
         scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 256)
         scan[:, 0], scan[:, -1] = lo, hi
         for j in range(len(lo)):
             covered = np.count_nonzero(np.isin(scan[j], np.concatenate(seen[j])))
-            if declared:  # 18 sparse columns and two strides of 14
-                assert covered <= 18 + 28
-            else:
-                assert covered == 256
+            assert covered <= 18 + 28  # 18 sparse columns and two strides of 14
 
     @pytest.mark.parametrize("shape", ["valley", "shelf", "constant", "wall", "pit"])
     @pytest.mark.parametrize("tol", [None, 1e3])
@@ -643,16 +648,19 @@ class TestCertifiedScan:
             "pit": lambda x, c: np.where(np.abs(x - c) < 0.5, -np.inf, np.abs(x - c)),
         }
         objective = objectives[shape]
-        declared = unimodal(lambda x, rows: objective(x, center[rows]))
-        result = minimize_on_grid(declared, lo, hi, tol=tol)
-        expected = one_shot_minimize(lambda x: objective(x, center), lo, hi, tol=tol)
+
+        def f(x, rows):
+            return objective(x, center[rows])
+
+        result = minimize_on_grid(f, lo, hi, tol=tol)
+        expected = one_shot_minimize(f, lo, hi, tol=tol)
         assert bits(*result[:2]) == bits(*expected[:2])
         assert result[2] <= expected[2]
 
     def test_finished_objective_rows_get_no_values(self):
-        # Two declared objectives whose golden-section iteration counts
-        # differ: once the first is done, its rows are never asked for a
-        # value again, and each objective keeps the bits of a call of its own.
+        # Two objectives whose golden-section iteration counts differ: once
+        # the first is done, its rows are never asked for a value again, and
+        # each objective keeps the bits of a call of its own.
         n = 64
         lo, hi = np.full((2, n), -2.0), np.full((2, n), 2.0)
         lo[1] = -1.0  # half the sub-bracket width: fewer iterations
@@ -663,7 +671,6 @@ class TestCertifiedScan:
 
         asked = []
 
-        @unimodal
         def spy(points, rows):
             asked.append((points.shape[1], rows.copy()))
             return value(points, rows)
@@ -679,7 +686,7 @@ class TestCertifiedScan:
         tol = numerics._default_tol(lo, hi)
         for i in range(2):
             alone = minimize_on_grid(
-                unimodal(lambda p, rows, i=i: value(p, rows + i * n)), lo[i], hi[i], tol=tol
+                lambda p, rows, i=i: value(p, rows + i * n), lo[i], hi[i], tol=tol
             )
             assert bits(argmin[i], minima[i]) == bits(*alone[:2])
 

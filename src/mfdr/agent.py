@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, ParameterError
 from .numerics import _uniform_grid, integrate_samples
 
 __all__ = [
@@ -125,19 +125,12 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
     the per-row factors enter only elementwise products, and the power's
     input ``lambda q`` keeps its layout.
 
-    Each regime's formula runs on the whole ``q.shape + (d,)`` array, and a
-    0/1 factor of its regime selects it, which is exact: the power's input
-    is 0 outside the interior regime, so the interior formula gives the
-    finite ``-sig2 / (lambda eta)`` there, which the factor turns into
-    -0.0, and the full retention charge ``sig2 q`` is 0 outside its
-    regime.  No regime's formula can then overflow where its own entries do
-    not.  Where ``sig2 / (lambda eta)`` itself overflows (with a warning,
-    or an error under ``errstate``), the factor would make NaN of it, so
-    ``np.where`` selects instead, for every row when any row's overflows:
-    on a finite row both give the same values.  The power keeps that
-    layout, which fixes the SIMD path that sets its last bits when d > 1.
-    The floor formula runs, on its own entries only, when some entry
-    floors.
+    The interior formula runs on the whole ``q.shape + (d,)`` array with
+    the power's input multiplied by a 0/1 factor of its regime, so it cannot
+    overflow where its own entries do not, and ``np.where`` selects it or
+    the full retention charge ``sig2 q``.  The power keeps that layout,
+    which fixes the SIMD path that sets its last bits when d > 1.  The floor
+    formula overwrites, on its own entries only, when some entry floors.
     """
     lam = np.asarray(params.lambda_)
     eta = np.asarray(params.eta)
@@ -146,7 +139,6 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
     b_min = params.b_min
     lam_eta = lam * eta
     power, slope, all_scales = eta / (1.0 + eta), 1.0 + eta, sig2 / lam_eta
-    finite_scale = np.isfinite(all_scales).all()
 
     # At large eta * |log b_min| the floor constants pass the float range:
     # an infinite threshold floors no entry, which is exact.
@@ -164,19 +156,11 @@ def _f0_kernel(params: ModelParams, sig2: np.ndarray | None = None):
         floored = scaled > floor_q
         some_floored = floored.any()
         interior = ~(full | floored) if some_floored else ~full
-        factor = interior.astype(float)
-        per_usage = np.power(scaled * factor, power)
+        per_usage = np.power(scaled * interior.astype(float), power)
         per_usage *= slope
         per_usage -= 1.0
         per_usage *= interior_scale
-        full_charge = full.astype(float) if some_floored else 1.0 - factor
-        full_charge *= q_k
-        full_charge *= s2
-        if finite_scale:
-            per_usage *= factor
-            per_usage += full_charge
-        else:
-            per_usage = np.where(interior, per_usage, full_charge)
+        per_usage = np.where(interior, per_usage, q_k * s2)
         if some_floored:
             np.multiply(b_min, q_k, out=per_usage, where=floored)
             np.add(per_usage, floor_cost, out=per_usage, where=floored)
@@ -303,6 +287,7 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
     retention follows its best response, and the certainty-equivalent cost
     rate ``(c_beta + |gamma0| * (retained + common variance)) / 2`` is
     integrated by Simpson's rule.  ``grid_size`` must be even and >= 2.
+    Raises ``ParameterError`` naming r_a and x0 where ``r0`` overflows.
     """
     horizon = params.horizon
     t = _uniform_grid(horizon, grid_size)
@@ -315,7 +300,13 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
     )
     psi0_T = -integrate_samples(cost_rate, 0.0, horizon)
     xi0 = params.kappa * horizon * params.x0 + psi0_T
-    r0 = -math.exp(-params.r_a * xi0)
+    try:
+        r0 = -math.exp(-params.r_a * xi0)
+    except OverflowError:
+        raise ParameterError(
+            ["r_a, x0: the reservation utility -exp(-r_a xi0) overflows float64; "
+             "xi0 = kappa * horizon * x0 + psi0_T"]
+        ) from None
     return ReservationReport(
         grid=t, gamma0=gamma0, beta0=beta0, psi0_T=psi0_T, xi0=xi0, r0=r0
     )

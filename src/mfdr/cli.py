@@ -69,9 +69,9 @@ from .principal import (
     CONTRACT_KINDS,
     PRINCIPAL_KINDS,
     _default_principal,
-    _first_best,
     check_schedule_invariants,
     compare_cells,
+    first_best_report,
     solve_contract,
     solve_contracts,
 )
@@ -400,9 +400,8 @@ def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]
     """Write the full-information benchmark and check it dominates."""
     params = config.params
     principal = _default_principal(params)
-    new = solve_contract("new", principal, params, config.grid)
-    # The benchmark reads the new contract's reservation: one per command.
-    benchmark, contracted = _first_best(params, config.grid, new.reservation), new.value
+    contracted = solve_contract("new", principal, params, config.grid).value
+    benchmark = first_best_report(params, config.grid)
     slack = 1e-12 * abs(contracted.v0)
     dominates = benchmark.v_fb >= contracted.v0 - slack
     print(

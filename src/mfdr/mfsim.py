@@ -70,6 +70,9 @@ _BLOCK_STEPS = 256
 #: 4 x 4 x 8,192 multiply-adds stay under OpenBLAS's threading threshold
 #: (m n k > 262,144, that is 16,384 rows).
 _FACTOR_ROWS = 8192
+#: A Monte Carlo estimate's rounding bound per unit of the magnitudes in it: 64 ulps
+#: cover a few roundings per term, pairwise sums, exp and log (Higham 2002, ch. 4).
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -454,32 +457,16 @@ def contract_payoffs(
     if indexing == "common_noise":
         rate = _running_rate(schedule.z, schedule.z_mu, schedule.gamma, params, indexing)
         det = integrate_samples(rate, 0.0, schedule.horizon)
-        payoff = (
-            xi0
-            + det
-            - params.kappa * ensemble.x_integral
-            + ensemble.z_dx_idio
-            + sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)[:, None]
-        )
-        return payoff
-
-    n = ensemble.n_particles
-    if n < 2:
-        raise ValueError("law indexing needs n_particles >= 2")
-    z, zmu, gamma = _sample_schedule(
-        schedule, np.arange(ensemble.n_steps), ensemble.n_steps
-    )
-    det = float(np.sum(_running_rate(z, zmu, gamma, params, indexing)) * ensemble.dt)
-    loo_mean_increment = (ensemble.zmu_dsum[:, None] - ensemble.zmu_dx) / (n - 1)
-    payoff = (
-        xi0
-        + det
-        - params.kappa * ensemble.x_integral
-        + ensemble.z_dx_idio
-        + sc * ensemble.z_dw_circ[:, None]
-        + loo_mean_increment
-    )
-    return payoff
+        exposure = sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)[:, None]
+    else:
+        n = ensemble.n_particles
+        if n < 2:
+            raise ValueError("law indexing needs n_particles >= 2")
+        z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps), ensemble.n_steps)
+        det = float(np.sum(_running_rate(z, zmu, gamma, params, indexing)) * ensemble.dt)
+        loo_mean_increment = (ensemble.zmu_dsum[:, None] - ensemble.zmu_dx) / (n - 1)
+        exposure = sc * ensemble.z_dw_circ[:, None] + loo_mean_increment
+    return xi0 + det - params.kappa * ensemble.x_integral + ensemble.z_dx_idio + exposure
 
 
 def _pair_average(samples: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -500,12 +487,20 @@ def _mc_moments(samples: np.ndarray) -> tuple[float, float]:
         )
     mean = float(np.sum(samples) / n)
     var = float(np.sum((samples - mean) ** 2) / (n - 1))
-    se = float(np.sqrt(var / n))
-    if se == 0.0:
-        raise ValueError(
-            "degenerate Monte Carlo sample: standard error is exactly zero"
-        )
-    return mean, se
+    return mean, float(np.sqrt(var / n))
+
+
+def _magnitude(payoffs, ensemble: ParticleEnsemble, slope: float, constant: float) -> float:
+    """A bound of ``|payoff| + |constant + slope * x_integral|``, with no full-size temporary."""
+    largest = [max(np.max(a), -np.min(a)) for a in (payoffs, ensemble.x_integral)]
+    return float(largest[0] + abs(slope) * largest[1] + abs(constant))
+
+
+def _z_score(estimate: float, target: float, se: float, rounding: float) -> float:
+    """``(estimate - target) / hypot(se, rounding)``; 0 where the estimate is
+    its target, infinite where nothing spreads but they differ."""
+    with np.errstate(divide="ignore"):
+        return 0.0 if estimate == target else float((estimate - target) / np.hypot(se, rounding))
 
 
 def verify_participation(
@@ -522,6 +517,10 @@ def verify_participation(
     to the reservation certainty equivalent on the simulated schedule's
     grid, the ``xi0`` the payoffs pay, with a delta-method standard error
     and a leave-one-scenario-out jackknife bias for the log transform.
+
+    The z-score divides by ``hypot(std_error, rho)``, ``rho = _ROUNDING (M +
+    1 / r_a)`` the estimate's rounding bound, ``M`` bounding ``|payoff| +
+    |running cost|``: where the agents bear no risk, rounding is the spread.
     """
     if payoffs.shape != ensemble.x_terminal.shape:
         raise ValueError(
@@ -552,13 +551,14 @@ def verify_participation(
     jackknife_bias = float((n - 1) * (np.sum(loo_ce) / n - ce))
 
     xi0 = _reservation_level(ensemble, params)
-    z_score = (ce - xi0) / se_ce
+    size = _magnitude(payoffs, ensemble, params.kappa, ensemble.effort_cost_integral)
+    rounding = _ROUNDING * (size + 1.0 / params.r_a)
     return McReport(
         estimate=float(ce),
         std_error=float(se_ce),
         n_effective=n,
         closed_form_target=float(xi0),
-        z_score=float(z_score),
+        z_score=_z_score(float(ce), xi0, float(se_ce), rounding),
         jackknife_bias=jackknife_bias,
     )
 
@@ -579,6 +579,10 @@ def verify_principal_value(
     ``value_report.v0``.  ``jackknife_bias`` is the mean leave-one-
     particle-out bias of the within-scenario nonlinearity; it vanishes
     identically in the risk-neutral case.
+
+    The z-score divides by ``hypot(std_error, rho)``, ``rho`` the estimate's
+    rounding bound: ``_ROUNDING M`` (risk-neutral), ``M`` bounding ``|payoff|
+    + |running cost|``, or ``_ROUNDING |estimate| (r_p M + 1)`` (cara).
     """
     if payoffs.shape != ensemble.x_terminal.shape:
         raise ValueError(
@@ -606,12 +610,15 @@ def verify_principal_value(
 
     samples = _pair_average(values, ensemble.config.antithetic)
     estimate, se = _mc_moments(samples)
-    z_score = (estimate - value_report.v0) / se
+    qv_cost = 0.5 * params.theta * ensemble.quadratic_variation_integral
+    rounding = _ROUNDING * _magnitude(payoffs, ensemble, params.kappa - params.delta, qv_cost)
+    if value_report.principal == "cara":
+        rounding = abs(estimate) * (params.r_p * rounding + _ROUNDING)
     return McReport(
         estimate=estimate,
         std_error=se,
         n_effective=len(samples),
         closed_form_target=float(value_report.v0),
-        z_score=float(z_score),
+        z_score=_z_score(estimate, float(value_report.v0), se, rounding),
         jackknife_bias=jackknife_bias,
     )

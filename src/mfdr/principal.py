@@ -31,8 +31,8 @@ are kept for outside callers.
 problem once and bit for bit as alone, and each distinct params' reservation
 once.  A problem is its ``sigma`` and its charge, the ``(c_a, c_p)`` of the
 common-noise exposure that the rate adds to :func:`hbar`
-(:func:`_common_noise_charge`): :func:`_classical_charge` for a classical
-contract and ``(0, 0)``, which keeps :func:`hbar`'s bits, for ``new``.
+(:func:`_common_noise_charge`), which :func:`_charge` gives for every kind
+and principal: ``(0, 0)``, which keeps :func:`hbar`'s bits, for ``new``.
 Problems of one bracket shape (the params with the fields that the rate
 ignores zeroed: r_p, sigma_circ, x0, kappa, and sigma, which it takes per
 problem) share ``minimize_on_grid`` calls of at most ``_SCAN_BLOCK_POINTS``
@@ -117,13 +117,6 @@ def _validate_principal(principal: str, params: ModelParams | None = None) -> No
 def _default_principal(params: ModelParams) -> str:
     """The principal a model implies: ``cara`` when r_p > 0, else risk-neutral."""
     return "cara" if params.r_p > 0.0 else "risk_neutral"
-
-
-def _effective_params(principal: str, params: ModelParams) -> ModelParams:
-    """Risk-neutral evaluation is the cara formula set at r_p = 0."""
-    if principal == "risk_neutral" and params.r_p != 0.0:
-        return dataclasses.replace(params, r_p=0.0)
-    return params
 
 
 def _check_real(name: str, arr: np.ndarray) -> None:
@@ -268,9 +261,15 @@ def _hbar_from(f0_of, ramp: np.ndarray, z: np.ndarray, params: ModelParams):
     return exposure + params.rho_bar * (scale + ramp) ** 2
 
 
-def _classical_charge(params: ModelParams) -> tuple[float, float]:
-    """``(c_a, c_p) = (r_a sigma_circ^2, r_p sigma_circ^2)`` of ``params``."""
-    return params.r_a * params.sigma_circ**2, params.r_p * params.sigma_circ**2
+def _charge(kind: str, principal: str, params: ModelParams) -> tuple[float, float]:
+    """The ``(c_a, c_p)`` that a ``kind`` rate adds to :func:`hbar`
+    (:func:`_common_noise_charge`): ``(0, 0)`` for ``new`` and
+    ``sigma_circ^2 (r_a, r_p)`` for ``classical``, with r_p = 0 under a
+    risk-neutral principal, the r_p -> 0 limit of the cara one."""
+    if kind == "new":
+        return 0.0, 0.0
+    r_p = params.r_p if principal == "cara" else 0.0
+    return params.r_a * params.sigma_circ**2, r_p * params.sigma_circ**2
 
 
 def _common_noise_charge(ramp, z, charge):
@@ -302,10 +301,10 @@ def _brackets(t_nodes: np.ndarray, params: ModelParams):
 def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     """Minimize, at every time node at once, the rate of each ``(sigma,
     (c_a, c_p))`` of ``problems``: :func:`hbar` of ``params`` with that
-    ``sigma``, plus the common-noise charge of ``(c_a, c_p)``, a
-    :func:`_classical_charge` for a classical rate and ``(0, 0)`` for the
-    ``new`` rate.  Returns ``(argmins, minima)`` with a leading problem
-    axis, each problem's bit for bit as alone.
+    ``sigma``, plus the common-noise charge ``(c_a, c_p)``, the
+    :func:`_charge` of its kind and principal.  Returns ``(argmins,
+    minima)`` with a leading problem axis, each problem's bit for bit as
+    alone.
 
     One ``minimize_on_grid`` call solves them all: their brackets, which
     ``sigma`` does not enter, are the same, and so is the call's default
@@ -349,15 +348,15 @@ def _minimize_rate(t_nodes: np.ndarray, params: ModelParams, problems):
     return z_star, minima
 
 
-def _m_rate(kind, params, p_eff, remaining, minima) -> np.ndarray:
+def _m_rate(kind, principal, params, remaining, minima) -> np.ndarray:
     """Principal's running cost rate at the nodes ``remaining = T - t`` from
-    the rate solve's minima there."""
+    the rate solve's minima there.  The ``new`` contract's principal bears
+    ``r_bar sigma_circ^2 (delta (T - t))^2``, with ``r_bar`` 0 for a
+    risk-neutral one; the classical rate's minima carry that exposure."""
     sc2 = params.sigma_circ**2
+    r_bar = params.r_bar if kind == "new" and principal == "cara" else 0.0
     ramp_sq = params.delta**2 * remaining**2
-    base = 0.5 * params.theta * sc2
-    if kind == "new":
-        return base + 0.5 * (sc2 * p_eff.r_bar - params.rho_bar) * ramp_sq + 0.5 * minima
-    return base - 0.5 * params.rho_bar * ramp_sq + 0.5 * minima
+    return 0.5 * params.theta * sc2 + 0.5 * (sc2 * r_bar - params.rho_bar) * ramp_sq + 0.5 * minima
 
 
 @contextlib.contextmanager
@@ -379,21 +378,20 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     rate problem once (module docstring), bit for bit as :func:`solve_contract`.
 
     Raises ``ParameterError`` naming delta, horizon and a_max, which bound
-    the rates, where the solve overflows float64, and naming r_p and x0
-    where a cara value does."""
+    the rates, where the solve overflows float64, naming r_p and x0 where a
+    cara value does, and r_a and x0 where a reservation utility does."""
     requests = list(requests)
     problems, groups = [], {}
     for kind, principal, params in requests:
         _validate_kind(kind)
         _validate_principal(principal, params)
-        p_eff = _effective_params(principal, params)
         # The bracket shape: every field but those the rate provably ignores.
         shape = dataclasses.replace(
-            p_eff, r_p=0.0, sigma_circ=0.0, x0=0.0, kappa=0.0, sigma=(0.0,) * p_eff.d
+            params, r_p=0.0, sigma_circ=0.0, x0=0.0, kappa=0.0, sigma=(0.0,) * params.d
         )
-        charge = _classical_charge(p_eff) if kind == "classical" else (0.0, 0.0)
-        groups.setdefault(shape, {})[p_eff.sigma, charge] = None
-        problems.append((shape, (p_eff.sigma, charge)))
+        charge = _charge(kind, principal, params)
+        groups.setdefault(shape, {})[params.sigma, charge] = None
+        problems.append((shape, (params.sigma, charge)))
 
     distinct = dict.fromkeys(params for _, _, params in requests)
     reservations = {params: reservation(params, grid) for params in distinct}
@@ -410,7 +408,7 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
                 z, minima = _minimize_rate(t_nodes, shape, chunk)
                 rates.update(((shape, m), (z[i], minima[i])) for i, m in enumerate(chunk))
         return [
-            _solution(kind, principal, params, grid, rates[problem], reservations[params])
+            _solution(kind, principal, params, rates[problem], reservations[params])
             for (kind, principal, params), problem in zip(requests, problems)
         ]
 
@@ -422,9 +420,10 @@ def solve_contract(
 
     One rate solve on the ``grid + 1`` nodes gives both the payment
     schedule, from the per-node argmins, and the value report, from the
-    per-node minima; the efforts are the best responses to the payment.  The performance and variance rates of the ``new`` kind do
-    not depend on the principal's risk aversion or on the common-noise
-    level — only the aggregate rate ``z_mu`` does.
+    per-node minima; the efforts are the best responses to the payment.
+    The performance and variance rates of the ``new`` kind do not depend on
+    the principal's risk aversion or on the common-noise level — only the
+    aggregate rate ``z_mu`` does.
 
     ``value.v0`` is the utility (cara: ``-exp(r_p (xi0 - u))``;
     risk-neutral: pence, ``u - xi0``); ``value.ce`` is the certainty
@@ -433,13 +432,12 @@ def solve_contract(
     return solve_contracts([(kind, principal, params)], grid)[0]
 
 
-def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
+def _solution(kind, principal, params, rate, res) -> ContractSolution:
     """One contract from its rate solve's ``(argmins, minima)`` and its
-    params' reservation ``res``, whose arrays it copies."""
-    p_eff = _effective_params(principal, params)
+    params' reservation ``res``, whose arrays it copies and whose grid holds
+    the solve's nodes."""
     horizon = params.horizon
-    t = _uniform_grid(horizon, grid)
-    remaining = horizon - t
+    remaining = horizon - res.grid
 
     z, minima = rate
     z = z.copy()  # not a view shared with another solution
@@ -449,7 +447,7 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
         # multiplies a null process, so every choice pays the same contract;
         # the classical representative makes the population-indexed
         # schedule collapse onto the classical one column for column.
-        z_mu = np.zeros_like(t)
+        z_mu = np.zeros_like(remaining)
     elif principal == "cara":
         ratio = params.r_p / (params.r_a + params.r_p)
         z_mu = -z + ratio * params.delta * remaining
@@ -463,7 +461,7 @@ def _solution(kind, principal, params, grid, rate, res) -> ContractSolution:
     effort = EffortSchedule(
         alpha=best_drift_effort(z, params), beta=best_vol_effort(gamma, params)
     )
-    m_rate = _m_rate(kind, params, p_eff, remaining, minima)
+    m_rate = _m_rate(kind, principal, params, remaining, minima)
     m_integral = integrate_samples(m_rate, 0.0, horizon)
     u = params.delta * horizon * params.x0 - m_integral
     res = dataclasses.replace(
@@ -524,15 +522,11 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     degenerates to zero.
 
     Raises ``ParameterError`` naming delta, horizon and a_max where the
-    report overflows float64.
+    report overflows float64, and r_a and x0 where its reservation does.
     """
-    return _first_best(params, grid, reservation(params, grid))
-
-
-def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> FirstBestReport:
-    """:func:`first_best_report` on ``grid`` from ``params``' reservation ``res``."""
+    res = reservation(params, grid)
     with _overflow_guard():
-        remaining = params.horizon - _uniform_grid(params.horizon, grid)
+        remaining = params.horizon - res.grid
         scale = _clamped_drift_scale(params.delta * remaining, params)
         efforts = EffortSchedule(
             alpha=best_drift_effort(-scale, params),
@@ -552,6 +546,7 @@ def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> First
         u_fb = params.delta * params.horizon * params.x0 - integrate_samples(
             m_rate, 0.0, params.horizon
         )
+        ce_fb = u_fb - res.xi0
         if _default_principal(params) == "cara":
             # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
             # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
@@ -560,11 +555,8 @@ def _first_best(params: ModelParams, grid: int, res: ReservationReport) -> First
             tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
             v_fb = res.r0 * tilt
             lagrange_rho = (params.r_p / params.r_a) * tilt
-            ce_fb = u_fb - res.xi0
         else:
-            v_fb = u_fb - res.xi0
-            lagrange_rho = 0.0
-            ce_fb = v_fb
+            v_fb, lagrange_rho = ce_fb, 0.0
     return FirstBestReport(
         v_fb=v_fb,
         lagrange_rho=lagrange_rho,
@@ -660,7 +652,7 @@ def check_schedule_invariants(
     The certificate restates no formula of the solve; it reads the slope of
     the rate ``h`` that ``z`` minimizes, with ``R = delta (T - t)``, ``S(q) =
     best_response_variance(-q)`` (``f0'`` by the envelope theorem) and the
-    kind's charge ``(c_a, c_p)`` (:func:`solve_contracts`)::
+    kind's charge ``(c_a, c_p)`` (:func:`_charge`)::
 
         h'(z) = 2 z (r_a S(theta + r_a z^2) + c_a)
                 + 2 rho_bar (z - R) 1{-a_max < z < 0} - 2 c_p (R - z)
@@ -675,8 +667,7 @@ def check_schedule_invariants(
     problems: list[str] = []
     t, z = payment.grid, payment.z
     ramp = params.delta * (params.horizon - t)
-    p_eff = _effective_params(payment.principal, params)
-    charge = _classical_charge(p_eff) if payment.kind == "classical" else (0.0, 0.0)
+    charge = _charge(payment.kind, payment.principal, params)
     c_a, c_p = charge
 
     def slope(x: np.ndarray) -> np.ndarray:

@@ -542,6 +542,24 @@ class TestSimulateCommand:
         assert "dt" in failures[0]["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("entries", [
+        {"delta": "20", "r_p": "0"},
+        {"d": "1", "rho": "0.00998", "lambda": "1", "eta": "2.31", "sigma": "0.0170",
+         "sigma_circ": "1.23e-4", "a_max": "6.12", "b_min": "0.0100", "r_a": "0.0794",
+         "theta": "0.0684", "horizon": "10.52", "x0": "-0.0165", "delta": "100.0",
+         "kappa": "-0.320", "r_p": "0"},
+    ], ids=["defaults-delta-20", "fuzz-config"])
+    def test_riskless_agents_pass_the_participation_gate(self, tmp_path, capsys, entries):
+        # New contract, delta >= 0, r_p = 0: z = z_mu = 0, so every net
+        # payoff is one constant and the sample spreads by rounding alone.
+        # These exited 2 (standard error exactly zero) and 1 (|z| = 26.7
+        # with estimate and target equal to 12 digits).
+        path = write_config(tmp_path, entries)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        z = column(out / "mc_report_new_risk_neutral.csv", "z_score")
+        assert np.all(np.abs(z) <= cli._Z_LIMIT)
+
     def test_default_budget_matches_closed_forms(self, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", "--out", str(out)]) == 0
@@ -583,7 +601,8 @@ class TestFirstBestCommand:
         assert float(rows[0][4]) == pytest.approx(contracted.v0, rel=1e-11)
 
     def test_one_batch_one_reservation(self, tmp_path, monkeypatch):
-        # The first-best and the new contract share their params' reservation.
+        # One rate solve, for the new contract; the first-best report reads
+        # its own reservation, about 1% of the command's time.
         import mfdr.principal as principal_module
 
         original = principal_module.reservation
@@ -596,7 +615,7 @@ class TestFirstBestCommand:
         monkeypatch.setattr(principal_module, "reservation", counted)
         solves = count_rate_solves(monkeypatch)
         assert main(["first-best", "--grid", "8", "--out", str(tmp_path / "out")]) == 0
-        assert calls == [8]
+        assert calls == [8, 8]
         assert solves == [1]
 
     def test_constant_survives_underflowing_reservation_utility(self, tmp_path):
@@ -875,6 +894,19 @@ class TestMainExitCodes:
         assert failure["check"] == "runtime_error"
         assert failure["detail"].startswith("r_p, x0: ")
 
+    @pytest.mark.parametrize("command", ["reservation", "schedule", "compare", "first-best"])
+    def test_overflowing_reservation_utility_names_r_a_and_x0(self, tmp_path, capsys, command):
+        # r0 = -exp(-r_a xi0) overflows at r_a = 30, x0 = -300; the failure
+        # read "math range error".  At x0 = +300 it underflows, harmlessly.
+        args = [command, "--out", str(tmp_path / "out"), "--grid", "16", "--config"]
+        path = write_config(tmp_path, {"r_a": "30", "x0": "-300"})
+        assert main(args + [str(path)]) == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == "runtime_error"
+        assert failure["detail"].startswith("r_a, x0: ")
+        path = write_config(tmp_path, {"r_a": "30", "x0": "300"})
+        assert main(["reservation"] + args[1:] + [str(path)]) == 0
+
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n", encoding="utf-8")
@@ -949,6 +981,7 @@ class TestFuzz:
                     status = main(args + (sim if command == "simulate" else []))
                 assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
                 assert status in (0, 1, 2), command
+                assert "degenerate Monte Carlo sample" not in stderr.getvalue(), command
                 if status == 1:
                     checks = {item["check"] for item in failures_from(stderr.getvalue())}
                     assert checks <= _OPEN_CHECKS, (command, checks)

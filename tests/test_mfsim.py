@@ -9,6 +9,7 @@ import pytest
 
 import mfdr.mfsim as mfsim_module
 from mfdr.agent import best_response_variance, hamiltonian_envelopes, reservation
+from mfdr.cli import _Z_LIMIT
 from mfdr.model import ModelParams, ParameterError, calibrated_defaults, validate
 from mfdr.principal import PaymentSchedule, optimal_schedule, solve_contract
 from mfdr.mfsim import (
@@ -680,11 +681,17 @@ class TestVerification:
         forced = np.zeros_like(ens.x_terminal)
         util = -np.exp(-params.r_a * (forced - ens.agent_cost(params)))
         assert np.all(util == -1.0)
-        with pytest.raises(ValueError, match="degenerate"):
-            verify_participation(ens, forced, params)
+        # No spread at all, and the estimate is its target exactly: z = 0.
+        report = verify_participation(ens, forced, params)
+        assert report.std_error == 0.0
+        assert report.estimate == report.closed_form_target == 0.0
+        assert report.z_score == 0.0
 
-    def test_degenerate_sample_rejected(self):
-        # No noise at all: every scenario produces the same value.
+    def test_noise_free_sample_fails_the_gate(self):
+        # No noise at all: every scenario produces the same value, so the
+        # standard error is rounding alone.  The O(dt) gap between the
+        # time-stepped sample and the closed form is many rounding bounds
+        # wide: a finite z far past the simulate command's gate.
         params = ModelParams(
             d=1, rho=(9.3e-5,), lambda_=(2.8e-2,), eta=(1.0,), sigma=(0.0,),
             sigma_circ=0.0, a_max=609.84, b_min=0.01, r_a=5.7e-3, r_p=6e-3,
@@ -694,8 +701,23 @@ class TestVerification:
         cfg = SimConfig(n_particles=4, n_common=4, dt=params.horizon / 32, seed=1)
         ens = simulate(params, sched, cfg)
         pay = contract_payoffs(ens, sched, params, "cara")
-        with pytest.raises(ValueError, match="degenerate"):
-            verify_participation(ens, pay, params)
+        report = verify_participation(ens, pay, params)
+        assert np.isfinite(report.z_score) and abs(report.z_score) > _Z_LIMIT
+
+    def test_nothing_to_spread_reads_zero(self):
+        # No noise, no deviation, no preference slope: every payoff and cost
+        # is exactly 0, so the standard error and the rounding bound are 0,
+        # and the estimate equals its target.
+        params = dataclasses.replace(
+            CAL05, sigma=(0.0,), sigma_circ=0.0, x0=0.0, kappa=0.0, r_p=0.0, delta=20.0
+        )
+        solution = solve_contract("new", "risk_neutral", params, grid=64)
+        ens = simulate(params, solution.payment, SimConfig(n_particles=8, n_common=4))
+        pay = contract_payoffs(ens, solution.payment, params, "risk_neutral")
+        assert np.all(pay == 0.0)
+        report = verify_principal_value(ens, pay, params, solution.value)
+        assert report.std_error == 0.0 and report.estimate == report.closed_form_target
+        assert report.z_score == 0.0
 
     def test_report_flattens(self):
         rep = McReport(

@@ -16,7 +16,7 @@ from mfdr.model import calibrated_defaults, validate
 from mfdr.numerics import integrate_samples, minimize_on_grid
 from mfdr.principal import (
     _brackets,
-    _classical_charge,
+    _charge,
     _common_noise_charge,
     _minimize_rate,
     hbar,
@@ -312,7 +312,7 @@ class TestMinimizeOnGrid:
     def test_rate_solve_matches_one_shot(self, objective):
         params = calibrated_defaults()
         t = numerics._uniform_grid(params.horizon, 1024)
-        charge = (0.0, 0.0) if objective is hbar else _classical_charge(params)
+        charge = (0.0, 0.0) if objective is hbar else _charge("classical", "cara", params)
         (z_star,), (minima,) = _minimize_rate(t, params, [(params.sigma, charge)])
         lo, hi = _brackets(t, params)
         expected = one_shot_minimize(
@@ -491,7 +491,7 @@ def solve_rate_family(params, grid):
 
     t = numerics._uniform_grid(params.horizon, grid)
     with mock.patch.object(principal, "minimize_on_grid", spy):
-        charges = [(0.0, 0.0), _classical_charge(params)]
+        charges = [(0.0, 0.0), _charge("classical", "cara", params)]
         _minimize_rate(t, params, [(params.sigma, charge) for charge in charges])
     (call,) = calls
     return call
@@ -510,7 +510,7 @@ def rate_one_shot(params, grid, lo, hi):
             + _common_noise_charge(ramp[rows], x, c),
             lo[i], hi[i],
         )
-        for i, charge in enumerate([(0.0, 0.0), _classical_charge(params)])
+        for i, charge in enumerate([(0.0, 0.0), _charge("classical", "cara", params)])
     ]
     argmins, minima, evaluations = zip(*results)
     return np.stack(argmins), np.stack(minima), sum(evaluations)

@@ -28,10 +28,9 @@ from mfdr.principal import (
     ComparisonReport,
     EffortSchedule,
     PaymentSchedule,
-    _classical_charge,
+    _charge,
     _common_noise_charge,
     _default_principal,
-    _first_best,
     check_schedule_invariants,
     compare,
     compare_cells,
@@ -228,7 +227,7 @@ class TestHbar:
     def test_classical_dominates_plain(self):
         # The classical rate is hbar plus this charge.
         rng = np.random.default_rng(2001)
-        charge = _classical_charge(CAL05)
+        charge = _charge("classical", "cara", CAL05)
         for _ in range(200):
             t = rng.uniform(0.0, CAL05.horizon)
             z = rng.uniform(-400.0, 100.0)
@@ -240,7 +239,7 @@ class TestHbar:
         t = np.linspace(0.0, params.horizon, 7)[:, None]
         z = np.linspace(-300.0, 30.0, 11)[None, :]
         ramp = params.delta * (params.horizon - t)
-        added = _common_noise_charge(ramp, z, _classical_charge(params))
+        added = _common_noise_charge(ramp, z, _charge("classical", "cara", params))
         assert added.tobytes() == np.zeros((7, 11)).tobytes()
 
     @pytest.mark.parametrize("r_p, sigma_circ", [(0.0, 0.06), (3e-2, 0.0), (1.0, 0.5)])
@@ -678,15 +677,14 @@ class TestFirstBest:
         assert fb.v_fb >= value_report("new", "risk_neutral", RN05).v0
 
     def test_value_report_first_best_consistent(self):
-        # ``mfdr first-best`` builds the report on the new contract's
-        # reservation; that route gives first_best_report's bits.
+        # The benchmark and the new contract read one reservation: its
+        # contract constant is the solve's xi0, and it dominates the value.
         for params, principal in ((CAL05, "cara"), (RN10, "risk_neutral")):
             new = solve_contract("new", principal, params, grid=64)
-            routed = _first_best(params, 64, new.reservation)
-            alone = first_best_report(params, grid=64)
-            assert repr(routed.to_flat()) == repr(alone.to_flat())
-            assert routed.efforts.alpha.tobytes() == alone.efforts.alpha.tobytes()
-            assert routed.efforts.beta.tobytes() == alone.efforts.beta.tobytes()
+            fb = first_best_report(params, grid=64)
+            assert fb.fb_contract_constant == new.reservation.xi0
+            assert fb.v_fb >= new.value.v0
+            assert fb.efforts.alpha.shape == new.effort.alpha.shape
 
 
 class TestSolveContract:
@@ -759,6 +757,26 @@ class TestBatches:
             assert np.array_equal(solution.effort.beta, alone.effort.beta)
             assert solution.value == alone.value
             assert solution.reservation.to_flat() == alone.reservation.to_flat()
+
+    @pytest.mark.parametrize("kind", CONTRACT_KINDS)
+    def test_risk_neutral_request_is_the_rp_zero_request(self, kind):
+        # A risk-neutral principal at the defaults' r_p = 6e-3 solves the
+        # problem of r_p = 0, alone and in a batch with cara requests.
+        neutral = dataclasses.replace(CAL05, r_p=0.0)
+        expected = solve_contract(kind, "risk_neutral", neutral, grid=64)
+        alone = solve_contract(kind, "risk_neutral", CAL05, grid=64)
+        batch = solve_contracts(
+            [(k, "cara", CAL05) for k in CONTRACT_KINDS] + [(kind, "risk_neutral", CAL05)],
+            grid=64,
+        )[-1]
+        for solution in (alone, batch):
+            for name in ("z", "z_mu", "gamma"):
+                got, want = getattr(solution.payment, name), getattr(expected.payment, name)
+                assert got.tobytes() == want.tobytes()
+            assert solution.m_rate.tobytes() == expected.m_rate.tobytes()
+            assert repr(solution.value) == repr(expected.value)
+            assert check_schedule_invariants(solution.payment, solution.effort, CAL05) == []
+        assert check_schedule_invariants(expected.payment, expected.effort, neutral) == []
 
     def test_solutions_own_their_arrays(self):
         first, second = solve_contracts(
@@ -846,9 +864,8 @@ class TestGroupedSolve:
         assert any((s.effort.beta == 0.5).any() for s in floored)
 
     def test_non_finite_interior_scale(self):
-        # sigma^2 / (lambda eta) overflows for the second sigma only: the
-        # kernel's np.where branch then serves every row, each with the
-        # values of its own sigma.
+        # sigma^2 / (lambda eta) overflows for the second sigma only; every
+        # row keeps the values of its own sigma.
         params = validate(dataclasses.replace(CAL05, lambda_=(1e-300,)))
         sig2 = np.array([1e8, 4e8, 0.0, 1e-4])[:, None, None]
         q = np.geomspace(1e-3, 1e302, 4 * 64).reshape(4, 64)

@@ -21,7 +21,8 @@ Every command is a pure function of its configuration and seed: re-running
 writes byte-identical CSV files (RFC 4180, UTF-8, '.' decimal, header row,
 12 significant digits).  Exit status is 0 only when every internal invariant
 check passes; otherwise a machine-readable failure list is printed to stderr
-as JSON and the status is 1 (failed checks) or 2 (unusable configuration).
+as JSON and the status is 1 (failed checks) or 2 (unusable configuration, one
+too large for memory included).  Each command returns its checks' failures.
 Flags override configuration-file keys; one table, ``_RUN_KEYS``, declares
 each run key with its flag, parser and help, and a flag's text goes through
 the same parser and checks as the key's value in a file.  One column writer,
@@ -79,11 +80,6 @@ from .principal import (
 __all__ = [
     "RunConfig",
     "RUN_CONFIG_KEYS",
-    "cmd_schedule",
-    "cmd_compare",
-    "cmd_simulate",
-    "cmd_first_best",
-    "cmd_reservation",
     "main",
 ]
 
@@ -267,9 +263,9 @@ def _write_csv(path: Path, columns: Mapping[str, Sequence[object]]) -> Path:
     return path
 
 
-def _write_records(path: Path, records: Sequence[Mapping[str, object]]) -> Path:
+def _write_records(path: Path, records: Sequence[Mapping[str, object]]) -> None:
     """Write one row per flat record, headed by the first record's keys."""
-    return _write_csv(path, {key: [r[key] for r in records] for key in records[0]})
+    _write_csv(path, {key: [r[key] for r in records] for key in records[0]})
 
 
 def _usage_columns(prefix: str, values: np.ndarray) -> dict[str, np.ndarray]:
@@ -286,10 +282,9 @@ def _failure(command: str, check: str, detail: str) -> dict[str, str]:
 # ----------------------------------------------------------------------
 
 
-def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
+def cmd_schedule(config: RunConfig) -> list[dict[str, str]]:
     """Write optimal payment/effort schedules, one CSV per (kind, principal)."""
     params = config.params
-    files: list[Path] = []
     failures: list[dict[str, str]] = []
     principals = list(PRINCIPAL_KINDS)
     if _default_principal(params) != "cara":
@@ -304,15 +299,15 @@ def cmd_schedule(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
         columns = {"t": payment.grid, "z": payment.z, "z_mu": payment.z_mu, "gamma": payment.gamma}
         columns |= _usage_columns("alpha", effort.alpha) | _usage_columns("beta", effort.beta)
         path = config.out_dir / f"schedule_{kind}_{principal}.csv"
-        files.append(_write_csv(path, columns))
+        _write_csv(path, columns)
         for problem in check_schedule_invariants(payment, effort, params):
             failures.append(
                 _failure("schedule", "schedule_invariants", f"{kind}/{principal}: {problem}")
             )
-    return files, failures
+    return failures
 
 
-def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
+def cmd_compare(config: RunConfig) -> list[dict[str, str]]:
     """Sweep (r_p, variance_share) and write one comparison row per cell."""
     failures: list[dict[str, str]] = []
     rows: list[dict[str, object]] = []
@@ -339,11 +334,11 @@ def cmd_compare(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
             if value < -slack:
                 detail = f"{name} = {value!r} < 0 at r_p={r_p}, share={share}"
                 failures.append(_failure("compare", check, detail))
-    path = _write_records(config.out_dir / "compare.csv", rows)
-    return [path], failures
+    _write_records(config.out_dir / "compare.csv", rows)
+    return failures
 
 
-def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
+def cmd_simulate(config: RunConfig) -> list[dict[str, str]]:
     """Run the particle Monte Carlo and write verification + summary files."""
     params = config.params
     kind = config.kind
@@ -383,20 +378,18 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
                 )
             )
 
-    mc_path = _write_records(
-        config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows
-    )
+    _write_records(config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows)
     cost = payoffs + ensemble.principal_cost(params)
     mean_l = np.sum(cost, axis=1) / ensemble.n_particles
     mean_x = np.sum(ensemble.x_terminal, axis=1) / ensemble.n_particles
-    summary_path = _write_csv(
+    _write_csv(
         config.out_dir / f"ensemble_summary_{kind}_{principal}.csv",
         {"path": range(ensemble.n_common), "mean_l_terminal": mean_l, "mean_x_terminal": mean_x},
     )
-    return [mc_path, summary_path], failures
+    return failures
 
 
-def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
+def cmd_first_best(config: RunConfig) -> list[dict[str, str]]:
     """Write the full-information benchmark and check it dominates."""
     params = config.params
     principal = _default_principal(params)
@@ -423,21 +416,19 @@ def cmd_first_best(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]
         "v0_new_contract": contracted.v0,
         "fb_dominates": dominates,
     }
-    path = _write_records(config.out_dir / "first_best.csv", [row])
-    return [path], failures
+    _write_records(config.out_dir / "first_best.csv", [row])
+    return failures
 
 
-def cmd_reservation(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]]:
+def cmd_reservation(config: RunConfig) -> list[dict[str, str]]:
     """Write the walk-away problem's rate curves and summary values."""
     params = config.params
     report = reservation(params, grid_size=config.grid)
-    curve_path = _write_csv(
+    _write_csv(
         config.out_dir / "reservation.csv",
         {"t": report.grid, "gamma0": report.gamma0, **_usage_columns("beta0", report.beta0)},
     )
-    summary_path = _write_records(
-        config.out_dir / "reservation_report.csv", [report.to_flat()]
-    )
+    _write_records(config.out_dir / "reservation_report.csv", [report.to_flat()])
     failures: list[dict[str, str]] = []
     beta = np.asarray(report.beta0)
     if (beta < params.b_min - 1e-12).any() or (beta > 1.0 + 1e-12).any():
@@ -448,7 +439,7 @@ def cmd_reservation(config: RunConfig) -> tuple[list[Path], list[dict[str, str]]
                 "walk-away variance retention leaves [b_min, 1]",
             )
         )
-    return [curve_path, summary_path], failures
+    return failures
 
 
 #: Each subcommand's function and help text.
@@ -517,12 +508,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_values(argv))
     try:
         config = build_run_config(args.config, vars(args))
-    except (ParameterError, OSError) as exc:
+    except (ParameterError, OSError, MemoryError) as exc:
         _emit_failures([_failure(args.command, "invalid_configuration", str(exc))])
         return 2
     try:
-        _, failures = _COMMANDS[args.command][0](config)
-    except (ParameterError, ValueError, ArithmeticError, OSError) as exc:
+        failures = _COMMANDS[args.command][0](config)
+    except (ParameterError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         _emit_failures([_failure(args.command, "runtime_error", str(exc))])
         return 2
     if failures:

@@ -47,7 +47,7 @@ from .agent import (
 )
 from .model import ModelParams, ParameterError
 from .numerics import integrate_samples
-from .principal import PRINCIPAL_KINDS, PaymentSchedule, ValueReport
+from .principal import PaymentSchedule, ValueReport
 
 __all__ = [
     "SimConfig",
@@ -436,11 +436,7 @@ def contract_payoffs(
     contract written on observables would.  The two evaluations agree up to
     quadrature and propagation-of-chaos errors.
     """
-    if principal_kind not in PRINCIPAL_KINDS:
-        raise ValueError(
-            f"principal_kind must be one of {PRINCIPAL_KINDS}, got {principal_kind!r}"
-        )
-    if schedule.principal != principal_kind:
+    if schedule.principal != principal_kind:  # a PaymentSchedule's principal is valid
         raise ValueError(
             f"schedule was built for a {schedule.principal!r} principal, "
             f"got principal_kind={principal_kind!r}"
@@ -490,6 +486,12 @@ def _mc_moments(samples: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sqrt(var / n))
 
 
+def _check_payoffs(payoffs: np.ndarray, ensemble: ParticleEnsemble) -> None:
+    if payoffs.shape != ensemble.x_terminal.shape:
+        raise ValueError(f"payoffs shape {payoffs.shape} does not match the ensemble "
+                         f"shape {ensemble.x_terminal.shape}")
+
+
 def _magnitude(payoffs, ensemble: ParticleEnsemble, slope: float, constant: float) -> float:
     """A bound of ``|payoff| + |constant + slope * x_integral|``, with no full-size temporary."""
     largest = [max(np.max(a), -np.min(a)) for a in (payoffs, ensemble.x_integral)]
@@ -522,31 +524,22 @@ def verify_participation(
     1 / r_a)`` the estimate's rounding bound, ``M`` bounding ``|payoff| +
     |running cost|``: where the agents bear no risk, rounding is the spread.
     """
-    if payoffs.shape != ensemble.x_terminal.shape:
-        raise ValueError(
-            f"payoffs shape {payoffs.shape} does not match the ensemble "
-            f"shape {ensemble.x_terminal.shape}"
-        )
+    _check_payoffs(payoffs, ensemble)
     util = -np.exp(-params.r_a * (payoffs - ensemble.agent_cost(params)))
     if not np.all(np.isfinite(util)):
         raise ArithmeticError("overflow while evaluating agent utilities")
     scenario_means = np.sum(util, axis=1) / ensemble.n_particles
     samples = _pair_average(scenario_means, ensemble.config.antithetic)
     mean_util, se_util = _mc_moments(samples)
-    if mean_util >= 0.0:
+    n = len(samples)
+    loo_means = (np.sum(samples) - samples) / (n - 1)
+    if mean_util >= 0.0 or np.any(loo_means >= 0.0):
         raise ArithmeticError(
-            "agent utility estimate must be negative (exponential utility)"
+            "r_a, x0: agent utility estimate must be negative (exponential utility); "
+            "-exp(-r_a (payoff - cost)) underflows to -0 where r_a xi0 is large"
         )
     ce = -np.log(-mean_util) / params.r_a
     se_ce = se_util / (params.r_a * (-mean_util))
-
-    n = len(samples)
-    total = np.sum(samples)
-    loo_means = (total - samples) / (n - 1)
-    if np.any(loo_means >= 0.0):
-        raise ArithmeticError(
-            "agent utility estimate must be negative (exponential utility)"
-        )
     loo_ce = -np.log(-loo_means) / params.r_a
     jackknife_bias = float((n - 1) * (np.sum(loo_ce) / n - ce))
 
@@ -584,11 +577,7 @@ def verify_principal_value(
     rounding bound: ``_ROUNDING M`` (risk-neutral), ``M`` bounding ``|payoff|
     + |running cost|``, or ``_ROUNDING |estimate| (r_p M + 1)`` (cara).
     """
-    if payoffs.shape != ensemble.x_terminal.shape:
-        raise ValueError(
-            f"payoffs shape {payoffs.shape} does not match the ensemble "
-            f"shape {ensemble.x_terminal.shape}"
-        )
+    _check_payoffs(payoffs, ensemble)
     n = ensemble.n_particles
     if n < 2:
         raise ValueError(

@@ -54,7 +54,6 @@ import math
 import numpy as np
 
 from .agent import (
-    ReservationReport,
     _clamped_drift_scale,
     _f0_kernel,
     _retained_variance,
@@ -191,12 +190,11 @@ class ValueReport:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ContractSolution:
-    """One contract solved on one grid: payment, efforts, value, reservation."""
+    """One contract solved on one grid: payment, efforts, value (xi0: the reservation's)."""
 
     payment: PaymentSchedule
     effort: EffortSchedule
     value: ValueReport
-    reservation: ReservationReport
     m_rate: np.ndarray  # principal's running cost rate per node; value.m_integral integrates it
 
 
@@ -434,8 +432,7 @@ def solve_contract(
 
 def _solution(kind, principal, params, rate, res) -> ContractSolution:
     """One contract from its rate solve's ``(argmins, minima)`` and its
-    params' reservation ``res``, whose arrays it copies and whose grid holds
-    the solve's nodes."""
+    params' reservation ``res`` on the solve's nodes, whose ``xi0`` it reads."""
     horizon = params.horizon
     remaining = horizon - res.grid
 
@@ -448,11 +445,9 @@ def _solution(kind, principal, params, rate, res) -> ContractSolution:
         # the classical representative makes the population-indexed
         # schedule collapse onto the classical one column for column.
         z_mu = np.zeros_like(remaining)
-    elif principal == "cara":
-        ratio = params.r_p / (params.r_a + params.r_p)
-        z_mu = -z + ratio * params.delta * remaining
-    else:
-        z_mu = -z
+    else:  # a risk-neutral principal is the r_p -> 0 limit of the cara one
+        r_p = params.r_p if principal == "cara" else 0.0
+        z_mu = -z + r_p / (params.r_a + r_p) * params.delta * remaining
 
     payment = PaymentSchedule(
         kind=kind, principal=principal, horizon=horizon,
@@ -464,9 +459,6 @@ def _solution(kind, principal, params, rate, res) -> ContractSolution:
     m_rate = _m_rate(kind, principal, params, remaining, minima)
     m_integral = integrate_samples(m_rate, 0.0, horizon)
     u = params.delta * horizon * params.x0 - m_integral
-    res = dataclasses.replace(
-        res, grid=res.grid.copy(), gamma0=res.gamma0.copy(), beta0=res.beta0.copy()
-    )
     xi0 = res.xi0
     ce = u - xi0
     if principal == "cara":
@@ -482,9 +474,7 @@ def _solution(kind, principal, params, rate, res) -> ContractSolution:
     value = ValueReport(
         v0=v0, ce=ce, xi0=xi0, m_integral=m_integral, kind=kind, principal=principal
     )
-    return ContractSolution(
-        payment=payment, effort=effort, value=value, reservation=res, m_rate=m_rate
-    )
+    return ContractSolution(payment=payment, effort=effort, value=value, m_rate=m_rate)
 
 
 def optimal_schedule(
@@ -522,7 +512,8 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     degenerates to zero.
 
     Raises ``ParameterError`` naming delta, horizon and a_max where the
-    report overflows float64, and r_a and x0 where its reservation does.
+    report overflows float64, r_a and x0 where its reservation does, and r_a,
+    r_p and x0 where the cara participation multiplier or value does.
     """
     res = reservation(params, grid)
     with _overflow_guard():
@@ -532,17 +523,12 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
             alpha=best_drift_effort(-scale, params),
             beta=best_vol_effort(np.full_like(remaining, -params.theta), params),
         )
-        sc2 = params.sigma_circ**2
-        ramp_sq = params.delta**2 * remaining**2
         damping = 0.5 * params.theta * best_response_variance(
             -params.theta, params
         ) + 0.5 * best_response_vol_cost(-params.theta, params)
-        m_rate = (
-            0.5 * params.theta * sc2
-            + 0.5 * (sc2 * params.r_bar - params.rho_bar) * ramp_sq
-            + 0.5 * params.rho_bar * (scale + params.delta * remaining) ** 2
-            + damping
-        )
+        # The new contract's cost rate, hbar's tracking term for hbar, plus the damping.
+        tracking = params.rho_bar * (scale + params.delta * remaining) ** 2
+        m_rate = _m_rate("new", _default_principal(params), params, remaining, tracking) + damping
         u_fb = params.delta * params.horizon * params.x0 - integrate_samples(
             m_rate, 0.0, params.horizon
         )
@@ -552,9 +538,15 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
             # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
             # is huge and would amplify the rounding of the ratio.
             power = 1.0 + params.r_p / params.r_a
-            tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
-            v_fb = res.r0 * tilt
-            lagrange_rho = (params.r_p / params.r_a) * tilt
+            try:
+                tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
+            except OverflowError:
+                tilt = math.inf
+            v_fb, lagrange_rho = res.r0 * tilt, (params.r_p / params.r_a) * tilt
+            if not (math.isfinite(v_fb) and math.isfinite(lagrange_rho)):
+                raise ParameterError(["r_a, r_p, x0: the participation multiplier (r_p / r_a) "
+                                      "tilt or value r0 tilt overflows float64, tilt = "
+                                      "exp((r_a + r_p) xi0 - r_p u_fb), xi0 ~ kappa horizon x0"])
         else:
             v_fb, lagrange_rho = ce_fb, 0.0
     return FirstBestReport(

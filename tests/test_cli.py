@@ -173,6 +173,12 @@ class TestBuildRunConfig:
         assert config.out_dir == tmp_path / "o"
         assert config.kind == "classical"
 
+    @pytest.mark.parametrize("text", ["off", "0", "no", "false", " False "])
+    def test_false_spellings_of_a_switch(self, tmp_path, text):
+        path = write_config(tmp_path, {"antithetic": text, "n_common": "4"})
+        assert build_run_config(path).sim.antithetic is False
+        assert build_run_config(path, {"antithetic": "on"}).sim.antithetic is True
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"bogus_key": "1"})
         with pytest.raises(ParameterError, match="bogus_key"):
@@ -297,6 +303,24 @@ class TestScheduleCommand:
         solves = count_rate_solves(monkeypatch)
         assert main(["schedule", "--out", str(tmp_path), "--grid", "64"]) == 0
         assert solves == [3]
+
+    def test_moved_rate_fails_the_certificate(self, tmp_path, capsys, monkeypatch):
+        # Every argmin of the rate solve scaled by 1.001: each schedule's z
+        # is no longer optimal, and the command exits 1 with that check.
+        import mfdr.principal as principal_module
+
+        original = principal_module.minimize_on_grid
+
+        def moved(*args, **kwargs):
+            argmin, minima, evaluations = original(*args, **kwargs)
+            return argmin * 1.001, minima, evaluations
+
+        monkeypatch.setattr(principal_module, "minimize_on_grid", moved)
+        assert main(["schedule", "--grid", "64", "--out", str(tmp_path / "out")]) == 1
+        failures = failures_from(capsys.readouterr().err)
+        assert {item["check"] for item in failures} == {"schedule_invariants"}
+        details = [item["detail"] for item in failures]
+        assert any(d.startswith("classical/cara: performance rate is not optimal") for d in details)
 
     def test_zero_share_new_equals_classical(self, tmp_path):
         out = tmp_path / "out"
@@ -581,6 +605,20 @@ class TestFirstBestCommand:
         benchmark = first_best_report(calibrated_defaults(), 1024)
         assert float(rows[0][0]) == pytest.approx(benchmark.v_fb, rel=1e-11)
         assert float(rows[0][0]) >= float(rows[0][4])
+
+    def test_dominated_benchmark_exits_one(self, tmp_path, capsys, monkeypatch):
+        def below(params, grid):
+            report = first_best_report(params, grid)
+            return dataclasses.replace(report, v_fb=2.0 * report.v_fb)  # v_fb < 0
+
+        monkeypatch.setattr(cli, "first_best_report", below)
+        out = tmp_path / "out"
+        assert main(["first-best", "--grid", "16", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "check first_best_dominates: FAIL" in captured.out
+        (failure,) = failures_from(captured.err)
+        assert failure["check"] == "first_best_dominates"
+        assert read_table(out / "first_best.csv")[1][0][5] == "false"
 
     def test_dominates_at_tiny_agent_risk_aversion(self, tmp_path):
         path = write_config(tmp_path, {
@@ -906,6 +944,48 @@ class TestMainExitCodes:
         assert failure["detail"].startswith("r_a, x0: ")
         path = write_config(tmp_path, {"r_a": "30", "x0": "300"})
         assert main(["reservation"] + args[1:] + [str(path)]) == 0
+
+    @pytest.mark.parametrize("entries", [
+        {"r_a": "1e-3", "r_p": "6e-2", "x0": "31.7525"},  # wrote inf, exit 0
+        {"r_a": "1", "x0": "50"},  # blamed delta, horizon, a_max
+    ])
+    def test_overflowing_participation_multiplier_names_r_a_r_p_and_x0(
+        self, tmp_path, capsys, entries
+    ):
+        path = write_config(tmp_path, entries)
+        out = tmp_path / "out"
+        assert main(["first-best", "--config", str(path), "--grid", "16", "--out", str(out)]) == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == "runtime_error"
+        assert failure["detail"].startswith("r_a, r_p, x0: ")
+        assert not (out / "first_best.csv").exists()
+        assert main(["compare", "--config", str(path), "--grid", "16", "--out", str(out)]) == 0
+
+    def test_underflowing_agent_utilities_name_r_a_and_x0(self, tmp_path, capsys):
+        # xi0 ~ 3,217 at r_a = 1, x0 = 50: every -exp(-r_a (payoff - cost))
+        # underflows to -0, and the failure named no field.
+        path = write_config(tmp_path, {"r_a": "1", "x0": "50"})
+        args = ["--grid", "16", "--particles", "64", "--common", "8"]
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)] + args) == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == "runtime_error"
+        assert failure["detail"].startswith("r_a, x0: ")
+
+    @pytest.mark.parametrize("target, check", [
+        ("_uniform_grid", "invalid_configuration"),  # RunConfig's grid check
+        ("reservation", "runtime_error"),
+    ])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, target, check):
+        # A configuration too large for memory printed numpy's traceback and
+        # exited 1, the status of a failed check.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array")
+
+        monkeypatch.setattr(cli, target, exhausted)
+        assert main(["reservation", "--grid", "8", "--out", str(tmp_path / "out")]) == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == check
+        assert failure["detail"] == "Unable to allocate 2.98 GiB for an array"
 
     def test_unwritable_out_dir_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -427,6 +427,19 @@ class TestObjectiveFamilies:
         lo, hi = np.array([[-1.0, -2.0]]), np.array([[1.0, 0.5]])
         self.assert_family_matches_alone([lambda x, r: (x - 0.3) ** 2], lo, hi)
 
+    def test_objective_done_before_the_golden_section(self):
+        # Objective 0's brackets are no wider than tol, so it needs no
+        # golden-section iteration and the live rows are compacted to
+        # objective 1's before the first one.
+        lo = np.array([[0.2, -0.4, 1.0], [-2.0, -1.0, 0.5]])
+        hi = lo + [[5e-4, 1e-3, 2e-4], [4.0, 3.0, 2.5]]
+        center = np.array([0.3, -0.1, 1.7])[:, None]
+        objectives = [
+            lambda x, r: (x - center[r]) ** 2,
+            lambda x, r: np.abs(x - center[r]) + 0.5 * (x - center[r]) ** 2,
+        ]
+        self.assert_family_matches_alone(objectives, lo, hi, tol=1e-3)
+
     def test_rate_kinds_with_different_iteration_counts(self):
         # At variance share 1 the new and classical rates need 32 and 33
         # golden-section iterations; the one that is done first must freeze.

@@ -50,6 +50,22 @@ def _as_array(x) -> np.ndarray:
     return arr
 
 
+def _finite(value: float, problem: str) -> float:
+    """``value``; ``ParameterError([problem])`` where it is not a finite float."""
+    if math.isfinite(value):
+        return value
+    raise ParameterError([problem])
+
+
+def _exp(exponent: float, problem: str) -> float:
+    """``exp(exponent)``; ``ParameterError([problem])`` where it is not a
+    finite float (an exponent of -inf gives 0.0, as below ~-745)."""
+    try:
+        return _finite(math.exp(exponent), problem)
+    except OverflowError:
+        raise ParameterError([problem]) from None
+
+
 def _clamped_drift_scale(z: np.ndarray, params: ModelParams) -> np.ndarray:
     """Per-usage drift scale min(max(-z, 0), a_max) of the drift best
     response; every module that needs the rule calls this one."""
@@ -287,7 +303,8 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
     retention follows its best response, and the certainty-equivalent cost
     rate ``(c_beta + |gamma0| * (retained + common variance)) / 2`` is
     integrated by Simpson's rule.  ``grid_size`` must be even and >= 2.
-    Raises ``ParameterError`` naming r_a and x0 where ``r0`` overflows.
+    Raises ``ParameterError`` naming the fields where ``xi0`` or ``r0`` is
+    not a finite float.
     """
     horizon = params.horizon
     t = _uniform_grid(horizon, grid_size)
@@ -299,14 +316,11 @@ def reservation(params: ModelParams, grid_size: int = 1024) -> ReservationReport
         damping_cost - gamma0 * retained - gamma0 * params.sigma_circ**2
     )
     psi0_T = -integrate_samples(cost_rate, 0.0, horizon)
-    xi0 = params.kappa * horizon * params.x0 + psi0_T
-    try:
-        r0 = -math.exp(-params.r_a * xi0)
-    except OverflowError:
-        raise ParameterError(
-            ["r_a, x0: the reservation utility -exp(-r_a xi0) overflows float64; "
-             "xi0 = kappa * horizon * x0 + psi0_T"]
-        ) from None
+    xi0 = _finite(params.kappa * horizon * params.x0 + psi0_T,
+                  "x0, kappa, sigma, sigma_circ, r_a: the reservation certainty equivalent "
+                  "xi0 = kappa * horizon * x0 + psi0_T is not a finite float")
+    r0 = -_exp(-params.r_a * xi0, "r_a, x0: the reservation utility -exp(-r_a xi0) overflows "
+               "float64; xi0 = kappa * horizon * x0 + psi0_T")
     return ReservationReport(
         grid=t, gamma0=gamma0, beta0=beta0, psi0_T=psi0_T, xi0=xi0, r0=r0
     )

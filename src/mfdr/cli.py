@@ -22,7 +22,8 @@ writes byte-identical CSV files (RFC 4180, UTF-8, '.' decimal, header row,
 12 significant digits).  Exit status is 0 only when every internal invariant
 check passes; otherwise a machine-readable failure list is printed to stderr
 as JSON and the status is 1 (failed checks) or 2 (unusable configuration, one
-too large for memory included).  Each command returns its checks' failures.
+too large for memory included).  Each command returns its failed checks as
+``(check, detail)`` pairs; ``main`` names the command in each JSON record.
 Flags override configuration-file keys; one table, ``_RUN_KEYS``, declares
 each run key with its flag, parser and help, and a flag's text goes through
 the same parser and checks as the key's value in a file.  One column writer,
@@ -79,7 +80,7 @@ from .principal import (
 
 __all__ = [
     "RunConfig",
-    "RUN_CONFIG_KEYS",
+    "build_run_config",
     "main",
 ]
 
@@ -124,10 +125,6 @@ _RUN_KEYS: dict[str, tuple[str | None, Callable[[str, object], object], str | No
                    "pair common-noise scenarios antithetically"),
     "out_dir": ("out", lambda key, raw: Path(raw), "DIR", "output directory (default mfdr_out)"),
 }
-
-#: Run-level configuration keys accepted in flat config files, next to the
-#: model keys of :data:`mfdr.model.MODEL_CONFIG_KEYS`.
-RUN_CONFIG_KEYS = tuple(_RUN_KEYS)
 
 _SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimConfig))
 
@@ -185,7 +182,7 @@ def build_run_config(
     unknown = [
         key
         for key in file_map
-        if key not in MODEL_CONFIG_KEYS and key not in RUN_CONFIG_KEYS
+        if key not in MODEL_CONFIG_KEYS and key not in _RUN_KEYS
     ]
     if unknown:
         raise ParameterError(
@@ -273,19 +270,15 @@ def _usage_columns(prefix: str, values: np.ndarray) -> dict[str, np.ndarray]:
     return {f"{prefix}_{k + 1}": values[:, k] for k in range(values.shape[1])}
 
 
-def _failure(command: str, check: str, detail: str) -> dict[str, str]:
-    return {"command": command, "check": check, "detail": detail}
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 
 
-def cmd_schedule(config: RunConfig) -> list[dict[str, str]]:
+def cmd_schedule(config: RunConfig) -> list[tuple[str, str]]:
     """Write optimal payment/effort schedules, one CSV per (kind, principal)."""
     params = config.params
-    failures: list[dict[str, str]] = []
+    failures = []
     principals = list(PRINCIPAL_KINDS)
     if _default_principal(params) != "cara":
         principals.remove("cara")
@@ -300,17 +293,16 @@ def cmd_schedule(config: RunConfig) -> list[dict[str, str]]:
         columns |= _usage_columns("alpha", effort.alpha) | _usage_columns("beta", effort.beta)
         path = config.out_dir / f"schedule_{kind}_{principal}.csv"
         _write_csv(path, columns)
-        for problem in check_schedule_invariants(payment, effort, params):
-            failures.append(
-                _failure("schedule", "schedule_invariants", f"{kind}/{principal}: {problem}")
-            )
+        failures += [
+            ("schedule_invariants", f"{kind}/{principal}: {problem}")
+            for problem in check_schedule_invariants(payment, effort, params)
+        ]
     return failures
 
 
-def cmd_compare(config: RunConfig) -> list[dict[str, str]]:
+def cmd_compare(config: RunConfig) -> list[tuple[str, str]]:
     """Sweep (r_p, variance_share) and write one comparison row per cell."""
-    failures: list[dict[str, str]] = []
-    rows: list[dict[str, object]] = []
+    rows, failures = [], []
     cells = [(r_p, share) for r_p in config.sweep_rp for share in config.sweep_share]
     cell_params = [
         with_variance_share(dataclasses.replace(config.params, r_p=r_p), share)
@@ -332,13 +324,12 @@ def cmd_compare(config: RunConfig) -> list[dict[str, str]]:
         for check, name in checks:
             value = getattr(report, name)
             if value < -slack:
-                detail = f"{name} = {value!r} < 0 at r_p={r_p}, share={share}"
-                failures.append(_failure("compare", check, detail))
+                failures.append((check, f"{name} = {value!r} < 0 at r_p={r_p}, share={share}"))
     _write_records(config.out_dir / "compare.csv", rows)
     return failures
 
 
-def cmd_simulate(config: RunConfig) -> list[dict[str, str]]:
+def cmd_simulate(config: RunConfig) -> list[tuple[str, str]]:
     """Run the particle Monte Carlo and write verification + summary files."""
     params = config.params
     kind = config.kind
@@ -357,8 +348,7 @@ def cmd_simulate(config: RunConfig) -> list[dict[str, str]]:
         ensemble, payoffs, params, solution.value
     )
 
-    mc_rows = []
-    failures: list[dict[str, str]] = []
+    mc_rows, failures = [], []
     for name, rec in (
         ("participation", participation),
         ("principal_value", principal_value),
@@ -370,13 +360,8 @@ def cmd_simulate(config: RunConfig) -> list[dict[str, str]]:
             f"target {format(rec.closed_form_target, _FLOAT_FORMAT)})"
         )
         if not abs(rec.z_score) <= _Z_LIMIT:
-            failures.append(
-                _failure(
-                    "simulate",
-                    f"{name}_z_score",
-                    f"|z| = {abs(rec.z_score):.3f} exceeds {_Z_LIMIT}",
-                )
-            )
+            detail = f"|z| = {abs(rec.z_score):.3f} exceeds {_Z_LIMIT}"
+            failures.append((f"{name}_z_score", detail))
 
     _write_records(config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows)
     cost = payoffs + ensemble.principal_cost(params)
@@ -389,7 +374,7 @@ def cmd_simulate(config: RunConfig) -> list[dict[str, str]]:
     return failures
 
 
-def cmd_first_best(config: RunConfig) -> list[dict[str, str]]:
+def cmd_first_best(config: RunConfig) -> list[tuple[str, str]]:
     """Write the full-information benchmark and check it dominates."""
     params = config.params
     principal = _default_principal(params)
@@ -402,25 +387,17 @@ def cmd_first_best(config: RunConfig) -> list[dict[str, str]]:
         f"(v_fb = {format(benchmark.v_fb, _FLOAT_FORMAT)}, "
         f"contracted v0 = {format(contracted.v0, _FLOAT_FORMAT)})"
     )
-    failures: list[dict[str, str]] = []
-    if not dominates:
-        failures.append(
-            _failure(
-                "first-best",
-                "first_best_dominates",
-                f"v_fb = {benchmark.v_fb!r} < contracted v0 = {contracted.v0!r}",
-            )
-        )
     row = {
         **benchmark.to_flat(),
         "v0_new_contract": contracted.v0,
         "fb_dominates": dominates,
     }
     _write_records(config.out_dir / "first_best.csv", [row])
-    return failures
+    detail = f"v_fb = {benchmark.v_fb!r} < contracted v0 = {contracted.v0!r}"
+    return [] if dominates else [("first_best_dominates", detail)]
 
 
-def cmd_reservation(config: RunConfig) -> list[dict[str, str]]:
+def cmd_reservation(config: RunConfig) -> list[tuple[str, str]]:
     """Write the walk-away problem's rate curves and summary values."""
     params = config.params
     report = reservation(params, grid_size=config.grid)
@@ -429,17 +406,10 @@ def cmd_reservation(config: RunConfig) -> list[dict[str, str]]:
         {"t": report.grid, "gamma0": report.gamma0, **_usage_columns("beta0", report.beta0)},
     )
     _write_records(config.out_dir / "reservation_report.csv", [report.to_flat()])
-    failures: list[dict[str, str]] = []
-    beta = np.asarray(report.beta0)
+    beta = report.beta0
     if (beta < params.b_min - 1e-12).any() or (beta > 1.0 + 1e-12).any():
-        failures.append(
-            _failure(
-                "reservation",
-                "retention_in_box",
-                "walk-away variance retention leaves [b_min, 1]",
-            )
-        )
-    return failures
+        return [("retention_in_box", "walk-away variance retention leaves [b_min, 1]")]
+    return []
 
 
 #: Each subcommand's function and help text.
@@ -509,19 +479,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = build_run_config(args.config, vars(args))
     except (ParameterError, OSError, MemoryError) as exc:
-        _emit_failures([_failure(args.command, "invalid_configuration", str(exc))])
+        _emit_failures(args.command, [("invalid_configuration", str(exc))])
         return 2
     try:
         failures = _COMMANDS[args.command][0](config)
     except (ParameterError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
-        _emit_failures([_failure(args.command, "runtime_error", str(exc))])
+        _emit_failures(args.command, [("runtime_error", str(exc))])
         return 2
     if failures:
-        _emit_failures(failures)
+        _emit_failures(args.command, failures)
         return 1
     return 0
 
 
-def _emit_failures(failures: list[dict[str, str]]) -> None:
-    json.dump({"failures": failures}, sys.stderr, indent=2)
+def _emit_failures(command: str, pairs: Sequence[tuple[str, str]]) -> None:
+    """Print ``command``'s ``(check, detail)`` pairs to stderr as the JSON
+    failure list, one ``{command, check, detail}`` record per pair."""
+    records = [{"command": command, "check": check, "detail": detail} for check, detail in pairs]
+    json.dump({"failures": records}, sys.stderr, indent=2)
     sys.stderr.write("\n")

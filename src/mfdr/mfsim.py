@@ -102,16 +102,22 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
+        def integer(value) -> bool:  # as the CLI's parsers: a bool is not 0 or 1
+            return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
         problems = []
-        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 2:
+        if not integer(self.n_particles) or self.n_particles < 2:
             problems.append(f"n_particles must be an integer >= 2, got {self.n_particles!r}")
-        if not isinstance(self.n_common, (int, np.integer)) or self.n_common < 1:
+        if not integer(self.n_common) or self.n_common < 1:
             problems.append(f"n_common must be an integer >= 1, got {self.n_common!r}")
-        if self.dt is not None and not 0.0 < float(self.dt) < np.inf:
+        real = integer(self.dt) or isinstance(self.dt, (float, np.floating))
+        if self.dt is not None and not (real and 0.0 < float(self.dt) < np.inf):
             problems.append(f"dt must be finite and > 0 when given, got {self.dt!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not integer(self.seed) or not 0 <= self.seed < 2**64:
             problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.antithetic and self.n_common % 2 != 0:
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            problems.append(f"antithetic must be a bool, got {self.antithetic!r}")
+        elif self.antithetic and integer(self.n_common) and self.n_common % 2 != 0:
             problems.append(
                 f"antithetic pairing needs an even n_common, got {self.n_common}"
             )

@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
 
 import numpy as np
 
 from .agent import (
     _clamped_drift_scale,
+    _exp,
     _f0_kernel,
+    _finite,
     _retained_variance,
     best_drift_effort,
     best_response_variance,
@@ -376,8 +377,9 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
     rate problem once (module docstring), bit for bit as :func:`solve_contract`.
 
     Raises ``ParameterError`` naming delta, horizon and a_max, which bound
-    the rates, where the solve overflows float64, naming r_p and x0 where a
-    cara value does, and r_a and x0 where a reservation utility does."""
+    the rates, where the solve overflows float64 (checked first), naming r_p
+    and x0 where a cara value does, x0 where a certainty equivalent is not
+    finite, and the reservation's fields where it is not (:func:`reservation`)."""
     requests = list(requests)
     problems, groups = [], {}
     for kind, principal, params in requests:
@@ -391,8 +393,6 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
         groups.setdefault(shape, {})[params.sigma, charge] = None
         problems.append((shape, (params.sigma, charge)))
 
-    distinct = dict.fromkeys(params for _, _, params in requests)
-    reservations = {params: reservation(params, grid) for params in distinct}
     rates = {}
     with _overflow_guard():
         for shape, members in groups.items():
@@ -405,6 +405,10 @@ def solve_contracts(requests, grid: int = 1024) -> list[ContractSolution]:
                 chunk = members[start : start + per_call]
                 z, minima = _minimize_rate(t_nodes, shape, chunk)
                 rates.update(((shape, m), (z[i], minima[i])) for i, m in enumerate(chunk))
+    # After the rate solve, whose overflow is named first, and outside its
+    # guard, which would blame delta, horizon and a_max for a reservation's.
+    reservations = {p: reservation(p, grid) for p in dict.fromkeys(p for _, _, p in requests)}
+    with _overflow_guard():
         return [
             _solution(kind, principal, params, rates[problem], reservations[params])
             for (kind, principal, params), problem in zip(requests, problems)
@@ -428,6 +432,12 @@ def solve_contract(
     equivalent ``u - xi0`` in pence for both preferences.
     """
     return solve_contracts([(kind, principal, params)], grid)[0]
+
+
+def _certainty_equivalent(u: float, xi0: float) -> float:
+    """``u - xi0`` in pence; ``ParameterError`` naming x0 where it is not finite."""
+    return _finite(u - xi0, "x0: the certainty equivalent u - xi0 is not a finite float; "
+                   "it grows with (delta - kappa) * horizon * x0")
 
 
 def _solution(kind, principal, params, rate, res) -> ContractSolution:
@@ -460,15 +470,10 @@ def _solution(kind, principal, params, rate, res) -> ContractSolution:
     m_integral = integrate_samples(m_rate, 0.0, horizon)
     u = params.delta * horizon * params.x0 - m_integral
     xi0 = res.xi0
-    ce = u - xi0
-    if principal == "cara":
-        try:
-            v0 = -math.exp(params.r_p * (xi0 - u))
-        except OverflowError:  # the rates are finite: r_p (xi0 - u) is what overflows
-            raise ParameterError(
-                ["r_p, x0: the cara value -exp(r_p (xi0 - u)) overflows float64; "
-                 "xi0 - u grows with (kappa - delta) * horizon * x0"]
-            ) from None
+    ce = _certainty_equivalent(u, xi0)
+    if principal == "cara":  # the rates are finite: r_p (xi0 - u) is what overflows
+        v0 = -_exp(params.r_p * (xi0 - u), "r_p, x0: the cara value -exp(r_p (xi0 - u)) "
+                   "overflows float64; xi0 - u grows with (kappa - delta) * horizon * x0")
     else:
         v0 = ce
     value = ValueReport(
@@ -512,8 +517,9 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
     degenerates to zero.
 
     Raises ``ParameterError`` naming delta, horizon and a_max where the
-    report overflows float64, r_a and x0 where its reservation does, and r_a,
-    r_p and x0 where the cara participation multiplier or value does.
+    report overflows float64, the reservation's fields where it is not
+    finite, x0 where ``ce_fb`` is not, and r_a, r_p and x0 where the cara
+    participation multiplier or value overflows.
     """
     res = reservation(params, grid)
     with _overflow_guard():
@@ -532,21 +538,18 @@ def first_best_report(params: ModelParams, grid: int = 1024) -> FirstBestReport:
         u_fb = params.delta * params.horizon * params.x0 - integrate_samples(
             m_rate, 0.0, params.horizon
         )
-        ce_fb = u_fb - res.xi0
+        ce_fb = _certainty_equivalent(u_fb, res.xi0)
         if _default_principal(params) == "cara":
             # tilt = (v_rbar / r0)^power with v_rbar = -exp(-r_bar u_fb) and
             # r0 = -exp(-r_a xi0), taken in log space: at a small r_a the power
             # is huge and would amplify the rounding of the ratio.
             power = 1.0 + params.r_p / params.r_a
-            try:
-                tilt = math.exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb))
-            except OverflowError:
-                tilt = math.inf
-            v_fb, lagrange_rho = res.r0 * tilt, (params.r_p / params.r_a) * tilt
-            if not (math.isfinite(v_fb) and math.isfinite(lagrange_rho)):
-                raise ParameterError(["r_a, r_p, x0: the participation multiplier (r_p / r_a) "
-                                      "tilt or value r0 tilt overflows float64, tilt = "
-                                      "exp((r_a + r_p) xi0 - r_p u_fb), xi0 ~ kappa horizon x0"])
+            problem = ("r_a, r_p, x0: the participation multiplier (r_p / r_a) tilt or value "
+                       "r0 tilt overflows float64, tilt = exp((r_a + r_p) xi0 - r_p u_fb), "
+                       "xi0 ~ kappa horizon x0")
+            tilt = _exp(power * (params.r_a * res.xi0 - params.r_bar * u_fb), problem)
+            v_fb = _finite(res.r0 * tilt, problem)
+            lagrange_rho = _finite((params.r_p / params.r_a) * tilt, problem)
         else:
             v_fb, lagrange_rho = ce_fb, 0.0
     return FirstBestReport(

@@ -697,6 +697,23 @@ class TestReservationCommand:
         _, rows = read_table(out / "reservation.csv")
         assert len(rows) == 65
 
+    def test_retention_outside_the_box_exits_one(self, tmp_path, capsys, monkeypatch):
+        # The best response clips beta to [b_min, 1], so only a report that
+        # breaks it reaches this check's failure.
+        def outside(params, grid_size):
+            report = reservation(params, grid_size)
+            beta0 = report.beta0.copy()
+            beta0[3, 0] = 1.5
+            return dataclasses.replace(report, beta0=beta0)
+
+        monkeypatch.setattr(cli, "reservation", outside)
+        assert main(["reservation", "--grid", "8", "--out", str(tmp_path / "out")]) == 1
+        assert failures_from(capsys.readouterr().err) == [{
+            "command": "reservation",
+            "check": "retention_in_box",
+            "detail": "walk-away variance retention leaves [b_min, 1]",
+        }]
+
     def test_degenerate_baseline_walks_away_for_free(self, tmp_path):
         path = write_config(tmp_path, {"kappa": "0", "x0": "0"})
         out = tmp_path / "out"
@@ -971,6 +988,32 @@ class TestMainExitCodes:
         assert failure["check"] == "runtime_error"
         assert failure["detail"].startswith("r_a, x0: ")
 
+    @pytest.mark.parametrize("command, grid, entries, field", [
+        ("compare", "16", {"x0": "1e306"}, "x0"),  # delta_v = nan in every row
+        ("first-best", "16", {"x0": "1e306", "r_p": "0"}, "x0"),  # v_fb = -inf, dominates
+        ("reservation", "8", {"x0": "1e308"}, "x0"),  # xi0 = inf
+        ("reservation", "8", {"sigma": "1e200"}, "sigma"),  # xi0 = r0 = psi0_T = nan
+        ("reservation", "8", {"r_a": "1e300"}, "r_a"),  # r0 = -inf
+    ])
+    def test_non_finite_values_name_their_fields(
+        self, tmp_path, capsys, command, grid, entries, field
+    ):
+        # Each exited 0 with a non-finite CSV number: math.exp(inf) is inf and
+        # a float product overflows to inf silently, so no OverflowError rose.
+        path = write_config(tmp_path, entries)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):  # sigma^2's overflow warns
+            status = main([command, "--config", str(path), "--grid", grid, "--out", str(out)])
+        assert status == 2
+        (failure,) = failures_from(capsys.readouterr().err)
+        assert failure["check"] == "runtime_error"
+        assert field in failure["detail"].split(": ")[0].split(", ")
+        for csv_path in out.rglob("*.csv"):
+            for row in read_table(csv_path)[1]:
+                for text in row:
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(text)), (csv_path.name, row)
+
     @pytest.mark.parametrize("target, check", [
         ("_uniform_grid", "invalid_configuration"),  # RunConfig's grid check
         ("reservation", "runtime_error"),
@@ -1073,6 +1116,12 @@ class TestFuzz:
 
 
 class TestEntryPoint:
+    def test_public_names_are_the_package_exports(self):
+        import mfdr
+
+        assert sorted(cli.__all__) == ["RunConfig", "build_run_config", "main"]
+        assert all(getattr(mfdr, name) is getattr(cli, name) for name in cli.__all__)
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "mfdr", "reservation",

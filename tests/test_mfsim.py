@@ -100,6 +100,24 @@ class TestSimConfig:
         with pytest.raises(ParameterError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"antithetic": "no"},  # a truthy string turned pairing on
+            {"antithetic": 1},
+            {"n_common": True},  # a bool was taken as 1
+            {"seed": True},
+            {"dt": True},
+            {"dt": "x"},  # a bare ValueError from float
+        ],
+    )
+    def test_rejects_mistyped_fields(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ParameterError) as err:
+            SimConfig(**kwargs)
+        (violation,) = err.value.violations
+        assert violation.startswith(f"{name} ")
+
     def test_collects_all_problems(self):
         with pytest.raises(ParameterError) as err:
             SimConfig(n_particles=0, n_common=0, dt=-1.0)

@@ -690,6 +690,16 @@ class TestFirstBest:
             first_best_report(params, grid)
         assert math.isfinite(first_best_report(dataclasses.replace(params, r_p=0.0), grid).ce_fb)
 
+    @pytest.mark.parametrize("r_p", [0.0, 3e-3])
+    def test_non_finite_certainty_equivalent_names_x0(self, r_p):
+        # u_fb - xi0 overflowed to -inf at x0 = 1e306, and the risk-neutral
+        # report carried v_fb = ce_fb = -inf.
+        params = validate(dataclasses.replace(CAL05, x0=1e306, r_p=r_p))
+        with pytest.raises(ParameterError, match="^x0: the certainty equivalent"):
+            first_best_report(params, 16)
+        with pytest.raises(ParameterError, match="^x0: the certainty equivalent"):
+            solve_contract("new", _default_principal(params), params, 16)
+
     def test_value_report_first_best_consistent(self):
         # The benchmark and the new contract read one reservation: its
         # contract constant is the solve's xi0, and it dominates the value.

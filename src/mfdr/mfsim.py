@@ -111,16 +111,18 @@ class SimConfig:
         if not integer(self.n_common) or self.n_common < 1:
             problems.append(f"n_common must be an integer >= 1, got {self.n_common!r}")
         real = integer(self.dt) or isinstance(self.dt, (float, np.floating))
-        if self.dt is not None and not (real and 0.0 < float(self.dt) < np.inf):
+        try:  # an int past the float range overflows: it is not finite either
+            finite = real and 0.0 < float(self.dt) < np.inf
+        except OverflowError:
+            finite = False
+        if self.dt is not None and not finite:
             problems.append(f"dt must be finite and > 0 when given, got {self.dt!r}")
         if not integer(self.seed) or not 0 <= self.seed < 2**64:
             problems.append(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.antithetic, (bool, np.bool_)):
             problems.append(f"antithetic must be a bool, got {self.antithetic!r}")
         elif self.antithetic and integer(self.n_common) and self.n_common % 2 != 0:
-            problems.append(
-                f"antithetic pairing needs an even n_common, got {self.n_common}"
-            )
+            problems.append(f"antithetic pairing needs an even n_common, got {self.n_common}")
         if problems:
             raise ParameterError(problems)
 

@@ -109,6 +109,7 @@ class TestSimConfig:
             {"seed": True},
             {"dt": True},
             {"dt": "x"},  # a bare ValueError from float
+            {"dt": 10**400},  # a bare OverflowError from float
         ],
     )
     def test_rejects_mistyped_fields(self, kwargs):

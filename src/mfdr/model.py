@@ -181,8 +181,12 @@ def validate(params: ModelParams) -> ModelParams:
     for k, value in enumerate(params.sigma):
         if not 0.0 <= value < math.inf:
             v.append(f"sigma[{k}] = {value}: must be finite and >= 0")
+        elif math.isinf(value * value):
+            v.append(f"sigma[{k}] = {value}: its square overflows float64")
     if not 0.0 <= params.sigma_circ < math.inf:
         v.append(f"sigma_circ = {params.sigma_circ}: must be finite and >= 0")
+    elif math.isinf(params.sigma_circ * params.sigma_circ):
+        v.append(f"sigma_circ = {params.sigma_circ}: its square overflows float64")
     if not 0.0 < params.a_max < math.inf:
         v.append(f"a_max = {params.a_max}: must be finite and > 0")
     if not 0.0 < params.b_min < 1.0:
@@ -198,6 +202,8 @@ def validate(params: ModelParams) -> ModelParams:
     for name in ("x0", "delta", "kappa"):
         if not math.isfinite(getattr(params, name)):
             v.append(f"{name} = {getattr(params, name)}: must be finite")
+    if math.isfinite(params.kappa) and math.isinf(params.kappa * params.kappa):
+        v.append(f"kappa = {params.kappa}: its square overflows float64")
     if v:
         raise ParameterError(v)
     return params

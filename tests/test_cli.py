@@ -39,6 +39,7 @@ from mfdr.principal import ComparisonReport, compare, first_best_report, value_r
 # Small-but-honest simulation budget for fast end-to-end runs.
 FAST_SIM = ("--grid", "64", "--particles", "16", "--common", "4",
             "--dt", str(5.5 / 32))
+COMMANDS = ("schedule", "compare", "simulate", "first-best", "reservation")
 
 
 def write_config(tmp_path: Path, entries: dict[str, str]) -> Path:
@@ -76,6 +77,21 @@ def count_rate_solves(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(principal_module, "minimize_on_grid", counted)
     return solves
+
+
+def csv_problems(directory: Path) -> list[str]:
+    """Each number in a CSV under ``directory`` that is not finite or reads -0."""
+    problems = []
+    for path in sorted(directory.rglob("*.csv")):
+        for row in read_table(path)[1]:
+            for text in row:
+                try:
+                    value = float(text)
+                except ValueError:
+                    continue
+                if not math.isfinite(value) or (value == 0.0 and text.startswith("-")):
+                    problems.append(f"{path.name}: {text!r} in {row}")
+    return problems
 
 
 def failures_from(stderr_text: str) -> list[dict[str, str]]:
@@ -801,45 +817,98 @@ class TestWriteCsv:
 
 class TestAllCommands:
     def test_no_negative_zero_in_any_csv(self, tmp_path):
-        small = ["--grid", "64"]
-        for command, flags in (
-            ("schedule", small),
-            ("compare", small),
-            ("simulate", list(FAST_SIM)),
-            ("first-best", small),
-            ("reservation", small),
-        ):
+        for command in COMMANDS:
+            flags = FAST_SIM if command == "simulate" else ("--grid", "64")
             assert main([command, "--out", str(tmp_path / command), *flags]) == 0
-        paths = sorted(tmp_path.rglob("*.csv"))
-        assert len(paths) == 10
-        for path in paths:
-            _, rows = read_table(path)
-            for row in rows:
-                for field in row:
-                    try:
-                        signed_zero = float(field) == 0.0 and field.startswith("-")
-                    except ValueError:
-                        signed_zero = False
-                    assert not signed_zero, f"{path.name}: {field!r} in {row}"
+        assert len(list(tmp_path.rglob("*.csv"))) == 10
+        assert csv_problems(tmp_path) == []
+
+
+_G8, _G16 = ("--grid", "8"), ("--grid", "16")
+_INVALID, _RUNTIME = "invalid_configuration", "runtime_error"
+_HUGE_RATES = {"delta": "-1e200", "a_max": "1e300"}
+_FB_TILTS = {"fb-tilt-r_a-1e-3": {"r_a": "1e-3", "r_p": "6e-2", "x0": "31.7525"},
+             "fb-tilt-r_a-1": {"r_a": "1", "x0": "50"}}
+
+#: One ``main`` run per entry: command, flags, config entries, exit, and at
+#: exit 2 the failure's check and the exact start of its detail.
+EXIT_CASES = {
+    "unknown-key": ("reservation", (), {"bogus_key": "1"}, 2, _INVALID,
+                    "unknown config key 'bogus_key'"),
+    # The principal follows r_p; there is no key to override it.
+    "principal-key": ("simulate", (), {"principal": "risk_neutral"}, 2, _INVALID,
+                      "unknown config key 'principal'"),
+    "odd-grid": ("schedule", ("--grid", "3"), {}, 2, _INVALID,
+                 "grid must be an even integer >= 2, got 3"),
+    "d-0": ("reservation", (), {"d": "0"}, 2, _INVALID, "d = 0: must be a positive integer"),
+    # An infinite sigma_circ or r_p passed every ">= 0" bound and wrote NaN rows.
+    "sigma_circ-inf": ("reservation", (), {"sigma_circ": "inf"}, 2, _INVALID,
+                       "sigma_circ = inf: must be finite and >= 0"),
+    "rp-inf": ("first-best", ("--rp", "inf"), {}, 2, _INVALID, "r_p = inf: must be finite and >= 0"),
+    # |delta| T = 5.5e200 and a_max = 1e300 overflow z^2 in the rate solve,
+    # which the reservation does not run.
+    **{f"{command}-delta-1e200": (command, _G8, _HUGE_RATES, 2, _RUNTIME, "delta, horizon, a_max: ")
+       for command in ("schedule", "compare", "simulate", "first-best")},
+    "reservation-delta-1e200": ("reservation", _G8, _HUGE_RATES, 0, None, None),
+    # Every rate is finite; v0 = -exp(r_p (xi0 - u)) overflows.
+    "compare-x0-65": ("compare", _G16, {"x0": "65"}, 2, _RUNTIME, "r_p, x0: "),
+    "schedule-x0-330": ("schedule", ("--grid", "64"), {"x0": "330"}, 2, _RUNTIME, "r_p, x0: "),
+    # r0 = -exp(-r_a xi0) overflows at x0 = -300 and underflows, harmlessly,
+    # at x0 = +300.
+    **{f"{command}-r_a-30": (command, _G16, {"r_a": "30", "x0": "-300"}, 2, _RUNTIME, "r_a, x0: ")
+       for command in ("reservation", "schedule", "compare", "first-best")},
+    "reservation-r_a-30-x0-300": ("reservation", _G16, {"r_a": "30", "x0": "300"}, 0, None, None),
+    # The first best's multiplier tilt overflows; the first one wrote inf
+    # with exit 0.  compare does not form the tilt.
+    **{name: ("first-best", _G16, entries, 2, _RUNTIME, "r_a, r_p, x0: ")
+       for name, entries in _FB_TILTS.items()},
+    **{f"compare-{name}": ("compare", _G16, entries, 0, None, None)
+       for name, entries in _FB_TILTS.items()},
+    # Every agent utility -exp(-r_a (payoff - cost)) underflows to -0.
+    "simulate-r_a-1-x0-50": ("simulate", ("--grid", "16", "--particles", "64", "--common", "8"),
+                             {"r_a": "1", "x0": "50"}, 2, _RUNTIME, "r_a, x0: "),
+    # Each exited 0 with a non-finite CSV number: math.exp(inf) is inf and a
+    # float product overflows to inf silently.
+    "compare-x0-1e306": ("compare", _G16, {"x0": "1e306"}, 2, _RUNTIME, "x0: "),
+    "first-best-x0-1e306": ("first-best", _G16, {"x0": "1e306", "r_p": "0"}, 2, _RUNTIME, "x0: "),
+    "reservation-x0-1e308": ("reservation", _G8, {"x0": "1e308"}, 2, _RUNTIME,
+                             "x0, kappa, sigma, sigma_circ, r_a: "),
+    "reservation-r_a-1e300": ("reservation", _G8, {"r_a": "1e300"}, 2, _RUNTIME, "r_a, x0: "),
+    # A square that overflows raised a bare OverflowError ("(34, 'Numerical
+    # result out of range')") or blamed the rate solve's fields.
+    **{f"{command}-{key}-1e200": (command, _G8, {key: "1e200"}, 2, _INVALID,
+                                  f"{field} = 1e+200: its square overflows float64")
+       for key, field in (("sigma", "sigma[0]"), ("sigma_circ", "sigma_circ"), ("kappa", "kappa"))
+       for command in COMMANDS},
+    # Two usages: one rate solve carries per-row sigma^2 in two columns, and
+    # f0's power takes a (2,) exponent.
+    "compare-d-2": ("compare", _G16, {"d": "2", "rho": "5e-5, 4.3e-5", "lambda": "0.028, 0.05",
+                                      "eta": "1, 2", "sigma": "0.04, 0.045"}, 0, None, None),
+}
 
 
 class TestMainExitCodes:
-    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"bogus_key": "1"})
-        assert main(["reservation", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        failures = failures_from(capsys.readouterr().err)
-        assert failures[0]["check"] == "invalid_configuration"
-        assert "bogus_key" in failures[0]["detail"]
-
-    def test_principal_config_key_exits_two(self, tmp_path, capsys):
-        # The principal follows r_p; there is no key to override it.
-        path = write_config(tmp_path, {"principal": "risk_neutral"})
-        assert main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        failures = failures_from(capsys.readouterr().err)
-        assert failures[0]["check"] == "invalid_configuration"
-        assert "unknown config key 'principal'" in failures[0]["detail"]
+    @pytest.mark.parametrize("command, flags, entries, status, check, prefix",
+                             list(EXIT_CASES.values()), ids=list(EXIT_CASES))
+    def test_exit_case(self, tmp_path, capsys, command, flags, entries, status, check, prefix):
+        # Exit 2: one failure record, and no output directory.  Exit 0: no
+        # failure, and every CSV has rows of finite numbers with no -0.
+        out = tmp_path / "out"
+        config = ["--config", str(write_config(tmp_path, entries))] if entries else []
+        assert main([command, *flags, *config, "--out", str(out)]) == status
+        err = capsys.readouterr().err
+        if status == 2:
+            (failure,) = failures_from(err)
+            assert (failure["command"], failure["check"]) == (command, check)
+            assert failure["detail"].startswith(prefix), failure["detail"]
+            assert not out.exists()
+        else:
+            assert "failures" not in err
+            assert csv_problems(out) == []
+            rows = {path.name: len(read_table(path)[1]) for path in out.glob("*.csv")}
+            assert rows and all(rows.values())
+            if command == "compare":  # the default 5 x 5 sweep
+                assert rows["compare.csv"] == 25
 
     @pytest.mark.parametrize(
         "flag, value, key",
@@ -896,123 +965,18 @@ class TestMainExitCodes:
         assert [item["check"] for item in failures] == ["invalid_configuration"]
         assert not out.exists()
 
-    def test_odd_grid_exits_two(self, tmp_path, capsys):
-        assert main(["schedule", "--out", str(tmp_path / "out"),
-                     "--grid", "3"]) == 2
-        failures = failures_from(capsys.readouterr().err)
-        assert failures[0]["check"] == "invalid_configuration"
-
-    def test_bad_model_value_exits_two(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"d": "0"})
-        assert main(["reservation", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert failures_from(capsys.readouterr().err)
-
-    def test_infinite_model_value_exits_two(self, tmp_path, capsys):
-        # An infinite sigma_circ or r_p passed every ">= 0" bound and the
-        # commands wrote NaN rows.
-        path = write_config(tmp_path, {"sigma_circ": "inf"})
-        out = tmp_path / "out"
-        assert main(["reservation", "--config", str(path), "--out", str(out)]) == 2
-        assert "sigma_circ" in failures_from(capsys.readouterr().err)[0]["detail"]
-        assert main(["first-best", "--rp", "inf", "--out", str(out)]) == 2
-        assert "r_p" in failures_from(capsys.readouterr().err)[0]["detail"]
-        assert not out.exists()
-
-    def test_overflowing_rates_exit_two(self, tmp_path, capsys):
-        # |delta| T = 5.5e200 and a_max = 1e300 overflowed z^2 in the rate
-        # solve: a RuntimeWarning on stderr, then exit 2 with "inputs must be
-        # finite".  The reservation does not read delta.
-        path = write_config(tmp_path, {"delta": "-1e200", "a_max": "1e300"})
-        args = ["--config", str(path), "--out", str(tmp_path / "out"), "--grid", "8"]
-        for command in ("schedule", "first-best", "simulate"):
-            assert main([command] + args) == 2
-            detail = failures_from(capsys.readouterr().err)[0]["detail"]
-            assert detail.startswith("delta, horizon, a_max: ")
-        assert main(["reservation"] + args) == 0
+    def test_overflowing_rates_exit_two(self, tmp_path):
+        # The rate solve's z^2 overflow once printed a RuntimeWarning first;
+        # only a fresh process prints warnings as a user sees them.
+        path = write_config(tmp_path, _HUGE_RATES)
         result = subprocess.run(
-            [sys.executable, "-m", "mfdr", "compare"] + args,
+            [sys.executable, "-m", "mfdr", "compare", "--config", str(path),
+             "--out", str(tmp_path / "out"), "--grid", "8"],
             capture_output=True, text=True, check=False,
         )
         assert result.returncode == 2
         assert result.stderr.startswith("{")  # no warning before the report
         assert failures_from(result.stderr)[0]["detail"].startswith("delta, horizon, a_max: ")
-
-    @pytest.mark.parametrize("command, grid, x0", [("compare", "16", "65"), ("schedule", "64", "330")])
-    def test_overflowing_cara_value_names_x0(self, tmp_path, capsys, command, grid, x0):
-        # Every rate is finite; v0 = -exp(r_p (xi0 - u)) overflows, and
-        # xi0 - u grows with x0.  The failure blamed delta, horizon and a_max.
-        path = write_config(tmp_path, {"x0": x0})
-        out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out), "--grid", grid]) == 2
-        (failure,) = failures_from(capsys.readouterr().err)
-        assert failure["check"] == "runtime_error"
-        assert failure["detail"].startswith("r_p, x0: ")
-
-    @pytest.mark.parametrize("command", ["reservation", "schedule", "compare", "first-best"])
-    def test_overflowing_reservation_utility_names_r_a_and_x0(self, tmp_path, capsys, command):
-        # r0 = -exp(-r_a xi0) overflows at r_a = 30, x0 = -300; the failure
-        # read "math range error".  At x0 = +300 it underflows, harmlessly.
-        args = [command, "--out", str(tmp_path / "out"), "--grid", "16", "--config"]
-        path = write_config(tmp_path, {"r_a": "30", "x0": "-300"})
-        assert main(args + [str(path)]) == 2
-        (failure,) = failures_from(capsys.readouterr().err)
-        assert failure["check"] == "runtime_error"
-        assert failure["detail"].startswith("r_a, x0: ")
-        path = write_config(tmp_path, {"r_a": "30", "x0": "300"})
-        assert main(["reservation"] + args[1:] + [str(path)]) == 0
-
-    @pytest.mark.parametrize("entries", [
-        {"r_a": "1e-3", "r_p": "6e-2", "x0": "31.7525"},  # wrote inf, exit 0
-        {"r_a": "1", "x0": "50"},  # blamed delta, horizon, a_max
-    ])
-    def test_overflowing_participation_multiplier_names_r_a_r_p_and_x0(
-        self, tmp_path, capsys, entries
-    ):
-        path = write_config(tmp_path, entries)
-        out = tmp_path / "out"
-        assert main(["first-best", "--config", str(path), "--grid", "16", "--out", str(out)]) == 2
-        (failure,) = failures_from(capsys.readouterr().err)
-        assert failure["check"] == "runtime_error"
-        assert failure["detail"].startswith("r_a, r_p, x0: ")
-        assert not (out / "first_best.csv").exists()
-        assert main(["compare", "--config", str(path), "--grid", "16", "--out", str(out)]) == 0
-
-    def test_underflowing_agent_utilities_name_r_a_and_x0(self, tmp_path, capsys):
-        # xi0 ~ 3,217 at r_a = 1, x0 = 50: every -exp(-r_a (payoff - cost))
-        # underflows to -0, and the failure named no field.
-        path = write_config(tmp_path, {"r_a": "1", "x0": "50"})
-        args = ["--grid", "16", "--particles", "64", "--common", "8"]
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)] + args) == 2
-        (failure,) = failures_from(capsys.readouterr().err)
-        assert failure["check"] == "runtime_error"
-        assert failure["detail"].startswith("r_a, x0: ")
-
-    @pytest.mark.parametrize("command, grid, entries, field", [
-        ("compare", "16", {"x0": "1e306"}, "x0"),  # delta_v = nan in every row
-        ("first-best", "16", {"x0": "1e306", "r_p": "0"}, "x0"),  # v_fb = -inf, dominates
-        ("reservation", "8", {"x0": "1e308"}, "x0"),  # xi0 = inf
-        ("reservation", "8", {"sigma": "1e200"}, "sigma"),  # xi0 = r0 = psi0_T = nan
-        ("reservation", "8", {"r_a": "1e300"}, "r_a"),  # r0 = -inf
-    ])
-    def test_non_finite_values_name_their_fields(
-        self, tmp_path, capsys, command, grid, entries, field
-    ):
-        # Each exited 0 with a non-finite CSV number: math.exp(inf) is inf and
-        # a float product overflows to inf silently, so no OverflowError rose.
-        path = write_config(tmp_path, entries)
-        out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):  # sigma^2's overflow warns
-            status = main([command, "--config", str(path), "--grid", grid, "--out", str(out)])
-        assert status == 2
-        (failure,) = failures_from(capsys.readouterr().err)
-        assert failure["check"] == "runtime_error"
-        assert field in failure["detail"].split(": ")[0].split(", ")
-        for csv_path in out.rglob("*.csv"):
-            for row in read_table(csv_path)[1]:
-                for text in row:
-                    with contextlib.suppress(ValueError):
-                        assert math.isfinite(float(text)), (csv_path.name, row)
 
     @pytest.mark.parametrize("target, check", [
         ("_uniform_grid", "invalid_configuration"),  # RunConfig's grid check
@@ -1087,14 +1051,14 @@ class TestFuzz:
         # Exit 0, 2 (an unusable configuration, e.g. an overflowing value),
         # or 1 from an open check only: never from schedule_invariants, so
         # every schedule passes its optimality certificate.  No warning, and
-        # no NaN or inf in any CSV.
+        # no NaN, inf or -0 in any CSV.
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             config = out / "run.ini"
             config.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), "utf-8")
             dt = repr(float(entries["horizon"]) / 16.0)
             sim = ["--particles", "16", "--common", "4", "--dt", dt]
-            for command in ("schedule", "compare", "simulate", "first-best", "reservation"):
+            for command in COMMANDS:
                 args = [command, "--config", str(config), "--grid", "16", "--out", str(out / command)]
                 stderr = io.StringIO()
                 with warnings.catch_warnings(record=True) as caught, \
@@ -1108,11 +1072,7 @@ class TestFuzz:
                 if status == 1:
                     checks = {item["check"] for item in failures_from(stderr.getvalue())}
                     assert checks <= _OPEN_CHECKS, (command, checks)
-            for path in out.rglob("*.csv"):
-                for row in read_table(path)[1]:
-                    for text in row:
-                        with contextlib.suppress(ValueError):
-                            assert math.isfinite(float(text)), (path.name, row)
+            assert csv_problems(out) == []
 
 
 class TestEntryPoint:
@@ -1121,6 +1081,14 @@ class TestEntryPoint:
 
         assert sorted(cli.__all__) == ["RunConfig", "build_run_config", "main"]
         assert all(getattr(mfdr, name) is getattr(cli, name) for name in cli.__all__)
+
+    def test_help_lists_every_run_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["schedule", "--help"])
+        assert excinfo.value.code == 0
+        assert set(re.findall(r"\[--(\w+)", capsys.readouterr().out)) == {
+            "config", "rp", "share", "kind", "grid", "particles", "common", "dt", "seed",
+            "antithetic", "out"}
 
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

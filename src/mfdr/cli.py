@@ -50,6 +50,7 @@ import numpy as np
 from .agent import reservation
 from .mfsim import (
     SimConfig,
+    _principal_costs,
     contract_payoffs,
     simulate,
     verify_participation,
@@ -364,8 +365,7 @@ def cmd_simulate(config: RunConfig) -> list[tuple[str, str]]:
             failures.append((f"{name}_z_score", detail))
 
     _write_records(config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows)
-    cost = payoffs + ensemble.principal_cost(params)
-    mean_l = np.sum(cost, axis=1) / ensemble.n_particles
+    mean_l = np.concatenate([mean for _, _, mean in _principal_costs(ensemble, payoffs, params)])
     mean_x = np.sum(ensemble.x_terminal, axis=1) / ensemble.n_particles
     _write_csv(
         config.out_dir / f"ensemble_summary_{kind}_{principal}.csv",

@@ -20,10 +20,16 @@ Two terminal-payment evaluators are implemented:
 
 Both evaluators target the same continuous-time payment; their pathwise gap
 is a discretisation diagnostic that must shrink linearly in the step size.
-The 4 x 4 factors reach the normals in row blocks of at most 8,192 draws,
-one small matrix product each: a threaded BLAS splits one whole-ensemble
-product across its thread pool, whose workers then spin on every core for
-about 0.1 s after each call.
+The particles' normals are drawn in row blocks of at most 8,192 draws into
+one reused buffer, and the 4 x 4 factor reaches each block in one small
+matrix product: a threaded BLAS splits one whole-ensemble product across
+its thread pool, whose workers then spin on every core for about 0.1 s
+after each call.  The payoffs are built in place, and the law indexing and
+both checks run over blocks of whole scenarios of at most 8,192 particles
+(one scenario, if it is larger).  So the ensemble's fields and the payoffs
+are the only ensemble-sized arrays: no temporary grows with the ensemble,
+each block's work stays in cache, and every per-scenario sum has the bits
+of the same sum over the whole array.
 
 Verification helpers estimate the agents' certainty equivalent (which must
 match the reservation level — the contracts leave no rent) and the
@@ -172,7 +178,7 @@ class ParticleEnsemble:
 
     def agent_cost(self, params: ModelParams) -> np.ndarray:
         """Accumulated agent running cost: integral of (effort cost - kappa X)."""
-        return self.effort_cost_integral - params.kappa * self.x_integral
+        return _agent_cost(self, params)
 
     def principal_cost(self, params: ModelParams) -> np.ndarray:
         """Accumulated principal running cost.
@@ -181,10 +187,24 @@ class ParticleEnsemble:
         flow net of the energy value of the deviation) plus ``theta/2``
         times the accumulated quadratic variation of the deviation.
         """
-        return (
-            (params.kappa - params.delta) * self.x_integral
-            + 0.5 * params.theta * self.quadratic_variation_integral
-        )
+        return _principal_cost(self, params)
+
+
+def _agent_cost(
+    ensemble: ParticleEnsemble, params: ModelParams, rows: slice = slice(None)
+) -> np.ndarray:
+    """``ParticleEnsemble.agent_cost`` of the scenarios ``rows``."""
+    return ensemble.effort_cost_integral - params.kappa * ensemble.x_integral[rows]
+
+
+def _principal_cost(
+    ensemble: ParticleEnsemble, params: ModelParams, rows: slice = slice(None)
+) -> np.ndarray:
+    """``ParticleEnsemble.principal_cost`` of the scenarios ``rows``."""
+    return (
+        (params.kappa - params.delta) * ensemble.x_integral[rows]
+        + 0.5 * params.theta * ensemble.quadratic_variation_integral
+    )
 
 
 @dataclass(frozen=True)
@@ -288,20 +308,34 @@ def _factor(r: np.ndarray) -> np.ndarray:
     return np.where(pivot < 0.0, -factor, factor)
 
 
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of equal blocks of at most ``_FACTOR_ROWS`` rows.
+
+    Two or more blocks each hold over half that many rows: none is a
+    one-column matrix product, which BLAS evaluates as a matrix-vector
+    product, with other rounding.
+    """
+    n_blocks = -(-n_rows // _FACTOR_ROWS)
+    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _scenario_blocks(ensemble: ParticleEnsemble) -> list[slice]:
+    """Slices of whole scenarios of at most ``max(_FACTOR_ROWS, n_particles)``
+    particles: a per-scenario sum over a block has the bits of the same sum
+    over the whole array."""
+    step = max(1, _FACTOR_ROWS // ensemble.n_particles)
+    return [slice(lo, lo + step) for lo in range(0, ensemble.n_common, step)]
+
+
 def _apply_factor(factor: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """``factor @ eps`` for each 4-vector ``eps`` on the last axis of
-    ``normals``, as an array of shape ``(4,) + normals.shape[:-1]``.
-
-    The rows go in equal blocks of at most ``_FACTOR_ROWS``, one small matrix
-    product each, so no product grows with the ensemble.  Two or more blocks
-    each hold over half that many rows: none is a one-column product, which
-    BLAS evaluates as a matrix-vector product, with other rounding.
-    """
+    ``normals``, as an array of shape ``(4,) + normals.shape[:-1]``, one
+    small matrix product per ``_row_blocks`` block, so no product grows
+    with the ensemble."""
     rows = normals.reshape(-1, 4)
     out = np.empty((4, len(rows)))
-    n_blocks = -(-len(rows) // _FACTOR_ROWS)
-    edges = [len(rows) * i // n_blocks for i in range(n_blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in _row_blocks(len(rows)):
         np.matmul(factor, rows[lo:hi].T, out=out[:, lo:hi])
     return out.reshape((4,) + normals.shape[:-1])
 
@@ -349,7 +383,9 @@ def simulate(
     ``sigma_circ dW°``.  The accumulators are drawn from their exact
     discrete-time law (``_step_law``), not along paths, so the result is a
     pure function of ``(params, schedule, cfg)`` whose memory does not grow
-    with the number of steps.
+    with the number of steps.  The particles' normals are drawn one
+    ``_row_blocks`` block at a time, in the order of one whole draw, so
+    beyond its result the sampler holds one block of them.
     """
     _check_grids(schedule, params)
     dt, n_steps = _resolve_steps(params, cfg)
@@ -360,15 +396,28 @@ def simulate(
     common = _apply_factor(common_factor, rng.standard_normal((cfg.n_common, 4)))
     if cfg.antithetic:
         common[:, 1::2] = -common[:, 0::2]
-    normals = rng.standard_normal((cfg.n_common, cfg.n_particles, 4))
     # X_T, ∫X ds, ∫z dX° and ∫z_mu dX: the idiosyncratic block plus the x0
     # terms and, except in ∫z dX°, sigma_circ times the common block.
     base = mean + [params.x0, n_steps * dt * params.x0, 0.0, 0.0]
     base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
-    fields = _apply_factor(idio_factor, normals)
-    fields += base[:, :, None]
-    zmu_dsum = np.sum(fields[3], axis=1)
-    finite = np.all(np.isfinite(fields), axis=(0, 2)) & np.isfinite(zmu_dsum)
+    n = cfg.n_particles
+    fields = np.empty((4, cfg.n_common, n))
+    flat = fields.reshape(4, -1)
+    normals = np.empty((min(_FACTOR_ROWS, flat.shape[1]), 4))
+    zmu_dsum = np.empty(cfg.n_common)
+    finite = np.empty(cfg.n_common, dtype=bool)
+    done = 0
+    for lo, hi in _row_blocks(flat.shape[1]):
+        eps = rng.standard_normal(out=normals[: hi - lo])
+        np.matmul(idio_factor, eps.T, out=flat[:, lo:hi])
+        # Scenarios whose last particle this block drew get their base,
+        # their sum and their overflow check while they are in cache.
+        ready = slice(done, hi // n)
+        fields[:, ready] += base[:, ready, None]
+        zmu_dsum[ready] = np.sum(fields[3, ready], axis=1)
+        finite[ready] = np.isfinite(zmu_dsum[ready])
+        finite[ready] &= np.all(np.isfinite(fields[:, ready]), axis=(0, 2))
+        done = ready.stop
     if not np.all(finite):
         raise ArithmeticError(
             f"overflow in simulation of common-noise scenario {np.argmin(finite)}"
@@ -457,20 +506,27 @@ def contract_payoffs(
 
     xi0 = _reservation_level(ensemble, params)
     sc = params.sigma_circ
+    n = ensemble.n_particles
 
     if indexing == "common_noise":
         rate = _running_rate(schedule.z, schedule.z_mu, schedule.gamma, params, indexing)
         det = integrate_samples(rate, 0.0, schedule.horizon)
-        exposure = sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)[:, None]
     else:
-        n = ensemble.n_particles
         if n < 2:
             raise ValueError("law indexing needs n_particles >= 2")
         z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps), ensemble.n_steps)
         det = float(np.sum(_running_rate(z, zmu, gamma, params, indexing)) * ensemble.dt)
-        loo_mean_increment = (ensemble.zmu_dsum[:, None] - ensemble.zmu_dx) / (n - 1)
-        exposure = sc * ensemble.z_dw_circ[:, None] + loo_mean_increment
-    return xi0 + det - params.kappa * ensemble.x_integral + ensemble.z_dx_idio + exposure
+    # xi0 + det - kappa ∫X ds + ∫z dX° + exposure, in that order, in place.
+    payoffs = np.multiply(params.kappa, ensemble.x_integral)
+    np.subtract(xi0 + det, payoffs, out=payoffs)
+    payoffs += ensemble.z_dx_idio
+    if indexing == "common_noise":
+        payoffs += sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)[:, None]
+        return payoffs
+    for rows in _scenario_blocks(ensemble):
+        loo_mean_increment = (ensemble.zmu_dsum[rows, None] - ensemble.zmu_dx[rows]) / (n - 1)
+        payoffs[rows] += sc * ensemble.z_dw_circ[rows, None] + loo_mean_increment
+    return payoffs
 
 
 def _pair_average(samples: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -492,6 +548,14 @@ def _mc_moments(samples: np.ndarray) -> tuple[float, float]:
     mean = float(np.sum(samples) / n)
     var = float(np.sum((samples - mean) ** 2) / (n - 1))
     return mean, float(np.sqrt(var / n))
+
+
+def _principal_costs(ensemble: ParticleEnsemble, payoffs: np.ndarray, params: ModelParams):
+    """Per ``_scenario_blocks`` block: its slice, each particle's principal
+    cost (payoff plus running cost) and each scenario's mean of it."""
+    for rows in _scenario_blocks(ensemble):
+        cost = payoffs[rows] + _principal_cost(ensemble, params, rows)
+        yield rows, cost, np.sum(cost, axis=1) / ensemble.n_particles
 
 
 def _check_payoffs(payoffs: np.ndarray, ensemble: ParticleEnsemble) -> None:
@@ -533,10 +597,12 @@ def verify_participation(
     |running cost|``: where the agents bear no risk, rounding is the spread.
     """
     _check_payoffs(payoffs, ensemble)
-    util = -np.exp(-params.r_a * (payoffs - ensemble.agent_cost(params)))
-    if not np.all(np.isfinite(util)):
-        raise ArithmeticError("overflow while evaluating agent utilities")
-    scenario_means = np.sum(util, axis=1) / ensemble.n_particles
+    scenario_means = np.empty(ensemble.n_common)
+    for rows in _scenario_blocks(ensemble):
+        util = -np.exp(-params.r_a * (payoffs[rows] - _agent_cost(ensemble, params, rows)))
+        if not np.all(np.isfinite(util)):
+            raise ArithmeticError("overflow while evaluating agent utilities")
+        scenario_means[rows] = np.sum(util, axis=1) / ensemble.n_particles
     samples = _pair_average(scenario_means, ensemble.config.antithetic)
     mean_util, se_util = _mc_moments(samples)
     n = len(samples)
@@ -591,18 +657,20 @@ def verify_principal_value(
         raise ValueError(
             f"jackknife over particles needs n_particles >= 2, got {n}"
         )
-    cost = payoffs + ensemble.principal_cost(params)
-    scenario_cost = np.sum(cost, axis=1) / n
-    loo_cost = (n * scenario_cost[:, None] - cost) / (n - 1)
-    if value_report.principal == "cara":
-        values = -np.exp(params.r_p * scenario_cost)
-        loo_values = -np.exp(params.r_p * loo_cost)
-    else:
-        values = -scenario_cost
-        loo_values = -loo_cost
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(loo_values))):
-        raise ArithmeticError("overflow while evaluating principal values")
-    bias_per_scenario = (n - 1) * (np.sum(loo_values, axis=1) / n - values)
+    values = np.empty(ensemble.n_common)
+    bias_per_scenario = np.empty(ensemble.n_common)
+    for rows, cost, scenario_cost in _principal_costs(ensemble, payoffs, params):
+        loo_cost = (n * scenario_cost[:, None] - cost) / (n - 1)
+        if value_report.principal == "cara":
+            value = -np.exp(params.r_p * scenario_cost)
+            loo_values = -np.exp(params.r_p * loo_cost)
+        else:
+            value = -scenario_cost
+            loo_values = -loo_cost
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(loo_values))):
+            raise ArithmeticError("overflow while evaluating principal values")
+        values[rows] = value
+        bias_per_scenario[rows] = (n - 1) * (np.sum(loo_values, axis=1) / n - value)
     jackknife_bias = float(np.sum(bias_per_scenario) / ensemble.n_common)
 
     samples = _pair_average(values, ensemble.config.antithetic)

@@ -255,25 +255,32 @@ class TestDeterminism:
         assert not np.array_equal(a.x_terminal, c.x_terminal)
 
     def test_draws_four_normals_per_particle_and_scenario(self, monkeypatch):
-        # No per-step random array: the draw count does not depend on n_steps.
-        sizes = []
+        # No per-step random array: the number of normals drawn does not
+        # depend on n_steps.  The common normals come first, and no draw
+        # holds more than one block of rows of four (4097 x 5 takes three).
+        shapes = []
         real = np.random.Generator
 
         class Recording:
             def __init__(self, bit_generator):
                 self._rng = real(bit_generator)
 
-            def standard_normal(self, size):
-                sizes.append(size)
-                return self._rng.standard_normal(size)
+            def standard_normal(self, size=None, out=None):
+                draws = self._rng.standard_normal(size, out=out)
+                shapes.append(draws.shape)
+                return draws
 
         monkeypatch.setattr(mfsim_module.np.random, "Generator", Recording)
         sched = flat_schedule(CAL05, z=-1.0, gamma=-1.0)
-        for n_steps in (16, 1024):
-            sizes.clear()
-            simulate(CAL05, sched, SimConfig(n_particles=8, n_common=6,
-                                             dt=CAL05.horizon / n_steps, seed=1))
-            assert sizes == [(6, 4), (6, 8, 4)]
+        for n_particles, n_common in ((8, 6), (4097, 5)):
+            for n_steps in (16, 1024):
+                shapes.clear()
+                simulate(CAL05, sched, SimConfig(n_particles=n_particles, n_common=n_common,
+                                                 dt=CAL05.horizon / n_steps, seed=1))
+                assert shapes[0] == (n_common, 4)
+                assert sum(np.prod(shape) for shape in shapes) == 4 * n_common * (n_particles + 1)
+                for shape in shapes:
+                    assert shape[-1] == 4 and np.prod(shape[:-1]) <= mfsim_module._FACTOR_ROWS
 
 
 class TestExactSampler:
@@ -343,6 +350,36 @@ class TestExactSampler:
                 tracemalloc.stop()
         assert peaks[2048] <= 2.0 * peaks[64]
 
+    def test_memory_within_blocks(self):
+        # Beyond its result, each step holds a few blocks of the sampler's
+        # draws, not ensemble-sized temporaries: 4,096 x 16 particles make
+        # each ensemble-sized array 2 blocks, and the one-shot normals 8.
+        params = CAL05
+        solution = solve_contract("new", "cara", params, 128)
+        cfg = SimConfig(n_particles=4096, n_common=16, seed=5)
+        block = mfsim_module._FACTOR_ROWS * 4 * 8
+
+        def traced_peak(run):
+            run()
+            tracemalloc.start()
+            try:
+                result = run()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        peak, ens = traced_peak(lambda: simulate(params, solution.payment, cfg))
+        output = ens.x_terminal.base.nbytes + ens.z_dw_circ.base.nbytes + ens.zmu_dsum.nbytes
+        assert peak <= output + 2 * block
+        for indexing in ("common_noise", "law"):
+            peak, payoffs = traced_peak(lambda: contract_payoffs(
+                ens, solution.payment, params, "cara", indexing=indexing))
+            assert peak <= payoffs.nbytes + block, indexing
+        peak, _ = traced_peak(lambda: verify_participation(ens, payoffs, params))
+        assert peak <= 3 * block
+        peak, _ = traced_peak(lambda: verify_principal_value(ens, payoffs, params, solution.value))
+        assert peak <= 3 * block
+
 
 class TestFactorContraction:
     @pytest.mark.parametrize(
@@ -393,6 +430,43 @@ class TestFactorContraction:
         dsum_scale = np.sum(scale[3], axis=1)
         dsum_reference = np.sum(idio[3] + base[3][:, None], axis=1)
         assert np.all(np.abs(ens.zmu_dsum - dsum_reference) <= 1e-12 * dsum_scale)
+
+    @pytest.mark.parametrize(
+        "n_particles, n_common, antithetic",
+        [(8193, 2, False), (2, 8193, False), (16_385, 3, False), (3277, 5, False),
+         (100_000, 1, False), (2, 20_000, False), (2, 20_000, True), (8193, 1, False)],
+    )
+    def test_fields_match_one_shot_draw_in_bits(self, n_particles, n_common, antithetic):
+        # The oracle draws every particle's normals at once, in the same
+        # Philox order, and multiplies them through _apply_factor.  The
+        # sampler draws block by block, so its bits match only while its
+        # blocks are _apply_factor's; these shapes sit at block edges.  In
+        # fixed 8,192-row blocks, 8,193 x 1 would leave a one-column product
+        # whose X_T differs in its last bit at this seed.
+        params = dataclasses.replace(CAL05, x0=0.25)
+        sched, _ = optimal_schedule("new", "cara", params, grid=64)
+        cfg = SimConfig(n_particles=n_particles, n_common=n_common,
+                        dt=params.horizon / 64, seed=31, antithetic=antithetic)
+        ens = simulate(params, sched, cfg)
+
+        _, _, mean, idio_factor, common_factor = mfsim_module._step_law(
+            params, sched, ens.dt, ens.n_steps
+        )
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        common = mfsim_module._apply_factor(common_factor, rng.standard_normal((n_common, 4)))
+        if antithetic:
+            common[:, 1::2] = -common[:, 0::2]
+        base = mean + [params.x0, ens.n_steps * ens.dt * params.x0, 0.0, 0.0]
+        base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
+        fields = mfsim_module._apply_factor(
+            idio_factor, rng.standard_normal((n_common, n_particles, 4))
+        )
+        fields += base[:, :, None]
+        for row, got in enumerate((ens.x_terminal, ens.x_integral, ens.z_dx_idio, ens.zmu_dx)):
+            assert np.array_equal(got, fields[row])
+        assert np.array_equal(ens.z_dw_circ, common[2])
+        assert np.array_equal(ens.zmu_dw_circ, common[3])
+        assert np.array_equal(ens.zmu_dsum, np.sum(fields[3], axis=1))
 
     def test_no_thread_pool_spin_after_simulate(self):
         # One whole-ensemble matrix product would go to a threaded BLAS's

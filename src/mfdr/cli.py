@@ -48,14 +48,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .agent import reservation
-from .mfsim import (
-    SimConfig,
-    _principal_costs,
-    contract_payoffs,
-    simulate,
-    verify_participation,
-    verify_principal_value,
-)
+from .mfsim import SimConfig, _stream_reports
 from .model import (
     MODEL_CONFIG_KEYS,
     ModelParams,
@@ -342,12 +335,7 @@ def cmd_simulate(config: RunConfig) -> list[tuple[str, str]]:
             file=sys.stderr,
         )
     solution = solve_contract(kind, principal, params, config.grid)
-    ensemble = simulate(params, solution.payment, config.sim)
-    payoffs = contract_payoffs(ensemble, solution.payment, params, principal)
-    participation = verify_participation(ensemble, payoffs, params)
-    principal_value = verify_principal_value(
-        ensemble, payoffs, params, solution.value
-    )
+    participation, principal_value, mean_l, mean_x = _stream_reports(params, solution, config.sim)
 
     mc_rows, failures = [], []
     for name, rec in (
@@ -365,11 +353,9 @@ def cmd_simulate(config: RunConfig) -> list[tuple[str, str]]:
             failures.append((f"{name}_z_score", detail))
 
     _write_records(config.out_dir / f"mc_report_{kind}_{principal}.csv", mc_rows)
-    mean_l = np.concatenate([mean for _, _, mean in _principal_costs(ensemble, payoffs, params)])
-    mean_x = np.sum(ensemble.x_terminal, axis=1) / ensemble.n_particles
     _write_csv(
         config.out_dir / f"ensemble_summary_{kind}_{principal}.csv",
-        {"path": range(ensemble.n_common), "mean_l_terminal": mean_l, "mean_x_terminal": mean_x},
+        {"path": range(config.sim.n_common), "mean_l_terminal": mean_l, "mean_x_terminal": mean_x},
     )
     return failures
 

@@ -26,10 +26,13 @@ matrix product: a threaded BLAS splits one whole-ensemble product across
 its thread pool, whose workers then spin on every core for about 0.1 s
 after each call.  The payoffs are built in place, and the law indexing and
 both checks run over blocks of whole scenarios of at most 8,192 particles
-(one scenario, if it is larger).  So the ensemble's fields and the payoffs
-are the only ensemble-sized arrays: no temporary grows with the ensemble,
-each block's work stays in cache, and every per-scenario sum has the bits
-of the same sum over the whole array.
+(one scenario, if it is larger).  So in the public chain (``simulate``,
+``contract_payoffs``, the ``verify_*`` checks) the ensemble's fields and the
+payoffs are the only ensemble-sized arrays, each block's work stays in
+cache, and every per-scenario sum has the bits of the same sum over the
+whole array.  ``mfdr simulate`` reads only per-scenario reductions, so it
+runs the same per-block functions in one pass over the sampler's blocks
+(``_stream_reports``), which holds no ensemble-sized array at all.
 
 Verification helpers estimate the agents' certainty equivalent (which must
 match the reservation level — the contracts leave no rent) and the
@@ -46,14 +49,15 @@ import numpy as np
 
 from .agent import (
     _clamped_drift_scale,
+    _h_d,
+    _h_v,
     best_effort_cost,
     best_response_variance,
-    hamiltonian_envelopes,
     reservation,
 )
 from .model import ModelParams, ParameterError
 from .numerics import integrate_samples
-from .principal import PaymentSchedule, ValueReport
+from .principal import ContractSolution, PaymentSchedule, ValueReport
 
 __all__ = [
     "SimConfig",
@@ -178,7 +182,7 @@ class ParticleEnsemble:
 
     def agent_cost(self, params: ModelParams) -> np.ndarray:
         """Accumulated agent running cost: integral of (effort cost - kappa X)."""
-        return _agent_cost(self, params)
+        return _agent_cost(self.effort_cost_integral, self.x_integral, params)
 
     def principal_cost(self, params: ModelParams) -> np.ndarray:
         """Accumulated principal running cost.
@@ -187,24 +191,17 @@ class ParticleEnsemble:
         flow net of the energy value of the deviation) plus ``theta/2``
         times the accumulated quadratic variation of the deviation.
         """
-        return _principal_cost(self, params)
+        return _principal_cost(self.quadratic_variation_integral, self.x_integral, params)
 
 
-def _agent_cost(
-    ensemble: ParticleEnsemble, params: ModelParams, rows: slice = slice(None)
-) -> np.ndarray:
-    """``ParticleEnsemble.agent_cost`` of the scenarios ``rows``."""
-    return ensemble.effort_cost_integral - params.kappa * ensemble.x_integral[rows]
+def _agent_cost(effort_cost_integral: float, x_integral: np.ndarray, params: ModelParams):
+    """``ParticleEnsemble.agent_cost`` of the particles with ``x_integral``."""
+    return effort_cost_integral - params.kappa * x_integral
 
 
-def _principal_cost(
-    ensemble: ParticleEnsemble, params: ModelParams, rows: slice = slice(None)
-) -> np.ndarray:
-    """``ParticleEnsemble.principal_cost`` of the scenarios ``rows``."""
-    return (
-        (params.kappa - params.delta) * ensemble.x_integral[rows]
-        + 0.5 * params.theta * ensemble.quadratic_variation_integral
-    )
+def _principal_cost(qv_integral: float, x_integral: np.ndarray, params: ModelParams):
+    """``ParticleEnsemble.principal_cost`` of the particles with ``x_integral``."""
+    return (params.kappa - params.delta) * x_integral + 0.5 * params.theta * qv_integral
 
 
 @dataclass(frozen=True)
@@ -369,6 +366,58 @@ def _step_law(
     return float(cost * dt), float(qv * dt), mean, _factor(r_idio), _factor(r_common)
 
 
+def _sampler(params: ModelParams, schedule: PaymentSchedule, cfg: SimConfig):
+    """``(dt, n_steps, cost_integral, qv_integral, common, blocks)``: the step
+    law, the ``(4, n_common)`` common rows and the one generator of the
+    particles' fields, which draws each ``_row_blocks`` block of normals once,
+    in order (``standard_normal`` rejects draws: no block can be skipped).
+    As a block completes the scenarios ``rows`` (a slice), ``blocks(out)``
+    yields ``(rows, fields, zmu_dsum)``, their ``(4, len, n_particles)``
+    fields and ∫z_mu d(ΣX), written into ``out``, ``(4, n_common,
+    n_particles)``, or into one block's buffer, whose front keeps the rows of
+    a scenario the last block cut.  A non-finite field raises, naming its
+    scenario."""
+    _check_grids(schedule, params)
+    dt, n_steps = _resolve_steps(params, cfg)
+    cost_integral, qv_integral, mean, idio_factor, common_factor = _step_law(
+        params, schedule, dt, n_steps
+    )
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    common = _apply_factor(common_factor, rng.standard_normal((cfg.n_common, 4)))
+    if cfg.antithetic:
+        common[:, 1::2] = -common[:, 0::2]
+    # X_T, ∫X ds, ∫z dX° and ∫z_mu dX: the idiosyncratic block plus the x0
+    # terms and, except in ∫z dX°, sigma_circ times the common block.
+    base = mean + [params.x0, n_steps * dt * params.x0, 0.0, 0.0]
+    base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
+    n, total = cfg.n_particles, cfg.n_common * cfg.n_particles
+
+    def blocks(out: np.ndarray | None = None):
+        shape = (4, min(total, n - 1 + _FACTOR_ROWS))
+        buffer = np.empty(shape) if out is None else out.reshape(4, -1)
+        normals = np.empty((min(_FACTOR_ROWS, total), 4))
+        done = start = 0  # scenarios yielded; the row in the buffer's first column
+        for lo, hi in _row_blocks(total):
+            eps = rng.standard_normal(out=normals[: hi - lo])
+            np.matmul(idio_factor, eps.T, out=buffer[:, lo - start : hi - start])
+            ready = slice(done, hi // n)
+            if ready.stop > done:
+                fields = buffer[:, done * n - start : ready.stop * n - start].reshape(4, -1, n)
+                fields += base[:, ready, None]
+                zmu_dsum = np.sum(fields[3], axis=1)
+                finite = np.isfinite(zmu_dsum) & np.all(np.isfinite(fields), axis=(0, 2))
+                if not finite.all():
+                    raise ArithmeticError("overflow in simulation of common-noise "
+                                          f"scenario {done + np.argmin(finite)}")
+                yield ready, fields, zmu_dsum
+                done = ready.stop
+            if out is None and done * n > start:  # the cut scenario's rows go to the front
+                buffer[:, : hi - done * n] = buffer[:, done * n - start : hi - start]
+                start = done * n
+
+    return dt, n_steps, cost_integral, qv_integral, common, blocks
+
+
 def simulate(
     params: ModelParams,
     schedule: PaymentSchedule,
@@ -384,58 +433,19 @@ def simulate(
     discrete-time law (``_step_law``), not along paths, so the result is a
     pure function of ``(params, schedule, cfg)`` whose memory does not grow
     with the number of steps.  The particles' normals are drawn one
-    ``_row_blocks`` block at a time, in the order of one whole draw, so
-    beyond its result the sampler holds one block of them.
+    ``_row_blocks`` block at a time (``_sampler``), so beyond its result the
+    sampler holds one block of them.
     """
-    _check_grids(schedule, params)
-    dt, n_steps = _resolve_steps(params, cfg)
-    cost_integral, qv_integral, mean, idio_factor, common_factor = _step_law(
-        params, schedule, dt, n_steps
-    )
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    common = _apply_factor(common_factor, rng.standard_normal((cfg.n_common, 4)))
-    if cfg.antithetic:
-        common[:, 1::2] = -common[:, 0::2]
-    # X_T, ∫X ds, ∫z dX° and ∫z_mu dX: the idiosyncratic block plus the x0
-    # terms and, except in ∫z dX°, sigma_circ times the common block.
-    base = mean + [params.x0, n_steps * dt * params.x0, 0.0, 0.0]
-    base = base[:, None] + params.sigma_circ * common * [[1.0], [1.0], [0.0], [1.0]]
-    n = cfg.n_particles
-    fields = np.empty((4, cfg.n_common, n))
-    flat = fields.reshape(4, -1)
-    normals = np.empty((min(_FACTOR_ROWS, flat.shape[1]), 4))
+    dt, n_steps, cost_integral, qv_integral, common, blocks = _sampler(params, schedule, cfg)
+    fields = np.empty((4, cfg.n_common, cfg.n_particles))
     zmu_dsum = np.empty(cfg.n_common)
-    finite = np.empty(cfg.n_common, dtype=bool)
-    done = 0
-    for lo, hi in _row_blocks(flat.shape[1]):
-        eps = rng.standard_normal(out=normals[: hi - lo])
-        np.matmul(idio_factor, eps.T, out=flat[:, lo:hi])
-        # Scenarios whose last particle this block drew get their base,
-        # their sum and their overflow check while they are in cache.
-        ready = slice(done, hi // n)
-        fields[:, ready] += base[:, ready, None]
-        zmu_dsum[ready] = np.sum(fields[3, ready], axis=1)
-        finite[ready] = np.isfinite(zmu_dsum[ready])
-        finite[ready] &= np.all(np.isfinite(fields[:, ready]), axis=(0, 2))
-        done = ready.stop
-    if not np.all(finite):
-        raise ArithmeticError(
-            f"overflow in simulation of common-noise scenario {np.argmin(finite)}"
-        )
+    for rows, _, block_dsum in blocks(fields):
+        zmu_dsum[rows] = block_dsum
     return ParticleEnsemble(
-        config=cfg,
-        horizon=params.horizon,
-        dt=dt,
-        n_steps=n_steps,
-        x_terminal=fields[0],
-        x_integral=fields[1],
-        z_dx_idio=fields[2],
-        zmu_dx=fields[3],
-        z_dw_circ=common[2],
-        zmu_dw_circ=common[3],
-        zmu_dsum=zmu_dsum,
-        effort_cost_integral=cost_integral,
-        quadratic_variation_integral=qv_integral,
+        config=cfg, horizon=params.horizon, dt=dt, n_steps=n_steps,
+        x_terminal=fields[0], x_integral=fields[1], z_dx_idio=fields[2], zmu_dx=fields[3],
+        z_dw_circ=common[2], zmu_dw_circ=common[3], zmu_dsum=zmu_dsum,
+        effort_cost_integral=cost_integral, quadratic_variation_integral=qv_integral,
         _schedule_intervals=schedule.n_intervals,
     )
 
@@ -458,17 +468,32 @@ def _running_rate(
     ``sigma_circ dW°``; it adds back their drift, ``z_mu rho_bar`` times the
     clamped drift scale ``min(max(-z, 0), a_max)``.
     """
-    env = hamiltonian_envelopes(z, gamma, np.zeros_like(z), params)
     var = best_response_variance(gamma, params)
     rate = (
-        -0.5 * env.h_d
-        - 0.5 * env.h_v
+        -0.5 * _h_d(z, params)
+        - 0.5 * _h_v(gamma, params)
         + 0.5 * (gamma + params.r_a * z**2) * var
         + 0.5 * params.r_a * params.sigma_circ**2 * (z + zmu) ** 2
     )
     if indexing == "law":
         rate = rate + zmu * params.rho_bar * _clamped_drift_scale(z, params)
     return rate
+
+
+def _common_noise_terms(schedule: PaymentSchedule, params: ModelParams) -> float:
+    """The common-noise-indexed payment's running terms (Simpson, schedule nodes)."""
+    rate = _running_rate(schedule.z, schedule.z_mu, schedule.gamma, params, "common_noise")
+    return integrate_samples(rate, 0.0, schedule.horizon)
+
+
+def _payoffs(level: float, params: ModelParams, x_integral, z_dx_idio, exposure, out=None):
+    """Payoffs ``level - kappa ∫X ds + ∫z dX° + exposure`` of a block of
+    scenarios, in that order, in place."""
+    payoffs = np.multiply(params.kappa, x_integral, out=out)
+    np.subtract(level, payoffs, out=payoffs)
+    payoffs += z_dx_idio
+    payoffs += exposure
+    return payoffs
 
 
 def contract_payoffs(
@@ -509,23 +534,23 @@ def contract_payoffs(
     n = ensemble.n_particles
 
     if indexing == "common_noise":
-        rate = _running_rate(schedule.z, schedule.z_mu, schedule.gamma, params, indexing)
-        det = integrate_samples(rate, 0.0, schedule.horizon)
+        det = _common_noise_terms(schedule, params)
+        exposure = sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)
     else:
         if n < 2:
             raise ValueError("law indexing needs n_particles >= 2")
         z, zmu, gamma = _sample_schedule(schedule, np.arange(ensemble.n_steps), ensemble.n_steps)
         det = float(np.sum(_running_rate(z, zmu, gamma, params, indexing)) * ensemble.dt)
-    # xi0 + det - kappa ∫X ds + ∫z dX° + exposure, in that order, in place.
-    payoffs = np.multiply(params.kappa, ensemble.x_integral)
-    np.subtract(xi0 + det, payoffs, out=payoffs)
-    payoffs += ensemble.z_dx_idio
-    if indexing == "common_noise":
-        payoffs += sc * (ensemble.z_dw_circ + ensemble.zmu_dw_circ)[:, None]
-        return payoffs
+    payoffs = np.empty(ensemble.x_terminal.shape)
     for rows in _scenario_blocks(ensemble):
-        loo_mean_increment = (ensemble.zmu_dsum[rows, None] - ensemble.zmu_dx[rows]) / (n - 1)
-        payoffs[rows] += sc * ensemble.z_dw_circ[rows, None] + loo_mean_increment
+        if indexing == "common_noise":
+            tail = exposure[rows, None]
+        else:  # the leave-one-out mean increment plus sigma_circ ∫z dW°
+            tail = ensemble.zmu_dsum[rows, None] - ensemble.zmu_dx[rows]
+            tail /= n - 1
+            tail += sc * ensemble.z_dw_circ[rows, None]
+        _payoffs(xi0 + det, params, ensemble.x_integral[rows], ensemble.z_dx_idio[rows], tail,
+                 out=payoffs[rows])
     return payoffs
 
 
@@ -533,29 +558,17 @@ def _pair_average(samples: np.ndarray, antithetic: bool) -> np.ndarray:
     if not antithetic:
         return samples
     if len(samples) % 2 != 0:
-        raise ValueError(
-            f"antithetic pairing needs an even sample count, got {len(samples)}"
-        )
+        raise ValueError(f"antithetic pairing needs an even sample count, got {len(samples)}")
     return 0.5 * (samples[0::2] + samples[1::2])
 
 
 def _mc_moments(samples: np.ndarray) -> tuple[float, float]:
     n = len(samples)
     if n < 2:
-        raise ValueError(
-            f"need at least 2 effective Monte Carlo samples, got {n}"
-        )
+        raise ValueError(f"need at least 2 effective Monte Carlo samples, got {n}")
     mean = float(np.sum(samples) / n)
     var = float(np.sum((samples - mean) ** 2) / (n - 1))
     return mean, float(np.sqrt(var / n))
-
-
-def _principal_costs(ensemble: ParticleEnsemble, payoffs: np.ndarray, params: ModelParams):
-    """Per ``_scenario_blocks`` block: its slice, each particle's principal
-    cost (payoff plus running cost) and each scenario's mean of it."""
-    for rows in _scenario_blocks(ensemble):
-        cost = payoffs[rows] + _principal_cost(ensemble, params, rows)
-        yield rows, cost, np.sum(cost, axis=1) / ensemble.n_particles
 
 
 def _check_payoffs(payoffs: np.ndarray, ensemble: ParticleEnsemble) -> None:
@@ -564,9 +577,13 @@ def _check_payoffs(payoffs: np.ndarray, ensemble: ParticleEnsemble) -> None:
                          f"shape {ensemble.x_terminal.shape}")
 
 
-def _magnitude(payoffs, ensemble: ParticleEnsemble, slope: float, constant: float) -> float:
-    """A bound of ``|payoff| + |constant + slope * x_integral|``, with no full-size temporary."""
-    largest = [max(np.max(a), -np.min(a)) for a in (payoffs, ensemble.x_integral)]
+def _largest(a: np.ndarray) -> float:
+    """``max |a|``, with no full-size temporary; blockwise, a running maximum."""
+    return max(np.max(a), -np.min(a))
+
+
+def _magnitude(largest: tuple[float, float], slope: float, constant: float) -> float:
+    """A bound of ``|payoff| + |constant + slope * x_integral|`` from their ``_largest``."""
     return float(largest[0] + abs(slope) * largest[1] + abs(constant))
 
 
@@ -575,6 +592,44 @@ def _z_score(estimate: float, target: float, se: float, rounding: float) -> floa
     its target, infinite where nothing spreads but they differ."""
     with np.errstate(divide="ignore"):
         return 0.0 if estimate == target else float((estimate - target) / np.hypot(se, rounding))
+
+
+def _utility_means(payoffs, x_integral, effort_cost_integral: float, params: ModelParams):
+    """Each scenario's mean agent utility ``-exp(-r_a (payoff - running
+    cost))`` over a block of scenarios; NaN, for which
+    ``_participation_report`` raises, if a utility is not finite."""
+    exponent = -params.r_a * (payoffs - _agent_cost(effort_cost_integral, x_integral, params))
+    with np.errstate(over="ignore"):
+        util = -np.exp(exponent)
+    if not np.all(np.isfinite(util)):
+        return np.full(len(util), np.nan)
+    return np.sum(util, axis=1) / payoffs.shape[1]
+
+
+def _participation_report(scenario_means: np.ndarray, cfg: SimConfig, params: ModelParams,
+                          xi0: float, largest: tuple, effort_cost_integral: float) -> McReport:
+    """``verify_participation``'s report from each scenario's mean utility."""
+    if np.isnan(scenario_means).any():
+        raise ArithmeticError("overflow while evaluating agent utilities")
+    samples = _pair_average(scenario_means, cfg.antithetic)
+    mean_util, se_util = _mc_moments(samples)
+    n = len(samples)
+    loo_means = (np.sum(samples) - samples) / (n - 1)
+    if mean_util >= 0.0 or np.any(loo_means >= 0.0):
+        raise ArithmeticError(
+            "r_a, x0: agent utility estimate must be negative (exponential utility); "
+            "-exp(-r_a (payoff - cost)) underflows to -0 where r_a xi0 is large"
+        )
+    ce = -np.log(-mean_util) / params.r_a
+    se_ce = se_util / (params.r_a * (-mean_util))
+    loo_ce = -np.log(-loo_means) / params.r_a
+    jackknife_bias = float((n - 1) * (np.sum(loo_ce) / n - ce))
+
+    size = _magnitude(largest, params.kappa, effort_cost_integral)
+    rounding = _ROUNDING * (size + 1.0 / params.r_a)
+    return McReport(estimate=float(ce), std_error=float(se_ce), n_effective=n,
+                    closed_form_target=float(xi0), jackknife_bias=jackknife_bias,
+                    z_score=_z_score(float(ce), xi0, float(se_ce), rounding))
 
 
 def verify_participation(
@@ -599,35 +654,53 @@ def verify_participation(
     _check_payoffs(payoffs, ensemble)
     scenario_means = np.empty(ensemble.n_common)
     for rows in _scenario_blocks(ensemble):
-        util = -np.exp(-params.r_a * (payoffs[rows] - _agent_cost(ensemble, params, rows)))
-        if not np.all(np.isfinite(util)):
-            raise ArithmeticError("overflow while evaluating agent utilities")
-        scenario_means[rows] = np.sum(util, axis=1) / ensemble.n_particles
-    samples = _pair_average(scenario_means, ensemble.config.antithetic)
-    mean_util, se_util = _mc_moments(samples)
-    n = len(samples)
-    loo_means = (np.sum(samples) - samples) / (n - 1)
-    if mean_util >= 0.0 or np.any(loo_means >= 0.0):
-        raise ArithmeticError(
-            "r_a, x0: agent utility estimate must be negative (exponential utility); "
-            "-exp(-r_a (payoff - cost)) underflows to -0 where r_a xi0 is large"
+        scenario_means[rows] = _utility_means(
+            payoffs[rows], ensemble.x_integral[rows], ensemble.effort_cost_integral, params
         )
-    ce = -np.log(-mean_util) / params.r_a
-    se_ce = se_util / (params.r_a * (-mean_util))
-    loo_ce = -np.log(-loo_means) / params.r_a
-    jackknife_bias = float((n - 1) * (np.sum(loo_ce) / n - ce))
+    largest = (_largest(payoffs), _largest(ensemble.x_integral))
+    return _participation_report(scenario_means, ensemble.config, params,
+                                 _reservation_level(ensemble, params), largest,
+                                 ensemble.effort_cost_integral)
 
-    xi0 = _reservation_level(ensemble, params)
-    size = _magnitude(payoffs, ensemble, params.kappa, ensemble.effort_cost_integral)
-    rounding = _ROUNDING * (size + 1.0 / params.r_a)
-    return McReport(
-        estimate=float(ce),
-        std_error=float(se_ce),
-        n_effective=n,
-        closed_form_target=float(xi0),
-        z_score=_z_score(float(ce), xi0, float(se_ce), rounding),
-        jackknife_bias=jackknife_bias,
-    )
+
+def _principal_block(payoffs, x_integral, qv_integral: float, params: ModelParams, principal: str):
+    """Over a block of scenarios: each one's mean principal cost (payment plus
+    running cost), its value and the value's leave-one-particle-out
+    jackknife bias; NaN values, for which ``_value_report`` raises, if a
+    value or a leave-one-out value is not finite."""
+    n = payoffs.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = payoffs + _principal_cost(qv_integral, x_integral, params)
+        scenario_cost = np.sum(cost, axis=1) / n
+        loo_cost = (n * scenario_cost[:, None] - cost) / (n - 1)
+        if principal == "cara":
+            value = -np.exp(params.r_p * scenario_cost)
+            loo_values = -np.exp(params.r_p * loo_cost)
+        else:
+            value = -scenario_cost
+            loo_values = -loo_cost
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(loo_values))):
+        value = np.full(len(value), np.nan)
+        return scenario_cost, value, value
+    return scenario_cost, value, (n - 1) * (np.sum(loo_values, axis=1) / n - value)
+
+
+def _value_report(values: np.ndarray, bias_per_scenario: np.ndarray, cfg: SimConfig,
+                  params: ModelParams, value_report: ValueReport, largest: tuple,
+                  qv_integral: float) -> McReport:
+    """``verify_principal_value``'s report from each scenario's value and bias."""
+    if np.isnan(values).any():
+        raise ArithmeticError("overflow while evaluating principal values")
+    jackknife_bias = float(np.sum(bias_per_scenario) / len(bias_per_scenario))
+    samples = _pair_average(values, cfg.antithetic)
+    estimate, se = _mc_moments(samples)
+    qv_cost = 0.5 * params.theta * qv_integral
+    rounding = _ROUNDING * _magnitude(largest, params.kappa - params.delta, qv_cost)
+    if value_report.principal == "cara":
+        rounding = abs(estimate) * (params.r_p * rounding + _ROUNDING)
+    return McReport(estimate=estimate, std_error=se, n_effective=len(samples),
+                    closed_form_target=float(value_report.v0), jackknife_bias=jackknife_bias,
+                    z_score=_z_score(estimate, float(value_report.v0), se, rounding))
 
 
 def verify_principal_value(
@@ -654,36 +727,41 @@ def verify_principal_value(
     _check_payoffs(payoffs, ensemble)
     n = ensemble.n_particles
     if n < 2:
-        raise ValueError(
-            f"jackknife over particles needs n_particles >= 2, got {n}"
-        )
+        raise ValueError(f"jackknife over particles needs n_particles >= 2, got {n}")
     values = np.empty(ensemble.n_common)
     bias_per_scenario = np.empty(ensemble.n_common)
-    for rows, cost, scenario_cost in _principal_costs(ensemble, payoffs, params):
-        loo_cost = (n * scenario_cost[:, None] - cost) / (n - 1)
-        if value_report.principal == "cara":
-            value = -np.exp(params.r_p * scenario_cost)
-            loo_values = -np.exp(params.r_p * loo_cost)
-        else:
-            value = -scenario_cost
-            loo_values = -loo_cost
-        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(loo_values))):
-            raise ArithmeticError("overflow while evaluating principal values")
-        values[rows] = value
-        bias_per_scenario[rows] = (n - 1) * (np.sum(loo_values, axis=1) / n - value)
-    jackknife_bias = float(np.sum(bias_per_scenario) / ensemble.n_common)
+    qv_integral = ensemble.quadratic_variation_integral
+    for rows in _scenario_blocks(ensemble):
+        _, values[rows], bias_per_scenario[rows] = _principal_block(
+            payoffs[rows], ensemble.x_integral[rows], qv_integral, params, value_report.principal
+        )
+    largest = (_largest(payoffs), _largest(ensemble.x_integral))
+    return _value_report(values, bias_per_scenario, ensemble.config, params, value_report,
+                         largest, qv_integral)
 
-    samples = _pair_average(values, ensemble.config.antithetic)
-    estimate, se = _mc_moments(samples)
-    qv_cost = 0.5 * params.theta * ensemble.quadratic_variation_integral
-    rounding = _ROUNDING * _magnitude(payoffs, ensemble, params.kappa - params.delta, qv_cost)
-    if value_report.principal == "cara":
-        rounding = abs(estimate) * (params.r_p * rounding + _ROUNDING)
-    return McReport(
-        estimate=estimate,
-        std_error=se,
-        n_effective=len(samples),
-        closed_form_target=float(value_report.v0),
-        z_score=_z_score(estimate, float(value_report.v0), se, rounding),
-        jackknife_bias=jackknife_bias,
-    )
+
+def _stream_reports(params: ModelParams, solution: ContractSolution, cfg: SimConfig):
+    """``verify_participation`` and ``verify_principal_value`` of the
+    common-noise payoffs of ``simulate(params, solution.payment, cfg)``, each
+    scenario's mean principal cost and mean X_T, with the bits and exceptions
+    of that chain, from one pass over the sampler's blocks that holds no
+    ensemble-sized array.  The checks raise after the last block is drawn, so
+    a non-finite field in any block raises first, as in ``simulate``."""
+    schedule, value_report = solution.payment, solution.value
+    _, _, effort_cost, qv_integral, common, blocks = _sampler(params, schedule, cfg)
+    xi0 = value_report.xi0  # the reservation on the schedule's grid (_reservation_level)
+    level = xi0 + _common_noise_terms(schedule, params)
+    exposure = params.sigma_circ * (common[2] + common[3])
+    utility, values, bias, mean_cost, mean_x = (np.empty(cfg.n_common) for _ in range(5))
+    largest = (-np.inf, -np.inf)
+    for rows, fields, _ in blocks():
+        payoffs = _payoffs(level, params, fields[1], fields[2], exposure[rows, None])
+        largest = (max(largest[0], _largest(payoffs)), max(largest[1], _largest(fields[1])))
+        utility[rows] = _utility_means(payoffs, fields[1], effort_cost, params)
+        mean_cost[rows], values[rows], bias[rows] = _principal_block(
+            payoffs, fields[1], qv_integral, params, value_report.principal
+        )
+        mean_x[rows] = np.sum(fields[0], axis=1) / cfg.n_particles
+    participation = _participation_report(utility, cfg, params, xi0, largest, effort_cost)
+    value = _value_report(values, bias, cfg, params, value_report, largest, qv_integral)
+    return participation, value, mean_cost, mean_x

@@ -77,7 +77,7 @@ class ModelParams:
     rho:
         Per-usage drift-effort efficiency, kW²·h⁻¹·pence⁻¹ (length d, > 0).
     lambda_:
-        Per-usage volatility-effort efficiency, kW²·h·pence⁻¹ (length d, > 0).
+        Per-usage volatility-effort efficiency, kW²·pence⁻¹ (length d, > 0).
         The trailing underscore only avoids the Python keyword; the external
         config key is ``lambda``.
     eta:
@@ -89,7 +89,7 @@ class ModelParams:
     sigma_circ:
         Common-noise volatility, kW·h^(-1/2) (>= 0).
     a_max:
-        Drift-effort cap scale, pence·kW⁻²·h (> 0); usage k's drift effort is
+        Drift-effort cap scale, pence·kW⁻¹ (> 0); usage k's drift effort is
         capped at rho[k]·a_max.
     b_min:
         Volatility-effort floor, in (0, 1).
@@ -99,7 +99,7 @@ class ModelParams:
         Principal CARA risk aversion, pence⁻¹ (>= 0; 0 encodes the
         risk-neutral principal).
     theta:
-        Quadratic-variation cost loading, pence·kW⁻²·h⁻¹ (>= 0).
+        Quadratic-variation cost loading, pence·kW⁻² (>= 0).
     horizon:
         Contract duration T, hours (> 0).
     x0:

@@ -14,8 +14,9 @@ is what the schedule builders use; a single bracket is a one-row call).  It
 takes objectives that are unimodal on every bracket, called as
 ``f(points, rows)`` on the candidates of only the flat bracket rows that
 still need a value, and certifies its scan: it evaluates only the columns
-its coarse argmin depends on, in cache-sized column blocks.  A 2-D array of
-brackets holds a row per objective, each solved bit for bit as alone.
+its coarse argmin depends on, in cache-sized blocks of whole rows.  A 2-D
+array of brackets holds a row per objective, each solved bit for bit as
+alone.
 :func:`integrate_samples` is the composite Simpson rule on uniformly spaced
 samples.
 """
@@ -47,11 +48,12 @@ _SCAN_STRIDE = 15
 #: objective's values.
 _CERTIFICATE_MARGIN = 2.0**-40
 
-#: Most points per objective call of the blocked coarse scan: each float64
-#: temporary stays within 64 KiB, so a call's temporaries together stay
-#: below the size at which the allocator returns freed memory to the system
-#: and has to fault it in again on the next call.  ``principal`` also caps
-#: the bracket rows of one rate solve at it, which bounds the scan's state.
+#: Most points per objective call of the coarse scan, which builds, evaluates
+#: and picks its points one block of whole rows at a time: each float64
+#: temporary stays within 64 KiB, below the size at which the allocator
+#: returns freed memory to the system and faults it in again on the next call.
+#: ``principal`` caps a rate solve's bracket rows at it, which bounds the
+#: scan's one array that grows with them, its first pass's values.
 _SCAN_BLOCK_POINTS = 8192
 
 
@@ -99,14 +101,14 @@ def minimize_on_grid(
     The objective ``f`` must be unimodal on every bracket in exact
     arithmetic (no interior local minimum but the least value's), with each
     computed value within a few ulps of the exact one, as for a sum of
-    non-negative terms.  It is called as ``f(points, rows)``, several times,
-    on column blocks of at most ``_SCAN_BLOCK_POINTS`` points (one column
-    when there are more rows): the scan, the point 0, the refinement's two
-    inner points, then one column per golden-section iteration.  ``points``
-    has shape ``(r, k)`` and ``rows`` holds the ``(r,)`` increasing flat
-    indices, in the objective-major order of ``lo.reshape(-1)``, of the
-    brackets they are candidates for; it returns values of shape
-    ``(r, k)``.  Only rows that still need a value are asked for one.
+    non-negative terms.  It is called as ``f(points, rows)``, several times:
+    the scan and the refinement's two inner points in blocks of whole rows
+    of at most ``_SCAN_BLOCK_POINTS`` points, the point 0, then one column
+    per golden-section iteration.  ``points`` has shape ``(r, k)`` and
+    ``rows`` holds the ``(r,)`` increasing flat indices, in the
+    objective-major order of ``lo.reshape(-1)``, of the brackets they are
+    candidates for; it returns values of shape ``(r, k)``.  Only rows that
+    still need a value are asked for one.
 
     Strategy per row: a ``coarse_n``-point uniform scan (plus the point 0
     whenever the bracket spans it, so that magnitude tie-breaking can settle
@@ -205,16 +207,10 @@ def minimize_on_grid(
         points += lo_arr[sel, None]
         return points
 
-    def scan(points: np.ndarray, rows: np.ndarray = every) -> np.ndarray:
-        """Values at ``(rows.size, k)`` points, evaluated in column blocks
-        and written into one array, so no block is held twice."""
-        step = max(1, _SCAN_BLOCK_POINTS // rows.size)
-        if step >= points.shape[1]:
-            return evaluate(points, rows)
-        values = np.empty(points.shape)
-        for s in range(0, points.shape[1], step):
-            values[:, s : s + step] = evaluate(points[:, s : s + step], rows)
-        return values
+    def row_blocks(rows: np.ndarray, k: int) -> list[slice]:
+        """Slices of ``rows`` of at most ``_SCAN_BLOCK_POINTS`` points in ``k`` columns."""
+        step = max(1, _SCAN_BLOCK_POINTS // k)
+        return [slice(s, s + step) for s in range(0, rows.size, step)]
 
     def pick(points: np.ndarray, values: np.ndarray):
         """Position, point and value of each row's least scan point,
@@ -237,12 +233,15 @@ def minimize_on_grid(
 
     stride = _SCAN_STRIDE
     first_cols = np.arange(0, coarse_n, stride)  # from 0 to last
-    points = scan_points(fractions[first_cols])
-    points[:, 0], points[:, -1] = lo_arr, hi_arr
-    scan_values = scan(points)
-    pos, best_x, best_f = pick(points, scan_values)
+    scan_values = np.empty((every.size, first_cols.size))  # the growth rounds read them
+    picks = []
+    for s in row_blocks(every, first_cols.size):
+        points = scan_points(fractions[first_cols], every[s])
+        points[:, 0], points[:, -1] = lo_arr[s], hi_arr[s]
+        scan_values[s] = evaluate(points, every[s])
+        picks.append(pick(points, scan_values[s]))
+    pos, best_x, best_f = map(np.concatenate, zip(*picks))
     best_col = first_cols[pos]
-    del points  # the growth rounds read only the scan's values
     # A region of whole strides from the sparse pick grows by one stride
     # per round on a side whose edge does not yet certify; the running
     # pick over every value evaluated is the pick on the region, since
@@ -269,8 +268,11 @@ def minimize_on_grid(
         gap = np.where(left, low_edge - 1, high_edge)
         low[active] = low_edge - left
         high[active] = high_edge + (right & ~left)
-        points = scan_points(gap_fractions[gap], active)
-        pos, x_new, f_new = pick(points, scan(points, active))
+        picks = []
+        for s in row_blocks(active, stride - 1):
+            points = scan_points(gap_fractions[gap[s]], active[s])
+            picks.append(pick(points, evaluate(points, active[s])))
+        pos, x_new, f_new = map(np.concatenate, zip(*picks))
         col = stride * gap + 1 + pos
         f_old, x_old, col_old = best_f[active], best_x[active], best_col[active]
         take = _better(f_new, x_new, f_old, x_old) | (
@@ -279,6 +281,7 @@ def minimize_on_grid(
         best_col[active] = np.where(take, col, col_old)
         best_f[active] = np.where(take, f_new, f_old)
         best_x[active] = np.where(take, x_new, x_old)
+    del scan_values
     # The best coarse point and its neighbours, which bracket the refinement.
     neighbours = np.clip(best_col[:, None] + [-1, 0, 1], 0, last)
     points = scan_points(fractions[neighbours])
@@ -309,7 +312,9 @@ def minimize_on_grid(
             a, b = a[live], b[live]
         step = _INV_PHI * (b - a)
         x1, x2 = b - step, a + step
-        inner = scan(np.stack([x1, x2], axis=1), live)
+        inner = np.concatenate([
+            evaluate(np.stack([x1[s], x2[s]], axis=1), live[s]) for s in row_blocks(live, 2)
+        ])
         f1, f2 = inner[:, 0].copy(), inner[:, 1].copy()
         x_best, f_best = best_x[live], best_f[live]
         for x_pt, f_pt in ((x1, f1), (x2, f2)):

@@ -36,7 +36,8 @@ and principal: ``(0, 0)``, which keeps :func:`hbar`'s bits, for ``new``.
 Problems of one bracket shape (the params with the fields that the rate
 ignores zeroed: r_p, sigma_circ, x0, kappa, and sigma, which it takes per
 problem) share ``minimize_on_grid`` calls of at most ``_SCAN_BLOCK_POINTS``
-bracket rows, which bounds the scan's memory: the 25 cells of ``mfdr
+bracket rows, which bounds the one scan array that grows with them (the
+scan's other temporaries stay within a row block): the 25 cells of ``mfdr
 compare`` are one call up to grid 326, and 4 at the default grid 1024
 (:func:`_minimize_rate`).
 

@@ -9,7 +9,7 @@ import pytest
 
 import mfdr.mfsim as mfsim_module
 from mfdr.agent import best_response_variance, hamiltonian_envelopes, reservation
-from mfdr.cli import _Z_LIMIT
+from mfdr.cli import _Z_LIMIT, main
 from mfdr.model import ModelParams, ParameterError, calibrated_defaults, validate
 from mfdr.principal import PaymentSchedule, optimal_schedule, solve_contract
 from mfdr.mfsim import (
@@ -379,6 +379,27 @@ class TestExactSampler:
         assert peak <= 3 * block
         peak, _ = traced_peak(lambda: verify_principal_value(ens, payoffs, params, solution.value))
         assert peak <= 3 * block
+
+    def test_cli_memory_flat_in_scenarios(self, tmp_path, capsys):
+        # mfdr simulate writes per-scenario reductions only, read in one pass
+        # over the sampler's blocks: 16 times the scenarios at 4,096
+        # particles, whose four fields alone would take 30 MiB more, cost
+        # less than one 256 KiB block of draws.
+        block = mfsim_module._FACTOR_ROWS * 4 * 8
+
+        def traced_peak(n_common):
+            args = ["simulate", "--particles", "4096", "--common", str(n_common),
+                    "--out", str(tmp_path / str(n_common))]
+            assert main(args) == 0
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        assert traced_peak(256) <= traced_peak(16) + block
 
 
 class TestFactorContraction:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -307,6 +308,30 @@ class TestMinimizeOnGrid:
         expected = one_shot_minimize(objectives[shape], lo, hi, tol=tol)
         assert bits(argmin, minima) == bits(*expected[:2])
         assert evaluations <= expected[2]
+
+    def test_scan_memory_within_row_blocks(self):
+        # At 8,192 rows each per-row float64 array is one 64 KiB block.  The
+        # scan's one rows x columns array is its first pass's values (18 per
+        # row); its points and their picks go one row block at a time, so a
+        # call holds those values plus the per-row state of the scan and of
+        # the refinement, 27 blocks, not a rows x 18 point table besides.
+        n_rows, block = 8192, 8192 * 8
+        rng = np.random.default_rng(8)
+        center = rng.uniform(-1.0, 1.0, n_rows)
+        lo = center - rng.uniform(0.5, 2.0, n_rows)
+        hi = center + rng.uniform(0.5, 2.0, n_rows)
+
+        def f(x, rows):
+            return (x - center[rows, None]) ** 2
+
+        minimize_on_grid(f, lo, hi)
+        tracemalloc.start()
+        try:
+            minimize_on_grid(f, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_rows * 18 * 8 + 32 * block
 
     @pytest.mark.parametrize("objective", [hbar, hbar_classical])
     def test_rate_solve_matches_one_shot(self, objective):
